@@ -89,6 +89,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -142,14 +143,14 @@ type options struct {
 
 func main() {
 	var o options
-	flag.StringVar(&o.role, "role", "", "coordinator, server, or aggregator")
+	flag.StringVar(&o.role, "role", "", "one of "+roleNames())
 	flag.StringVar(&o.addr, "addr", "127.0.0.1:9009", "parent address (the coordinator in a star; this node's parent in a tree)")
 	flag.StringVar(&o.listen, "listen", "", "listen address for the aggregator role's children")
 	flag.IntVar(&o.servers, "servers", 2, "number of servers s")
 	flag.IntVar(&o.id, "id", 0, "node id: servers 0..s-1, aggregators s.. (tree topology)")
 	flag.StringVar(&o.topology, "topology", "star", "aggregation topology: star or tree")
 	flag.IntVar(&o.fanout, "fanout", 2, "tree fan-out (children per interior node; tree topology)")
-	flag.StringVar(&o.protocol, "protocol", "fd", "fd, svs, adaptive, sampling, lowrank, pca")
+	flag.StringVar(&o.protocol, "protocol", "fd", "one of "+protocolNames())
 	flag.StringVar(&o.sampling, "sampling", "quadratic", "SVS sampling function: quadratic or linear")
 	flag.StringVar(&o.shrink, "shrink", "", "FD shrink strategy: fd, fast-fd (default), alpha-fd (merge-legal; isvd and compensative are rejected by fd-merge)")
 	flag.Float64Var(&o.alpha, "alpha", 0.5, "alpha for -shrink alpha-fd, in (0,1]")
@@ -184,17 +185,17 @@ func main() {
 	flag.BoolVar(&o.drainExit, "exit-when-drained", false, "exit once the input drains instead of idling (service mode)")
 	flag.Parse()
 
-	if o.role == "check-trace" {
-		if o.trace == "" {
-			fmt.Fprintln(os.Stderr, "distsketch: check-trace needs -trace <file>")
+	run, err := o.roleFunc()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "distsketch:", err)
+		os.Exit(1)
+	}
+	if o.role == roleCheckTrace {
+		// Runs before setupObservability, which would open -trace for writing.
+		if err := run(context.Background(), o); err != nil {
+			fmt.Fprintln(os.Stderr, "distsketch:", err)
 			os.Exit(1)
 		}
-		n, err := distsketch.ValidateTraceFile(o.trace)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "distsketch: trace %s invalid: %v\n", o.trace, err)
-			os.Exit(1)
-		}
-		fmt.Printf("trace %s OK: %d events\n", o.trace, n)
 		return
 	}
 
@@ -220,22 +221,7 @@ func main() {
 		defer cancel()
 	}
 
-	switch {
-	case o.serve && o.role == "coordinator":
-		err = runServeCoordinator(ctx, o)
-	case o.serve && o.role == "server":
-		err = runServeServer(ctx, o)
-	case o.serve:
-		err = fmt.Errorf("-serve supports -role coordinator or server, not %q", o.role)
-	case o.role == "coordinator":
-		err = runCoordinator(ctx, o)
-	case o.role == "server":
-		err = runServer(ctx, o)
-	case o.role == "aggregator":
-		err = runAggregator(ctx, o)
-	default:
-		err = fmt.Errorf("missing or unknown -role %q (want coordinator, server, aggregator or check-trace)", o.role)
-	}
+	err = run(ctx, o)
 	if ferr := finish(); err == nil {
 		err = ferr
 	}
@@ -243,6 +229,59 @@ func main() {
 		fmt.Fprintln(os.Stderr, "distsketch:", err)
 		os.Exit(1)
 	}
+}
+
+const roleCheckTrace = "check-trace"
+
+// roles is the -role table: main dispatches on it, and the flag's help text
+// and the unknown-role error list its names, so the three cannot drift.
+var roles = []struct {
+	name  string
+	run   func(context.Context, options) error // one protocol run
+	serve func(context.Context, options) error // the -serve daemon; nil where the role has none
+}{
+	{"coordinator", runCoordinator, runServeCoordinator},
+	{"server", runServer, runServeServer},
+	{"aggregator", runAggregator, nil},
+	{roleCheckTrace, runCheckTrace, nil},
+}
+
+func roleNames() string {
+	names := make([]string, len(roles))
+	for i, r := range roles {
+		names[i] = r.name
+	}
+	return strings.Join(names, ", ")
+}
+
+// roleFunc resolves -role (and -serve) to the function that runs it.
+func (o options) roleFunc() (func(context.Context, options) error, error) {
+	for _, r := range roles {
+		if r.name != o.role {
+			continue
+		}
+		if !o.serve {
+			return r.run, nil
+		}
+		if r.serve == nil {
+			return nil, fmt.Errorf("-serve supports -role coordinator or server, not %q", o.role)
+		}
+		return r.serve, nil
+	}
+	return nil, fmt.Errorf("missing or unknown -role %q (want one of %s)", o.role, roleNames())
+}
+
+// runCheckTrace validates the JSONL trace named by -trace.
+func runCheckTrace(_ context.Context, o options) error {
+	if o.trace == "" {
+		return fmt.Errorf("check-trace needs -trace <file>")
+	}
+	n, err := distsketch.ValidateTraceFile(o.trace)
+	if err != nil {
+		return fmt.Errorf("trace %s invalid: %v", o.trace, err)
+	}
+	fmt.Printf("trace %s OK: %d events\n", o.trace, n)
+	return nil
 }
 
 // setupObservability installs the process-wide observer when any of the
@@ -337,30 +376,56 @@ func (o options) buildProtocol(plan *distsketch.Plan) (distsketch.Protocol, erro
 	if err != nil {
 		return nil, err
 	}
-	switch o.protocol {
-	case "fd":
-		return distsketch.FDMerge{Eps: o.eps, K: o.k, Env: env}, nil
-	case "svs":
-		return distsketch.SVS{Alpha: o.eps, Delta: 0.1, Sampling: sampling, Env: env}, nil
-	case "adaptive":
+	for _, p := range protocols {
+		if p.name == o.protocol {
+			return p.build(o, env, sampling), nil
+		}
+	}
+	return nil, fmt.Errorf("unknown protocol %q (want one of %s)", o.protocol, protocolNames())
+}
+
+// protocols is the -protocol table: buildProtocol dispatches on it, and the
+// flag's help text and the unknown-protocol error list its names, so the
+// three cannot drift.
+var protocols = []struct {
+	name  string
+	build func(o options, env distsketch.Env, sampling distsketch.SamplingFn) distsketch.Protocol
+}{
+	{"fd", func(o options, env distsketch.Env, _ distsketch.SamplingFn) distsketch.Protocol {
+		return distsketch.FDMerge{Eps: o.eps, K: o.k, Env: env}
+	}},
+	{"svs", func(o options, env distsketch.Env, sampling distsketch.SamplingFn) distsketch.Protocol {
+		return distsketch.SVS{Alpha: o.eps, Delta: 0.1, Sampling: sampling, Env: env}
+	}},
+	{"adaptive", func(o options, env distsketch.Env, sampling distsketch.SamplingFn) distsketch.Protocol {
 		return distsketch.Adaptive{
 			AdaptiveParams: distsketch.AdaptiveParams{Eps: o.eps, K: o.k, Sampling: sampling},
 			Env:            env,
-		}, nil
-	case "sampling":
-		return distsketch.RowSampling{Eps: o.eps, Env: env}, nil
-	case "lowrank":
-		return distsketch.LowRankExact{KBound: o.k, Env: env}, nil
-	case "pca":
+		}
+	}},
+	{"sampling", func(o options, env distsketch.Env, _ distsketch.SamplingFn) distsketch.Protocol {
+		return distsketch.RowSampling{Eps: o.eps, Env: env}
+	}},
+	{"lowrank", func(o options, env distsketch.Env, _ distsketch.SamplingFn) distsketch.Protocol {
+		return distsketch.LowRankExact{KBound: o.k, Env: env}
+	}},
+	{"pca", func(o options, env distsketch.Env, _ distsketch.SamplingFn) distsketch.Protocol {
 		return distsketch.PCASketchSolve{
 			PCAParams: distsketch.PCAParams{K: o.k, Eps: o.eps},
 			Env:       env,
-		}, nil
-	case "coord-product":
-		return distsketch.CoordinatedProduct{SampleSize: o.sample, Env: env}, nil
-	default:
-		return nil, fmt.Errorf("unknown protocol %q", o.protocol)
+		}
+	}},
+	{"coord-product", func(o options, env distsketch.Env, _ distsketch.SamplingFn) distsketch.Protocol {
+		return distsketch.CoordinatedProduct{SampleSize: o.sample, Env: env}
+	}},
+}
+
+func protocolNames() string {
+	names := make([]string, len(protocols))
+	for i, p := range protocols {
+		names[i] = p.name
 	}
+	return strings.Join(names, ", ")
 }
 
 func runCoordinator(ctx context.Context, o options) error {

@@ -265,7 +265,6 @@ var RunWorkload = distributed.RunWorkload
 type RunOption = distributed.RunOption
 
 var (
-	WithConfig          = distributed.WithConfig
 	WithDeadline        = distributed.WithDeadline
 	WithSeed            = distributed.WithSeed
 	WithQuantization    = distributed.WithQuantization
@@ -277,26 +276,6 @@ var (
 	WithMailboxCapacity = distributed.WithMailboxCapacity
 	WithMeter           = distributed.WithMeter
 	WithParallelism     = distributed.WithParallelism
-)
-
-// Named single-protocol wrappers, for callers that prefer a function per
-// protocol over constructing the struct.
-var (
-	RunFDMerge              = distributed.RunFDMerge
-	RunSVS                  = distributed.RunSVS
-	RunSVSStreaming         = distributed.RunSVSStreaming
-	RunRowSampling          = distributed.RunRowSampling
-	RunAdaptive             = distributed.RunAdaptive
-	RunLowRankExact         = distributed.RunLowRankExact
-	RunFullTransfer         = distributed.RunFullTransfer
-	RunPCASketchSolve       = distributed.RunPCASketchSolve
-	RunBWZ                  = distributed.RunBWZ
-	RunBWZArbitrary         = distributed.RunBWZArbitrary
-	RunPCACombined          = distributed.RunPCACombined
-	RunPCAFDMerge           = distributed.RunPCAFDMerge
-	RunPCAPowerIteration    = distributed.RunPCAPowerIteration
-	RunPCACombinedPowerIter = distributed.RunPCACombinedPowerIter
-	RunCoordinatedProduct   = distributed.RunCoordinatedProduct
 )
 
 // Quality metrics: IsEpsKSketch checks the Definition 3 guarantee, CovErr

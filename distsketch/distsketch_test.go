@@ -54,15 +54,9 @@ func TestFacadeRunCoversProtocolFamilies(t *testing.T) {
 	if ratio > 1+6*eps {
 		t.Fatalf("facade PCA ratio %v", ratio)
 	}
-}
 
-// TestFacadeNamedWrappers checks a named wrapper and the typed sampling
-// enum through the public surface.
-func TestFacadeNamedWrappers(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	a := distsketch.PowerLawSpectrum(rng, 300, 12, 0.9, 10)
-	parts := distsketch.Split(a, 3, distsketch.RoundRobin, nil)
-
+	// The typed sampling enum through the public surface: parse the flag
+	// string, run the Theorem 5 linear-sampling SVS with it.
 	fn, err := distsketch.ParseSamplingFn("linear")
 	if err != nil {
 		t.Fatal(err)
@@ -70,11 +64,15 @@ func TestFacadeNamedWrappers(t *testing.T) {
 	if fn != distsketch.SampleLinear {
 		t.Fatalf("ParseSamplingFn: %v", fn)
 	}
-	res, err := distsketch.RunSVS(context.Background(), parts, 0.3, 0.1, fn, distsketch.Config{Seed: 2})
+	svsRes, err := distsketch.Run(ctx,
+		distsketch.SVS{Alpha: 0.3, Delta: 0.1, Sampling: fn},
+		parts,
+		distsketch.WithSeed(2),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ce, err := distsketch.CovErr(a, res.Sketch)
+	ce, err = distsketch.CovErr(a, svsRes.Sketch)
 	if err != nil {
 		t.Fatal(err)
 	}

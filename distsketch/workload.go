@@ -35,12 +35,6 @@ type RowSource = workload.RowSource
 // update path.
 type SparseRowSource = workload.SparseRowSource
 
-// RowStream replays a matrix row by row (the streaming-server input). It is
-// an alias of DenseSource, kept for existing callers.
-type RowStream = workload.RowStream
-
-var NewRowStream = workload.NewRowStream
-
 // Source constructors and helpers: wrap in-memory matrices, open .dskm/.csv
 // files out of core, window a source to a contiguous shard, or materialize a
 // source back into a dense matrix.

@@ -5,7 +5,7 @@
 // dense label matrix (n rows of d_B responses) generated from a planted
 // sparse weight matrix: label j responds to exactly one feature. The rows
 // are split across s servers as aligned (A-shard, B-shard) pairs;
-// RunCoordinatedProduct estimates the cross-covariance AᵀB with an a-priori
+// the CoordinatedProduct protocol estimates the cross-covariance AᵀB with an a-priori
 // Frobenius certificate, and the estimate's largest entry per column
 // recovers each label's planted feature — without any server ever shipping
 // its raw rows.
@@ -66,7 +66,7 @@ func main() {
 	rawWords := float64(n) * float64(dA+dB) // shipping every row, dense
 	fmt.Printf("%-10s %12s %12s %12s %10s %s\n", "sample m", "words", "vs raw", "‖Est−AᵀB‖F", "certified", "planted map recovered")
 	for _, m := range []int{64, 256, 1024} {
-		res, err := distsketch.RunCoordinatedProduct(ctx, inputs, m, distsketch.WithSeed(7))
+		res, err := distsketch.RunWorkload(ctx, distsketch.CoordinatedProduct{SampleSize: m}, inputs, distsketch.WithSeed(7))
 		if err != nil {
 			log.Fatal(err)
 		}

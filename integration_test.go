@@ -41,22 +41,22 @@ func TestEndToEndSketchPipeline(t *testing.T) {
 	// their guarantee on the same input.
 	eps, k := 0.2, 4
 	parts := workload.Split(loaded, 8, workload.RoundRobin, nil)
-	cfg := distributed.Config{Seed: 42}
+	seed := distributed.WithSeed(42)
 
 	ctx := context.Background()
-	det, err := distributed.RunFDMerge(ctx, parts, eps, k, cfg)
+	det, err := distributed.Run(ctx, distributed.FDMerge{Eps: eps, K: k}, parts, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSketch(t, "fd-merge", a, det.Sketch, eps, k)
 
-	ad, err := distributed.RunAdaptive(ctx, parts, distributed.AdaptiveParams{Eps: eps, K: k}, cfg)
+	ad, err := distributed.Run(ctx, distributed.Adaptive{AdaptiveParams: distributed.AdaptiveParams{Eps: eps, K: k}}, parts, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSketch(t, "adaptive", a, ad.Sketch, 3*eps, k)
 
-	svs, err := distributed.RunSVS(ctx, parts, eps, 0.1, distributed.SampleQuadratic, cfg)
+	svs, err := distributed.Run(ctx, distributed.SVS{Alpha: eps, Delta: 0.1}, parts, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,6 +118,10 @@ func TestEndToEndTCPPipeline(t *testing.T) {
 	a := workload.ClusteredGaussians(rng, 600, 24, 3, 25, 1.0)
 	parts := workload.Split(a, 3, workload.Contiguous, nil)
 	eps, k := 0.2, 3
+	proto := distributed.Adaptive{
+		AdaptiveParams: distributed.AdaptiveParams{Eps: eps, K: k},
+		Env:            distributed.Env{Servers: 3, Dim: 24},
+	}
 
 	coord, err := distributed.NewTCPCoordinator("127.0.0.1:0", 3, nil)
 	if err != nil {
@@ -136,8 +140,9 @@ func TestEndToEndTCPPipeline(t *testing.T) {
 				return
 			}
 			defer srv.Close()
-			p := distributed.AdaptiveParams{Eps: eps, K: k}
-			if err := distributed.ServerAdaptive(ctx, srv.Node(), workload.NewDenseSource(parts[id]), 3, p, distributed.Config{Seed: int64(id)}); err != nil {
+			p := proto
+			p.Env.Config.Seed = int64(id)
+			if err := p.Server(ctx, srv.Node(), distributed.CovarianceInput(workload.NewDenseSource(parts[id]))); err != nil {
 				errs <- err
 			}
 		}(i)
@@ -145,10 +150,11 @@ func TestEndToEndTCPPipeline(t *testing.T) {
 	if err := coord.Accept(ctx); err != nil {
 		t.Fatal(err)
 	}
-	sketch, err := distributed.CoordAdaptive(ctx, coord.Node(), 3, distributed.AdaptiveParams{Eps: eps, K: k}, distributed.Config{})
+	res, err := proto.Coordinator(ctx, coord.Node())
 	if err != nil {
 		t.Fatal(err)
 	}
+	sketch := res.Sketch
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -174,7 +180,7 @@ func TestEndToEndStreamingMemoryModel(t *testing.T) {
 	merged := fd.New(20, fd.SketchSize(eps, 0), fd.Options{})
 	for _, p := range parts {
 		local := fd.New(20, fd.SketchSize(eps, 0), fd.Options{})
-		stream := workload.NewRowStream(p)
+		stream := workload.NewDenseSource(p)
 		for row, ok := stream.Next(); ok; row, ok = stream.Next() {
 			if err := local.Update(row); err != nil {
 				t.Fatal(err)

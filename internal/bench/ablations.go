@@ -89,9 +89,9 @@ func FinalCompressAblation(cfg Config) ([]Row, error) {
 	a, parts := makeLowRank(cfg)
 	var rows []Row
 	for _, compress := range []bool{false, true} {
-		res, err := distributed.RunAdaptive(context.Background(), parts, distributed.AdaptiveParams{
+		res, err := distributed.Run(context.Background(), distributed.Adaptive{AdaptiveParams: distributed.AdaptiveParams{
 			Eps: cfg.Eps, K: cfg.K, FinalCompress: compress,
-		}, distributed.Config{Seed: cfg.Seed})
+		}}, parts, distributed.WithSeed(cfg.Seed))
 		if err != nil {
 			return nil, err
 		}
@@ -227,7 +227,7 @@ func SparseInputAblation(cfg Config, density float64) ([]Row, error) {
 		rows = append(rows, r)
 	}
 	// The same regime through the distributed protocol: each server streams
-	// its contiguous sparse shard via a SparseSource, so ServerFDMerge takes
+	// its contiguous sparse shard via a SparseSource, so the FDMerge server takes
 	// the nnz-proportional fd.UpdateSparse hot path end-to-end.
 	spParts := workload.SplitSparseContiguous(sp, cfg.S)
 	sources := make([]workload.RowSource, len(spParts))

@@ -154,7 +154,7 @@ func Table1(cfg Config) ([]Row, error) {
 
 	// --- (ε,0) column: error budget ε‖A‖F². ---
 	ctx := context.Background()
-	det, err := distributed.RunFDMerge(ctx, parts, cfg.Eps, 0, distributed.Config{Seed: cfg.Seed, Shrink: st})
+	det, err := distributed.Run(ctx, distributed.FDMerge{Eps: cfg.Eps}, parts, distributed.WithSeed(cfg.Seed), distributed.WithShrink(st))
 	if err != nil {
 		return nil, fmt.Errorf("T1.1: %w", err)
 	}
@@ -164,7 +164,7 @@ func Table1(cfg Config) ([]Row, error) {
 	}
 	rows = append(rows, r)
 
-	samp, err := distributed.RunRowSampling(ctx, parts, cfg.Eps, distributed.Config{Seed: cfg.Seed})
+	samp, err := distributed.Run(ctx, distributed.RowSampling{Eps: cfg.Eps}, parts, distributed.WithSeed(cfg.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("T1.2: %w", err)
 	}
@@ -175,7 +175,7 @@ func Table1(cfg Config) ([]Row, error) {
 	r.Note = "constant-prob guarantee (3ε budget)"
 	rows = append(rows, r)
 
-	svs, err := distributed.RunSVS(ctx, parts, cfg.Eps, 0.1, distributed.SampleQuadratic, distributed.Config{Seed: cfg.Seed})
+	svs, err := distributed.Run(ctx, distributed.SVS{Alpha: cfg.Eps, Delta: 0.1}, parts, distributed.WithSeed(cfg.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("T1.3: %w", err)
 	}
@@ -187,7 +187,7 @@ func Table1(cfg Config) ([]Row, error) {
 	rows = append(rows, r)
 
 	// --- (ε,k) column: error budget ε‖A−[A]_k‖F²/k. ---
-	detK, err := distributed.RunFDMerge(ctx, parts, cfg.Eps, cfg.K, distributed.Config{Seed: cfg.Seed, Shrink: st})
+	detK, err := distributed.Run(ctx, distributed.FDMerge{Eps: cfg.Eps, K: cfg.K}, parts, distributed.WithSeed(cfg.Seed), distributed.WithShrink(st))
 	if err != nil {
 		return nil, fmt.Errorf("T1.1k: %w", err)
 	}
@@ -197,7 +197,7 @@ func Table1(cfg Config) ([]Row, error) {
 	}
 	rows = append(rows, r)
 
-	ad, err := distributed.RunAdaptive(ctx, parts, distributed.AdaptiveParams{Eps: cfg.Eps, K: cfg.K}, distributed.Config{Seed: cfg.Seed})
+	ad, err := distributed.Run(ctx, distributed.Adaptive{AdaptiveParams: distributed.AdaptiveParams{Eps: cfg.Eps, K: cfg.K}}, parts, distributed.WithSeed(cfg.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("T1.4: %w", err)
 	}
@@ -246,7 +246,7 @@ func Table2(cfg Config) ([]Row, error) {
 	}
 
 	ctx := context.Background()
-	bwz, err := distributed.RunBWZ(ctx, parts, params, distributed.Config{Seed: cfg.Seed})
+	bwz, err := distributed.Run(ctx, distributed.BWZ{PCAParams: params}, parts, distributed.WithSeed(cfg.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("T2.1: %w", err)
 	}
@@ -254,7 +254,7 @@ func Table2(cfg Config) ([]Row, error) {
 		return nil, err
 	}
 
-	ss, err := distributed.RunPCASketchSolve(ctx, parts, params, distributed.Config{Seed: cfg.Seed})
+	ss, err := distributed.Run(ctx, distributed.PCASketchSolve{PCAParams: params}, parts, distributed.WithSeed(cfg.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("T2.2: %w", err)
 	}
@@ -262,7 +262,7 @@ func Table2(cfg Config) ([]Row, error) {
 		return nil, err
 	}
 
-	comb, err := distributed.RunPCACombined(ctx, parts, params, distributed.Config{Seed: cfg.Seed})
+	comb, err := distributed.Run(ctx, distributed.PCACombined{PCAParams: params}, parts, distributed.WithSeed(cfg.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("T2.2c: %w", err)
 	}
@@ -270,7 +270,7 @@ func Table2(cfg Config) ([]Row, error) {
 		return nil, err
 	}
 
-	fdp, err := distributed.RunPCAFDMerge(ctx, parts, params, distributed.Config{Seed: cfg.Seed})
+	fdp, err := distributed.Run(ctx, distributed.PCAFDMerge{PCAParams: params}, parts, distributed.WithSeed(cfg.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("T2.0: %w", err)
 	}

@@ -76,15 +76,15 @@ func HeadlineD25(ds []int, seed int64) ([]Series, error) {
 		a := workload.PowerLawSpectrum(rng, s*rowsPer, d, 1.0, 10)
 		parts := workload.Split(a, s, workload.Contiguous, nil)
 
-		det, err := distributed.RunFDMerge(context.Background(), parts, eps, 0, distributed.Config{Seed: seed})
+		det, err := distributed.Run(context.Background(), distributed.FDMerge{Eps: eps}, parts, distributed.WithSeed(seed))
 		if err != nil {
 			return nil, fmt.Errorf("F1 fd d=%d: %w", d, err)
 		}
-		svs, err := distributed.RunSVS(context.Background(), parts, eps, 0.1, distributed.SampleQuadratic, distributed.Config{Seed: seed})
+		svs, err := distributed.Run(context.Background(), distributed.SVS{Alpha: eps, Delta: 0.1}, parts, distributed.WithSeed(seed))
 		if err != nil {
 			return nil, fmt.Errorf("F1 svs d=%d: %w", d, err)
 		}
-		samp, err := distributed.RunRowSampling(context.Background(), parts, eps, distributed.Config{Seed: seed})
+		samp, err := distributed.Run(context.Background(), distributed.RowSampling{Eps: eps}, parts, distributed.WithSeed(seed))
 		if err != nil {
 			return nil, fmt.Errorf("F1 samp d=%d: %w", d, err)
 		}
@@ -108,15 +108,15 @@ func CommVsServers(svals []int, d int, eps float64, seed int64) ([]Series, error
 		rng := rand.New(rand.NewSource(seed + int64(s)))
 		a := workload.LowRankPlusNoise(rng, s*32, d, 3, 40, 0.7, 0.4)
 		parts := workload.Split(a, s, workload.Contiguous, nil)
-		r1, err := distributed.RunFDMerge(context.Background(), parts, eps, 0, distributed.Config{Seed: seed})
+		r1, err := distributed.Run(context.Background(), distributed.FDMerge{Eps: eps}, parts, distributed.WithSeed(seed))
 		if err != nil {
 			return nil, fmt.Errorf("F2 fd s=%d: %w", s, err)
 		}
-		r2, err := distributed.RunSVS(context.Background(), parts, eps, 0.1, distributed.SampleQuadratic, distributed.Config{Seed: seed})
+		r2, err := distributed.Run(context.Background(), distributed.SVS{Alpha: eps, Delta: 0.1}, parts, distributed.WithSeed(seed))
 		if err != nil {
 			return nil, fmt.Errorf("F2 svs s=%d: %w", s, err)
 		}
-		r3, err := distributed.RunAdaptive(context.Background(), parts, distributed.AdaptiveParams{Eps: eps, K: 3}, distributed.Config{Seed: seed})
+		r3, err := distributed.Run(context.Background(), distributed.Adaptive{AdaptiveParams: distributed.AdaptiveParams{Eps: eps, K: 3}}, parts, distributed.WithSeed(seed))
 		if err != nil {
 			return nil, fmt.Errorf("F2 adaptive s=%d: %w", s, err)
 		}
@@ -138,15 +138,15 @@ func CommVsEpsilon(epsvals []float64, s, d int, seed int64) ([]Series, error) {
 	a := workload.LowRankPlusNoise(rng, s*64, d, 3, 40, 0.7, 0.4)
 	parts := workload.Split(a, s, workload.Contiguous, nil)
 	for _, eps := range epsvals {
-		r1, err := distributed.RunFDMerge(context.Background(), parts, eps, 0, distributed.Config{Seed: seed})
+		r1, err := distributed.Run(context.Background(), distributed.FDMerge{Eps: eps}, parts, distributed.WithSeed(seed))
 		if err != nil {
 			return nil, fmt.Errorf("F3 fd eps=%v: %w", eps, err)
 		}
-		r2, err := distributed.RunSVS(context.Background(), parts, eps, 0.1, distributed.SampleQuadratic, distributed.Config{Seed: seed})
+		r2, err := distributed.Run(context.Background(), distributed.SVS{Alpha: eps, Delta: 0.1}, parts, distributed.WithSeed(seed))
 		if err != nil {
 			return nil, fmt.Errorf("F3 svs eps=%v: %w", eps, err)
 		}
-		r3, err := distributed.RunRowSampling(context.Background(), parts, eps, distributed.Config{Seed: seed})
+		r3, err := distributed.Run(context.Background(), distributed.RowSampling{Eps: eps}, parts, distributed.WithSeed(seed))
 		if err != nil {
 			return nil, fmt.Errorf("F3 samp eps=%v: %w", eps, err)
 		}
@@ -174,7 +174,7 @@ func ErrorFrontier(epsvals []float64, s, d int, alphaDecay float64, seed int64) 
 		return ce / frob2, err
 	}
 	for _, eps := range epsvals {
-		r1, err := distributed.RunFDMerge(context.Background(), parts, eps, 0, distributed.Config{Seed: seed})
+		r1, err := distributed.Run(context.Background(), distributed.FDMerge{Eps: eps}, parts, distributed.WithSeed(seed))
 		if err != nil {
 			return nil, err
 		}
@@ -183,7 +183,7 @@ func ErrorFrontier(epsvals []float64, s, d int, alphaDecay float64, seed int64) 
 			return nil, err
 		}
 		det.X, det.Y = append(det.X, r1.Words), append(det.Y, e1)
-		r2, err := distributed.RunSVS(context.Background(), parts, eps, 0.1, distributed.SampleQuadratic, distributed.Config{Seed: seed})
+		r2, err := distributed.Run(context.Background(), distributed.SVS{Alpha: eps, Delta: 0.1}, parts, distributed.WithSeed(seed))
 		if err != nil {
 			return nil, err
 		}
@@ -192,7 +192,7 @@ func ErrorFrontier(epsvals []float64, s, d int, alphaDecay float64, seed int64) 
 			return nil, err
 		}
 		svs.X, svs.Y = append(svs.X, r2.Words), append(svs.Y, e2)
-		r3, err := distributed.RunRowSampling(context.Background(), parts, eps, distributed.Config{Seed: seed})
+		r3, err := distributed.Run(context.Background(), distributed.RowSampling{Eps: eps}, parts, distributed.WithSeed(seed))
 		if err != nil {
 			return nil, err
 		}
@@ -217,11 +217,11 @@ func SamplingFunctionAblation(ds []int, s int, eps float64, seed int64) ([]Serie
 		rng := rand.New(rand.NewSource(seed + int64(d)))
 		a := workload.PowerLawSpectrum(rng, s*32, d, 0.8, 15)
 		parts := workload.Split(a, s, workload.Contiguous, nil)
-		rl, err := distributed.RunSVS(context.Background(), parts, eps, 0.1, distributed.SampleLinear, distributed.Config{Seed: seed})
+		rl, err := distributed.Run(context.Background(), distributed.SVS{Alpha: eps, Delta: 0.1, Sampling: distributed.SampleLinear}, parts, distributed.WithSeed(seed))
 		if err != nil {
 			return nil, err
 		}
-		rq, err := distributed.RunSVS(context.Background(), parts, eps, 0.1, distributed.SampleQuadratic, distributed.Config{Seed: seed})
+		rq, err := distributed.Run(context.Background(), distributed.SVS{Alpha: eps, Delta: 0.1}, parts, distributed.WithSeed(seed))
 		if err != nil {
 			return nil, err
 		}
@@ -251,7 +251,7 @@ func BitComplexity(cfg Config) ([]Row, error) {
 	parts := workload.Split(a, cfg.S, workload.Contiguous, nil)
 	var rows []Row
 
-	plain, err := distributed.RunFDMerge(context.Background(), parts, cfg.Eps, cfg.K, distributed.Config{Seed: cfg.Seed})
+	plain, err := distributed.Run(context.Background(), distributed.FDMerge{Eps: cfg.Eps, K: cfg.K}, parts, distributed.WithSeed(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}
@@ -263,7 +263,7 @@ func BitComplexity(cfg Config) ([]Row, error) {
 	rows = append(rows, r)
 
 	step := comm.StepFor(cfg.N, cfg.D, cfg.Eps)
-	quant, err := distributed.RunFDMerge(context.Background(), parts, cfg.Eps, cfg.K, distributed.Config{Seed: cfg.Seed, Quantize: true, QuantStep: step})
+	quant, err := distributed.Run(context.Background(), distributed.FDMerge{Eps: cfg.Eps, K: cfg.K}, parts, distributed.WithSeed(cfg.Seed), distributed.WithQuantization(step))
 	if err != nil {
 		return nil, err
 	}
@@ -274,7 +274,7 @@ func BitComplexity(cfg Config) ([]Row, error) {
 	r.Note = fmt.Sprintf("%d bits (%.1f%% of float)", quant.Bits, 100*float64(quant.Bits)/float64(plain.Bits))
 	rows = append(rows, r)
 
-	exact, err := distributed.RunLowRankExact(context.Background(), parts, cfg.K, distributed.Config{Seed: cfg.Seed})
+	exact, err := distributed.Run(context.Background(), distributed.LowRankExact{KBound: cfg.K}, parts, distributed.WithSeed(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}
@@ -298,7 +298,7 @@ func PCAQuality(ks []int, cfg Config) ([]Series, error) {
 	bwzPCA := Series{Name: "BWZ PCA", XLabel: "k"}
 	for _, k := range ks {
 		params := distributed.PCAParams{K: k, Eps: cfg.Eps}
-		r1, err := distributed.RunPCAFDMerge(context.Background(), parts, params, distributed.Config{Seed: cfg.Seed})
+		r1, err := distributed.Run(context.Background(), distributed.PCAFDMerge{PCAParams: params}, parts, distributed.WithSeed(cfg.Seed))
 		if err != nil {
 			return nil, err
 		}
@@ -306,7 +306,7 @@ func PCAQuality(ks []int, cfg Config) ([]Series, error) {
 		if err != nil {
 			return nil, err
 		}
-		r2, err := distributed.RunPCASketchSolve(context.Background(), parts, params, distributed.Config{Seed: cfg.Seed})
+		r2, err := distributed.Run(context.Background(), distributed.PCASketchSolve{PCAParams: params}, parts, distributed.WithSeed(cfg.Seed))
 		if err != nil {
 			return nil, err
 		}
@@ -314,7 +314,7 @@ func PCAQuality(ks []int, cfg Config) ([]Series, error) {
 		if err != nil {
 			return nil, err
 		}
-		r3, err := distributed.RunBWZ(context.Background(), parts, params, distributed.Config{Seed: cfg.Seed})
+		r3, err := distributed.Run(context.Background(), distributed.BWZ{PCAParams: params}, parts, distributed.WithSeed(cfg.Seed))
 		if err != nil {
 			return nil, err
 		}
@@ -402,7 +402,7 @@ func Mergeability(cfg Config, partitions int) ([]Series, error) {
 	budgetS := Series{Name: "budget", XLabel: "trial"}
 	for trial := 0; trial < partitions; trial++ {
 		parts := workload.Split(a, cfg.S, workload.RandomAssign, rand.New(rand.NewSource(cfg.Seed+int64(trial))))
-		res, err := distributed.RunFDMerge(context.Background(), parts, cfg.Eps, cfg.K, distributed.Config{Seed: cfg.Seed})
+		res, err := distributed.Run(context.Background(), distributed.FDMerge{Eps: cfg.Eps, K: cfg.K}, parts, distributed.WithSeed(cfg.Seed))
 		if err != nil {
 			return nil, err
 		}
@@ -426,7 +426,7 @@ func PowerIterationCurve(cfg Config, roundCounts []int) ([]Series, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	a := workload.ClusteredGaussians(rng, cfg.N, cfg.D, cfg.K, 40, 1.0)
 	parts := workload.Split(a, cfg.S, workload.Contiguous, nil)
-	ratios, words, err := distributed.QualityAfterRounds(context.Background(), parts, a, cfg.K, roundCounts, distributed.Config{Seed: cfg.Seed})
+	ratios, words, err := distributed.QualityAfterRounds(context.Background(), parts, a, cfg.K, roundCounts, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

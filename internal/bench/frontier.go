@@ -101,7 +101,7 @@ func ShrinkFrontier(cfg Config) ([]Row, error) {
 			continue
 		}
 		start := time.Now()
-		res, err := distributed.RunFDMerge(ctx, parts, cfg.Eps, cfg.K, distributed.Config{Seed: cfg.Seed, Shrink: st})
+		res, err := distributed.Run(ctx, distributed.FDMerge{Eps: cfg.Eps, K: cfg.K}, parts, distributed.WithSeed(cfg.Seed), distributed.WithShrink(st))
 		if err != nil {
 			return nil, fmt.Errorf("S1 fd-merge %s: %w", st.Name(), err)
 		}

@@ -97,12 +97,11 @@ func timeKernel(cfg Config, name string, a *matrix.Dense, fn func() *matrix.Dens
 func wireLegs(cfg Config, a *matrix.Dense) ([]Row, error) {
 	parts := workload.Split(a, cfg.S, workload.Contiguous, nil)
 	ctx := context.Background()
-	res64, err := distributed.RunFDMerge(ctx, parts, cfg.Eps, cfg.K, distributed.Config{Seed: cfg.Seed})
+	res64, err := distributed.Run(ctx, distributed.FDMerge{Eps: cfg.Eps, K: cfg.K}, parts, distributed.WithSeed(cfg.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("K1 float64 leg: %w", err)
 	}
-	res32, err := distributed.RunFDMerge(ctx, parts, cfg.Eps, cfg.K,
-		distributed.Config{Seed: cfg.Seed, WirePrecision: comm.Float32})
+	res32, err := distributed.Run(ctx, distributed.FDMerge{Eps: cfg.Eps, K: cfg.K}, parts, distributed.WithSeed(cfg.Seed), distributed.WithWirePrecision(comm.Float32))
 	if err != nil {
 		return nil, fmt.Errorf("K1 float32 leg: %w", err)
 	}

@@ -24,7 +24,7 @@ import (
 //     native protocol) at a sweep of sample sizes. Words scale with the kept
 //     rows' nonzeros; Budget is the a-priori certificate.
 //   - svs [A|B]: the covariance baseline — sketch the column-stacked
-//     W = [A|B] with RunSVS and read AᵀB off the off-diagonal block of the
+//     W = [A|B] with the SVS protocol and read AᵀB off the off-diagonal block of the
 //     sketch's Gram matrix. Words scale with d_A+d_B per sampled row no
 //     matter how sparse the input; Budget lifts the (4α,0) spectral
 //     guarantee on WᵀW to the block's Frobenius norm via the √min(d_A,d_B)
@@ -70,7 +70,7 @@ func ProductFrontier(cfg Config) ([]Row, error) {
 			if err != nil {
 				return nil, fmt.Errorf("C1 density=%g: %w", density, err)
 			}
-			res, err := distributed.RunCoordinatedProduct(ctx, inputs, sample, distributed.WithSeed(cfg.Seed))
+			res, err := distributed.RunWorkload(ctx, distributed.CoordinatedProduct{SampleSize: sample}, inputs, distributed.WithSeed(cfg.Seed))
 			if err != nil {
 				return nil, fmt.Errorf("C1 coord-product sample=%d density=%g: %w", sample, density, err)
 			}
@@ -98,7 +98,7 @@ func ProductFrontier(cfg Config) ([]Row, error) {
 		// all-zeros estimate (the cross-covariance mass is a ~ρ/√d_A
 		// fraction of the ‖A‖F·‖B‖F scale).
 		for _, alpha := range []float64{cfg.Eps / 2, cfg.Eps / 4, cfg.Eps / 8} {
-			svs, err := distributed.RunSVS(ctx, parts, alpha, 0.1, distributed.SampleQuadratic, distributed.Config{Seed: cfg.Seed})
+			svs, err := distributed.Run(ctx, distributed.SVS{Alpha: alpha, Delta: 0.1}, parts, distributed.WithSeed(cfg.Seed))
 			if err != nil {
 				return nil, fmt.Errorf("C1 svs alpha=%g density=%g: %w", alpha, density, err)
 			}

@@ -27,7 +27,36 @@ func (p AdaptiveParams) withDefaults() AdaptiveParams {
 	return p
 }
 
-// ServerAdaptiveLocal runs the server's part of the §3.2 algorithm up to
+// check rejects parameters outside the Theorem 7 ranges: ε in (0,1), k ≥ 1
+// (the tail is sampled at α = ε/k), δ in (0,1) with 0 selecting the default.
+func (p AdaptiveParams) check(proto string) error {
+	if err := checkEpsK(proto, p.Eps, p.K, 1); err != nil {
+		return err
+	}
+	return checkUnit(proto, "delta", p.withDefaults().Delta)
+}
+
+// Adaptive is the §3.2 / Theorem 7 adaptive (ε,k)-sketch protocol. Expected
+// communication: O(s·d·k + √s·k·d·√log(d/δ)/ε) words plus 2s calibration
+// words; the output is an (O(ε),k)-sketch of A w.h.p.
+type Adaptive struct {
+	AdaptiveParams
+	Env Env
+}
+
+// Name implements Protocol.
+func (p Adaptive) Name() string { return "adaptive" }
+
+// Estimand implements Protocol.
+func (p Adaptive) Estimand() Estimand { return EstimandCovariance }
+
+func (p Adaptive) withEnv(e Env) Protocol { p.Env = e; return p }
+
+func (p Adaptive) rounds() int { return 2 }
+
+func (p Adaptive) validate() error { return p.AdaptiveParams.check(p.Name()) }
+
+// serverAdaptiveLocal runs the server's part of the §3.2 algorithm up to
 // producing (but not sending) its block Q_i of the distributed covariance
 // sketch:
 //
@@ -39,9 +68,9 @@ func (p AdaptiveParams) withDefaults() AdaptiveParams {
 //
 // This is the "distributed covariance sketch" of §1.4/§4: computing it
 // costs only the two calibration words per server, and the caller decides
-// whether to ship Q_i (covariance sketch protocol) or to keep it local and
-// run a distributed solve on it (PCA, Theorem 9).
-func ServerAdaptiveLocal(ctx context.Context, node Node, local workload.RowSource, s int, p AdaptiveParams, cfg Config) (*matrix.Dense, error) {
+// whether to ship Q_i (the Adaptive protocol) or to keep it local and run a
+// distributed solve on it (PCACombined, PCACombinedPowerIter — Theorem 9).
+func serverAdaptiveLocal(ctx context.Context, node Node, local workload.RowSource, s int, p AdaptiveParams, cfg Config) (*matrix.Dense, error) {
 	p = p.withDefaults()
 	_, d := local.Dims()
 	// Stream the local rows through FD (core.LocalTail's first stage,
@@ -81,38 +110,39 @@ func ServerAdaptiveLocal(ctx context.Context, node Node, local workload.RowSourc
 	return t.Stack(w), nil
 }
 
-// ServerAdaptive is the server side of the full Theorem 7 sketch protocol:
-// compute Q_i and ship it to the coordinator.
-func ServerAdaptive(ctx context.Context, node Node, local workload.RowSource, s int, p AdaptiveParams, cfg Config) error {
-	q, err := ServerAdaptiveLocal(ctx, node, local, s, p, cfg)
+// Server implements Protocol: compute Q_i and ship it to the coordinator.
+func (p Adaptive) Server(ctx context.Context, node Node, in Input) error {
+	local, err := in.Covariance(p.Name())
 	if err != nil {
 		return err
 	}
-	return cfg.sendMatrix(ctx, node, comm.CoordinatorID, "adaptive-sketch", q)
+	q, err := serverAdaptiveLocal(ctx, node, local, p.Env.Servers, p.AdaptiveParams, p.Env.Config)
+	if err != nil {
+		return err
+	}
+	return p.Env.Config.sendMatrix(ctx, node, comm.CoordinatorID, "adaptive-sketch", q)
 }
 
-// CoordTailRelay performs the coordinator's half of the tail-mass exchange:
-// gather each server's ‖R_i‖F², broadcast the sum, return it.
-func CoordTailRelay(ctx context.Context, node Node, s int, cfg Config) (float64, error) {
+// coordTailRelay performs the coordinator's half of the tail-mass exchange
+// every serverAdaptiveLocal caller needs: gather each server's ‖R_i‖F²,
+// broadcast the sum.
+func coordTailRelay(ctx context.Context, node Node, s int, cfg Config) error {
 	tails, err := gatherAll(ctx, node, s, "tail-frob2", cfg)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	total := 0.0
 	for _, m := range tails {
 		total += m.Scalars[0]
 	}
-	if err := broadcast(ctx, node, s, &comm.Message{Kind: "tail-total", Scalars: []float64{total}}, cfg.observer()); err != nil {
-		return 0, err
-	}
-	return total, nil
+	return broadcast(ctx, node, s, &comm.Message{Kind: "tail-total", Scalars: []float64{total}}, cfg.observer())
 }
 
-// CoordAdaptive is the coordinator side: relay the tail-mass total, stack
-// the Q_i, and optionally FD-compress to the optimal O(k/ε) rows.
-func CoordAdaptive(ctx context.Context, node Node, s int, p AdaptiveParams, cfg Config) (*matrix.Dense, error) {
-	p = p.withDefaults()
-	if _, err := CoordTailRelay(ctx, node, s, cfg); err != nil {
+// Coordinator implements Protocol: relay the tail-mass total, stack the
+// Q_i, and optionally FD-compress to the optimal O(k/ε) rows.
+func (p Adaptive) Coordinator(ctx context.Context, node Node) (*Result, error) {
+	s, cfg := p.Env.Servers, p.Env.Config
+	if err := coordTailRelay(ctx, node, s, cfg); err != nil {
 		return nil, err
 	}
 	msgs, err := gatherAll(ctx, node, s, "adaptive-sketch", cfg)
@@ -129,14 +159,9 @@ func CoordAdaptive(ctx context.Context, node Node, s int, p AdaptiveParams, cfg 
 	}
 	q := matrix.Stack(parts...)
 	if p.FinalCompress {
-		return fd.SketchEpsK(q, p.Eps, p.K)
+		if q, err = fd.SketchEpsK(q, p.Eps, p.K); err != nil {
+			return nil, err
+		}
 	}
-	return q, nil
-}
-
-// RunAdaptive runs the full Theorem 7 protocol in-process. Expected
-// communication: O(s·d·k + √s·k·d·√log(d/δ)/ε) words plus 2s calibration
-// words; the output is an (O(ε),k)-sketch of A w.h.p.
-func RunAdaptive(ctx context.Context, parts []*matrix.Dense, p AdaptiveParams, cfg Config) (*Result, error) {
-	return Run(ctx, Adaptive{AdaptiveParams: p}, parts, WithConfig(cfg))
+	return &Result{Sketch: q}, nil
 }

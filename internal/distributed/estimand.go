@@ -129,7 +129,7 @@ func ProductShards(n int, aSrcs, bSrcs []RowSource) ([]Input, error) {
 
 // ProductShardsDense splits row-aligned dense matrices a (n×d_A) and b
 // (n×d_B) into s contiguous shard pairs — the in-memory convenience behind
-// RunCoordinatedProduct examples and tests.
+// the CoordinatedProduct examples and tests.
 func ProductShardsDense(a, b *matrix.Dense, s int) ([]Input, error) {
 	na, _ := a.Dims()
 	nb, _ := b.Dims()

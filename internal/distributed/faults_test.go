@@ -91,7 +91,7 @@ func TestFaultMatrixAllProtocols(t *testing.T) {
 func TestDelayOnlyPreservesResults(t *testing.T) {
 	checkGoroutines(t)
 	_, parts := split(t, 62, 120, 10, 4)
-	clean, err := RunFDMerge(context.Background(), parts, 0.25, 2, Config{})
+	clean, err := Run(context.Background(), FDMerge{Eps: 0.25, K: 2}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,11 +316,11 @@ func TestServerFailurePropagatesWithoutDeadlock(t *testing.T) {
 	type runFn func() error
 	runs := map[string]runFn{
 		"fd-merge": func() error {
-			_, err := RunFDMerge(context.Background(), poisoned, 0.25, 2, Config{})
+			_, err := Run(context.Background(), FDMerge{Eps: 0.25, K: 2}, poisoned)
 			return err
 		},
 		"adaptive": func() error {
-			_, err := RunAdaptive(context.Background(), poisoned, AdaptiveParams{Eps: 0.25, K: 2}, Config{})
+			_, err := Run(context.Background(), Adaptive{AdaptiveParams: AdaptiveParams{Eps: 0.25, K: 2}}, poisoned)
 			return err
 		},
 	}
@@ -372,24 +372,22 @@ func TestQuantizationSweepAllProtocols(t *testing.T) {
 	ctx := context.Background()
 	a, parts := split(t, 51, 240, 16, 6)
 	step := comm.StepFor(240, 16, 0.25)
-	cfgPlain := Config{Seed: 3}
-	cfgQuant := Config{Seed: 3, Quantize: true, QuantStep: step}
 
 	type result struct {
 		plain, quant *Result
 	}
-	runs := map[string]func(Config) (*Result, error){
-		"fd-merge": func(c Config) (*Result, error) { return RunFDMerge(ctx, parts, 0.25, 3, c) },
-		"svs":      func(c Config) (*Result, error) { return RunSVS(ctx, parts, 0.25, 0.1, SampleQuadratic, c) },
-		"adaptive": func(c Config) (*Result, error) { return RunAdaptive(ctx, parts, AdaptiveParams{Eps: 0.25, K: 3}, c) },
-		"sampling": func(c Config) (*Result, error) { return RunRowSampling(ctx, parts, 0.3, c) },
+	runs := map[string]Protocol{
+		"fd-merge": FDMerge{Eps: 0.25, K: 3},
+		"svs":      SVS{Alpha: 0.25, Delta: 0.1},
+		"adaptive": Adaptive{AdaptiveParams: AdaptiveParams{Eps: 0.25, K: 3}},
+		"sampling": RowSampling{Eps: 0.3},
 	}
-	for name, fn := range runs {
-		plain, err := fn(cfgPlain)
+	for name, proto := range runs {
+		plain, err := Run(ctx, proto, parts, WithSeed(3))
 		if err != nil {
 			t.Fatalf("%s plain: %v", name, err)
 		}
-		quant, err := fn(cfgQuant)
+		quant, err := Run(ctx, proto, parts, WithSeed(3), WithQuantization(step))
 		if err != nil {
 			t.Fatalf("%s quant: %v", name, err)
 		}
@@ -417,11 +415,11 @@ func TestQuantizationSweepAllProtocols(t *testing.T) {
 func TestProtocolDeterminismWithSeed(t *testing.T) {
 	ctx := context.Background()
 	_, parts := split(t, 52, 200, 12, 4)
-	r1, err := RunSVS(ctx, parts, 0.2, 0.1, SampleQuadratic, Config{Seed: 9})
+	r1, err := Run(ctx, SVS{Alpha: 0.2, Delta: 0.1}, parts, WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RunSVS(ctx, parts, 0.2, 0.1, SampleQuadratic, Config{Seed: 9})
+	r2, err := Run(ctx, SVS{Alpha: 0.2, Delta: 0.1}, parts, WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,11 +429,11 @@ func TestProtocolDeterminismWithSeed(t *testing.T) {
 	// (Different seeds may still coincide when all sampling probabilities
 	// are saturated at 0 or 1, so inequality is not asserted.)
 	// The deterministic protocol ignores the seed entirely.
-	d1, err := RunFDMerge(ctx, parts, 0.2, 2, Config{Seed: 1})
+	d1, err := Run(ctx, FDMerge{Eps: 0.2, K: 2}, parts, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := RunFDMerge(ctx, parts, 0.2, 2, Config{Seed: 999})
+	d2, err := Run(ctx, FDMerge{Eps: 0.2, K: 2}, parts, WithSeed(999))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,19 +448,19 @@ func TestEmptyServerInputs(t *testing.T) {
 	ctx := context.Background()
 	a, _ := split(t, 53, 90, 8, 3)
 	parts := []*matrix.Dense{a, matrix.New(0, 8), matrix.New(0, 8)}
-	if _, err := RunFDMerge(ctx, parts, 0.25, 2, Config{}); err != nil {
+	if _, err := Run(ctx, FDMerge{Eps: 0.25, K: 2}, parts); err != nil {
 		t.Fatalf("fd-merge: %v", err)
 	}
-	if _, err := RunSVS(ctx, parts, 0.25, 0.1, SampleQuadratic, Config{}); err != nil {
+	if _, err := Run(ctx, SVS{Alpha: 0.25, Delta: 0.1}, parts); err != nil {
 		t.Fatalf("svs: %v", err)
 	}
-	if _, err := RunAdaptive(ctx, parts, AdaptiveParams{Eps: 0.25, K: 2}, Config{}); err != nil {
+	if _, err := Run(ctx, Adaptive{AdaptiveParams: AdaptiveParams{Eps: 0.25, K: 2}}, parts); err != nil {
 		t.Fatalf("adaptive: %v", err)
 	}
-	if _, err := RunRowSampling(ctx, parts, 0.3, Config{}); err != nil {
+	if _, err := Run(ctx, RowSampling{Eps: 0.3}, parts); err != nil {
 		t.Fatalf("sampling: %v", err)
 	}
-	res, err := RunFullTransfer(ctx, parts, Config{})
+	res, err := Run(ctx, FullTransfer{}, parts)
 	if err != nil {
 		t.Fatalf("full transfer: %v", err)
 	}

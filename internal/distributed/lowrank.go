@@ -8,7 +8,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/linalg"
 	"repro/internal/matrix"
-	"repro/internal/workload"
 )
 
 // IndependentRowTracker is the streaming data structure of the §3.3 Case-1
@@ -127,13 +126,42 @@ func (t *IndependentRowTracker) Y() *matrix.Dense {
 	return c.Mul(t.z).Mul(c.T())
 }
 
-// ServerLowRankExact is the server side of §3.3 Case 1 (rank(A) ≤ 2k): one
-// streaming pass builds (Q_i, Y_i) in O(k·d) working space; both are sent.
-// Cost ≤ 2k·d + (2k)² words per server; Y's entries are O(log(nd/ε))-bit
-// when the input is integer-valued, which the Quantize option exploits.
-func ServerLowRankExact(ctx context.Context, node Node, local workload.RowSource, kBound int, cfg Config) error {
+// LowRankExact is the §3.3 Case-1 exact protocol for inputs of rank at most
+// 2·KBound per server. Cost: O(s·k·d) words.
+type LowRankExact struct {
+	KBound int
+	Env    Env
+}
+
+// Name implements Protocol.
+func (p LowRankExact) Name() string { return "lowrank-exact" }
+
+// Estimand implements Protocol.
+func (p LowRankExact) Estimand() Estimand { return EstimandCovariance }
+
+func (p LowRankExact) withEnv(e Env) Protocol { p.Env = e; return p }
+
+func (p LowRankExact) rounds() int { return 1 }
+
+func (p LowRankExact) validate() error {
+	if p.KBound < 1 {
+		return fmt.Errorf("distributed: %s needs KBound ≥ 1, got %d", p.Name(), p.KBound)
+	}
+	return nil
+}
+
+// Server implements Protocol: one streaming pass builds (Q_i, Y_i) in
+// O(k·d) working space; both are sent. Cost ≤ 2k·d + (2k)² words per
+// server; Y's entries are O(log(nd/ε))-bit when the input is
+// integer-valued, which the Quantize option exploits.
+func (p LowRankExact) Server(ctx context.Context, node Node, in Input) error {
+	local, err := in.Covariance(p.Name())
+	if err != nil {
+		return err
+	}
+	cfg := p.Env.Config
 	_, d := local.Dims()
-	tr := NewIndependentRowTracker(d, 2*kBound, 0)
+	tr := NewIndependentRowTracker(d, 2*p.KBound, 0)
 	rows, _, err := streamRows(local, tr.Update, nil)
 	if err != nil {
 		return fmt.Errorf("server %d: %w", node.ID(), err)
@@ -145,11 +173,12 @@ func ServerLowRankExact(ctx context.Context, node Node, local workload.RowSource
 	return cfg.sendMatrix(ctx, node, comm.CoordinatorID, "lr-y", tr.Y())
 }
 
-// CoordLowRankExact reconstructs AᵀA = Σ_i Q_i⁺·Y_i·(Q_i⁺)ᵀ exactly and
-// returns both the Gram matrix and a minimal exact covariance sketch
-// B = Λ^{1/2}·Vᵀ from its eigendecomposition (rank ≤ 2k·s rows, typically
-// ≤ 2k when the global rank bound holds).
-func CoordLowRankExact(ctx context.Context, node Node, s, d int, cfg Config) (gram, sketch *matrix.Dense, err error) {
+// Coordinator implements Protocol: reconstruct AᵀA = Σ_i Q_i⁺·Y_i·(Q_i⁺)ᵀ
+// exactly and return both the Gram matrix and a minimal exact covariance
+// sketch B = Λ^{1/2}·Vᵀ from its eigendecomposition (rank ≤ 2k·s rows,
+// typically ≤ 2k when the global rank bound holds).
+func (p LowRankExact) Coordinator(ctx context.Context, node Node) (*Result, error) {
+	s, d, cfg := p.Env.Servers, p.Env.Dim, p.Env.Config
 	qs := make([]*matrix.Dense, s)
 	ys := make([]*matrix.Dense, s)
 	spec := gatherSpec{Label: "lr-q/lr-y", Peers: serverPeers(s), Each: 2}
@@ -174,22 +203,22 @@ func CoordLowRankExact(ctx context.Context, node Node, s, d int, cfg Config) (gr
 		}
 		return nil
 	}); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	gram = matrix.New(d, d)
+	gram := matrix.New(d, d)
 	for i := 0; i < s; i++ {
 		if qs[i].Rows() == 0 {
 			continue
 		}
 		pinv, err := linalg.PseudoInverse(qs[i], 0)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		gram = gram.Add(pinv.Mul(ys[i]).Mul(pinv.T()))
 	}
 	eig, err := linalg.ComputeEigSym(gram)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Assemble B = Λ^{1/2}·Vᵀ over numerically positive eigenvalues.
 	var rows [][]float64
@@ -209,13 +238,7 @@ func CoordLowRankExact(ctx context.Context, node Node, s, d int, cfg Config) (gr
 		rows = append(rows, row)
 	}
 	if len(rows) == 0 {
-		return gram, matrix.New(0, d), nil
+		return &Result{Gram: gram, Sketch: matrix.New(0, d)}, nil
 	}
-	return gram, matrix.NewFromRows(rows), nil
-}
-
-// RunLowRankExact runs the §3.3 Case-1 exact protocol in-process. The input
-// must have rank at most 2·kBound per server. Cost: O(s·k·d) words.
-func RunLowRankExact(ctx context.Context, parts []*matrix.Dense, kBound int, cfg Config) (*Result, error) {
-	return Run(ctx, LowRankExact{KBound: kBound}, parts, WithConfig(cfg))
+	return &Result{Gram: gram, Sketch: matrix.NewFromRows(rows)}, nil
 }

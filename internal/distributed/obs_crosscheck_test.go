@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/matrix"
 	"repro/internal/obs"
 )
 
@@ -16,32 +15,21 @@ import (
 // protocol they must EQUAL the metered Result totals — not approximately,
 // exactly. Any drift means a send path escaped instrumentation.
 func TestObserverMatchesMeter(t *testing.T) {
-	runners := []struct {
-		name string
-		run  func(ctx context.Context, parts []*matrix.Dense, cfg Config) (*Result, error)
-	}{
-		{"fd-merge", func(ctx context.Context, parts []*matrix.Dense, cfg Config) (*Result, error) {
-			return RunFDMerge(ctx, parts, 0.25, 3, cfg)
-		}},
-		{"svs", func(ctx context.Context, parts []*matrix.Dense, cfg Config) (*Result, error) {
-			return RunSVS(ctx, parts, 0.2, 0.1, SampleQuadratic, cfg)
-		}},
-		{"row-sampling", func(ctx context.Context, parts []*matrix.Dense, cfg Config) (*Result, error) {
-			return RunRowSampling(ctx, parts, 0.3, cfg)
-		}},
-		{"adaptive", func(ctx context.Context, parts []*matrix.Dense, cfg Config) (*Result, error) {
-			return RunAdaptive(ctx, parts, AdaptiveParams{Eps: 0.25, K: 3}, cfg)
-		}},
+	protos := []Protocol{
+		FDMerge{Eps: 0.25, K: 3},
+		SVS{Alpha: 0.2, Delta: 0.1},
+		RowSampling{Eps: 0.3},
+		Adaptive{AdaptiveParams: AdaptiveParams{Eps: 0.25, K: 3}},
 	}
-	for _, tc := range runners {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, proto := range protos {
+		t.Run(proto.Name(), func(t *testing.T) {
 			_, parts := split(t, 21, 200, 12, 4)
 			reg := obs.NewRegistry()
 			var buf bytes.Buffer
 			tr := obs.NewTracer(&buf)
 			ob := obs.NewObserver(reg, tr)
 
-			res, err := tc.run(context.Background(), parts, Config{Seed: 7, Obs: ob})
+			res, err := Run(context.Background(), proto, parts, WithSeed(7), WithObserver(ob))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,12 +98,11 @@ func TestObserverMatchesMeter(t *testing.T) {
 // communication.
 func TestObserverDoesNotChangeCost(t *testing.T) {
 	_, parts := split(t, 22, 200, 12, 4)
-	plain, err := RunSVS(context.Background(), parts, 0.2, 0.1, SampleQuadratic, Config{Seed: 3})
+	plain, err := Run(context.Background(), SVS{Alpha: 0.2, Delta: 0.1}, parts, WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	observed, err := RunSVS(context.Background(), parts, 0.2, 0.1, SampleQuadratic,
-		Config{Seed: 3, Obs: obs.NewObserver(obs.NewRegistry(), nil)})
+	observed, err := Run(context.Background(), SVS{Alpha: 0.2, Delta: 0.1}, parts, WithSeed(3), WithObserver(obs.NewObserver(obs.NewRegistry(), nil)))
 	if err != nil {
 		t.Fatal(err)
 	}

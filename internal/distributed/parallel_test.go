@@ -15,40 +15,28 @@ func TestParallelismDoesNotChangeWords(t *testing.T) {
 	_, parts := split(t, 3, 512, 24, 4)
 	ctx := context.Background()
 
-	type runner struct {
-		name string
-		fn   func(cfg Config) (*Result, error)
+	protos := []Protocol{
+		FDMerge{Eps: 0.2, K: 2},
+		SVS{Alpha: 0.2, Delta: 0.1},
+		RowSampling{Eps: 0.2},
+		Adaptive{AdaptiveParams: AdaptiveParams{Eps: 0.2, K: 2}},
 	}
-	runners := []runner{
-		{"fd-merge", func(cfg Config) (*Result, error) {
-			return RunFDMerge(ctx, parts, 0.2, 2, cfg)
-		}},
-		{"svs", func(cfg Config) (*Result, error) {
-			return RunSVS(ctx, parts, 0.2, 0.1, SampleQuadratic, cfg)
-		}},
-		{"row-sampling", func(cfg Config) (*Result, error) {
-			return RunRowSampling(ctx, parts, 0.2, cfg)
-		}},
-		{"adaptive", func(cfg Config) (*Result, error) {
-			return RunAdaptive(ctx, parts, AdaptiveParams{Eps: 0.2, K: 2}, cfg)
-		}},
-	}
-	for _, r := range runners {
-		serial, err := r.fn(Config{Seed: 7, Parallelism: 1})
+	for _, proto := range protos {
+		serial, err := Run(ctx, proto, parts, WithSeed(7), WithParallelism(1))
 		if err != nil {
-			t.Fatalf("%s at width 1: %v", r.name, err)
+			t.Fatalf("%s at width 1: %v", proto.Name(), err)
 		}
-		wide, err := r.fn(Config{Seed: 7, Parallelism: 4})
+		wide, err := Run(ctx, proto, parts, WithSeed(7), WithParallelism(4))
 		if err != nil {
-			t.Fatalf("%s at width 4: %v", r.name, err)
+			t.Fatalf("%s at width 4: %v", proto.Name(), err)
 		}
 		if serial.Words != wide.Words {
 			t.Errorf("%s: words moved with pool width: %v (w=1) vs %v (w=4)",
-				r.name, serial.Words, wide.Words)
+				proto.Name(), serial.Words, wide.Words)
 		}
 		if serial.Sketch != nil && wide.Sketch != nil {
 			if serial.Sketch.Rows() != wide.Sketch.Rows() || serial.Sketch.Cols() != wide.Sketch.Cols() {
-				t.Errorf("%s: sketch shape moved with pool width", r.name)
+				t.Errorf("%s: sketch shape moved with pool width", proto.Name())
 			}
 		}
 	}
@@ -59,7 +47,7 @@ func TestWithParallelismSetsPool(t *testing.T) {
 	defer parallel.SetWorkers(0)
 	_, parts := split(t, 5, 256, 16, 2)
 	parallel.SetWorkers(1)
-	if _, err := Run(context.Background(), FDMerge{Eps: 0.25, K: 0}, parts,
+	if _, err := Run(context.Background(), FDMerge{Eps: 0.25}, parts,
 		WithSeed(1), WithParallelism(3)); err != nil {
 		t.Fatal(err)
 	}

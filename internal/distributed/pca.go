@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/comm"
+	"repro/internal/fd"
 	"repro/internal/matrix"
 	"repro/internal/pca"
 )
@@ -28,12 +29,15 @@ type PCAParams struct {
 	Broadcast bool
 }
 
+// check rejects parameters outside the §4 ranges: k ≥ 1 and ε in (0,1).
+func (p PCAParams) check(proto string) error { return checkEpsK(proto, p.Eps, p.K, 1) }
+
+// withDefaults fills the optional fields. Run rejects bad parameters up
+// front (validate); a role driven directly — role by role over TCP — panics
+// here instead, in its caller's goroutine.
 func (p PCAParams) withDefaults() PCAParams {
-	if p.K <= 0 {
-		panic(fmt.Sprintf("distributed: PCA needs k ≥ 1, got %d", p.K))
-	}
-	if p.Eps <= 0 || p.Eps >= 1 {
-		panic(fmt.Sprintf("distributed: PCA eps %v out of (0,1)", p.Eps))
+	if err := p.check("PCA"); err != nil {
+		panic(err.Error())
 	}
 	if p.Delta == 0 {
 		p.Delta = 0.1
@@ -46,6 +50,13 @@ func (p PCAParams) withDefaults() PCAParams {
 		p.EmbeddingRows = m
 	}
 	return p
+}
+
+// adaptive parameterizes the Theorem 7 (ε/2,k)-sketch the Theorem 9
+// pipelines build first.
+func (p PCAParams) adaptive() AdaptiveParams {
+	p = p.withDefaults()
+	return AdaptiveParams{Eps: p.Eps / 2, K: p.K, Delta: p.Delta}
 }
 
 // coordBroadcastPCs optionally ships the answer to all servers (s·k·d words)
@@ -84,11 +95,12 @@ func (p PCASketchSolve) withEnv(e Env) Protocol { p.Env = e; return p }
 
 func (p PCASketchSolve) rounds() int { return 2 }
 
-func (p PCASketchSolve) validate() { p.PCAParams.withDefaults() }
+func (p PCASketchSolve) validate() error { return p.PCAParams.check(p.Name()) }
 
-func (p PCASketchSolve) adaptive() AdaptiveParams {
-	pp := p.PCAParams.withDefaults()
-	return AdaptiveParams{Eps: pp.Eps / 2, K: pp.K, Delta: pp.Delta}
+// adaptive is the Theorem 7 protocol this pipeline runs before solving, in
+// the same Env.
+func (p PCASketchSolve) adaptive() Adaptive {
+	return Adaptive{AdaptiveParams: p.PCAParams.adaptive(), Env: p.Env}
 }
 
 // Estimand implements Protocol.
@@ -96,11 +108,7 @@ func (p PCASketchSolve) Estimand() Estimand { return EstimandCovariance }
 
 // Server implements Protocol.
 func (p PCASketchSolve) Server(ctx context.Context, node Node, in Input) error {
-	local, err := in.Covariance(p.Name())
-	if err != nil {
-		return err
-	}
-	if err := ServerAdaptive(ctx, node, local, p.Env.Servers, p.adaptive(), p.Env.Config); err != nil {
+	if err := p.adaptive().Server(ctx, node, in); err != nil {
 		return err
 	}
 	return serverMaybeRecvPCs(ctx, node, p.PCAParams.withDefaults())
@@ -109,32 +117,27 @@ func (p PCASketchSolve) Server(ctx context.Context, node Node, in Input) error {
 // Coordinator implements Protocol.
 func (p PCASketchSolve) Coordinator(ctx context.Context, node Node) (*Result, error) {
 	pp := p.PCAParams.withDefaults()
-	q, err := CoordAdaptive(ctx, node, p.Env.Servers, p.adaptive(), p.Env.Config)
+	res, err := p.adaptive().Coordinator(ctx, node)
 	if err != nil {
 		return nil, err
 	}
-	v, err := pca.SketchPCs(q, pp.K)
+	v, err := pca.SketchPCs(res.Sketch, pp.K)
 	if err != nil {
 		return nil, err
 	}
 	if err := coordBroadcastPCs(ctx, node, p.Env.Servers, pp, v, p.Env.Config); err != nil {
 		return nil, err
 	}
-	return &Result{Sketch: q, PCs: v}, nil
-}
-
-// RunPCASketchSolve runs the direct form of Theorem 9 in-process.
-func RunPCASketchSolve(ctx context.Context, parts []*matrix.Dense, p PCAParams, cfg Config) (*Result, error) {
-	return Run(ctx, PCASketchSolve{PCAParams: p}, parts, WithConfig(cfg))
+	return &Result{Sketch: res.Sketch, PCs: v}, nil
 }
 
 // ---------------------------------------------------------------------------
 // Batch solve baseline (stand-in for Boutsidis–Woodruff–Zhong [5]).
 // ---------------------------------------------------------------------------
 
-// ServerBWZSolve is the server side of the subspace-embedding batch PCA
-// solve, run against an arbitrary local matrix (raw rows for the baseline,
-// the local sketch Q_i for the Theorem 9 combined algorithm):
+// serverBWZSolve is the server side of the subspace-embedding batch PCA
+// solve, run against an arbitrary local matrix (raw rows for BWZ, the local
+// sketch Q_i for PCACombined):
 //
 //	Round 1: send the local row count; receive the global row offset.
 //	Round 2: send Y_i = S·A_i restricted to this server's rows — directly
@@ -147,8 +150,7 @@ func RunPCASketchSolve(ctx context.Context, parts []*matrix.Dense, p PCAParams, 
 // n_i·(d+1) words instead of m·d. This is Theorem 8's min{n, sk/ε²} factor,
 // and it is exactly what makes the Theorem 9 combined algorithm cheap: its
 // local inputs are sketches with O(k/ε)·√s-ish rows, far below m = Θ(k/ε²).
-func ServerBWZSolve(ctx context.Context, node Node, local *matrix.Dense, p PCAParams, cfg Config) error {
-	p = p.withDefaults()
+func serverBWZSolve(ctx context.Context, node Node, local *matrix.Dense, p PCAParams, cfg Config) error {
 	if err := node.Send(ctx, comm.CoordinatorID, &comm.Message{Kind: "nrows", Ints: []int64{int64(local.Rows())}}); err != nil {
 		return err
 	}
@@ -159,15 +161,8 @@ func ServerBWZSolve(ctx context.Context, node Node, local *matrix.Dense, p PCAPa
 	return serverBWZBody(ctx, node, local, int(off.Ints[0]), p, cfg)
 }
 
-// ServerBWZArbitrary is the server side of the batch solve in the ARBITRARY
-// partition model (the open question in the paper's conclusion): each
-// server holds a full-shape summand A_i ∈ R^{n×d} with A = Σ_i A_i. Because
-// the shared CountSketch is linear, S·A = Σ_i S·A_i, so the same solve runs
-// with every server using row offset 0 and no offset round at all.
-func ServerBWZArbitrary(ctx context.Context, node Node, local *matrix.Dense, p PCAParams, cfg Config) error {
-	return serverBWZBody(ctx, node, local, 0, p.withDefaults(), cfg)
-}
-
+// serverBWZBody is rounds 2–3 of the solve for a server whose first row has
+// global index offset (BWZArbitrary enters here with offset 0).
 func serverBWZBody(ctx context.Context, node Node, local *matrix.Dense, offset int, p PCAParams, cfg Config) error {
 	d := local.Cols()
 	m := p.EmbeddingRows
@@ -239,30 +234,8 @@ func scatterSparse(frame *matrix.Dense, buckets []int64, rows *matrix.Dense) err
 	return nil
 }
 
-// CoordBWZSolve is the coordinator side of the batch solve; d is the column
+// coordBWZBody is the coordinator side of rounds 2–3; d is the column
 // dimension of the inputs. Returns the d×k approximate PCs.
-func CoordBWZSolve(ctx context.Context, node Node, s, d int, p PCAParams, cfg Config) (*matrix.Dense, error) {
-	p = p.withDefaults()
-	counts, err := gatherAll(ctx, node, s, "nrows", cfg)
-	if err != nil {
-		return nil, err
-	}
-	offset := int64(0)
-	for i := 0; i < s; i++ {
-		if err := node.Send(ctx, i, &comm.Message{Kind: "row-offset", Ints: []int64{offset}}); err != nil {
-			return nil, err
-		}
-		offset += counts[i].Ints[0]
-	}
-	return coordBWZBody(ctx, node, s, d, p, cfg)
-}
-
-// CoordBWZArbitrary is the coordinator side for the arbitrary-partition
-// model: no offset round.
-func CoordBWZArbitrary(ctx context.Context, node Node, s, d int, p PCAParams, cfg Config) (*matrix.Dense, error) {
-	return coordBWZBody(ctx, node, s, d, p.withDefaults(), cfg)
-}
-
 func coordBWZBody(ctx context.Context, node Node, s, d int, p PCAParams, cfg Config) (*matrix.Dense, error) {
 	m := p.EmbeddingRows
 	if d <= m {
@@ -349,37 +322,45 @@ func (p BWZ) withEnv(e Env) Protocol { p.Env = e; return p }
 
 func (p BWZ) rounds() int { return 2 }
 
-func (p BWZ) validate() { p.PCAParams.withDefaults() }
+func (p BWZ) validate() error { return p.PCAParams.check(p.Name()) }
 
 // Estimand implements Protocol.
 func (p BWZ) Estimand() Estimand { return EstimandCovariance }
 
 // Server implements Protocol.
 func (p BWZ) Server(ctx context.Context, node Node, in Input) error {
-	src, err := in.Covariance(p.Name())
+	local, err := materializeLocal(node, in, p.Name(), p.Env.Config)
 	if err != nil {
 		return err
 	}
-	local, err := materializeLocal(node, src)
-	if err != nil {
-		return err
-	}
-	p.Env.Config.observer().RowsIngested(int64(local.Rows()), false)
 	pp := p.PCAParams.withDefaults()
-	if err := ServerBWZSolve(ctx, node, local, pp, p.Env.Config); err != nil {
+	if err := serverBWZSolve(ctx, node, local, pp, p.Env.Config); err != nil {
 		return err
 	}
 	return serverMaybeRecvPCs(ctx, node, pp)
 }
 
-// Coordinator implements Protocol.
+// Coordinator implements Protocol: answer the row-count round with each
+// server's global row offset, run the solve, optionally broadcast the PCs.
 func (p BWZ) Coordinator(ctx context.Context, node Node) (*Result, error) {
 	pp := p.PCAParams.withDefaults()
-	v, err := CoordBWZSolve(ctx, node, p.Env.Servers, p.Env.Dim, pp, p.Env.Config)
+	s, cfg := p.Env.Servers, p.Env.Config
+	counts, err := gatherAll(ctx, node, s, "nrows", cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := coordBroadcastPCs(ctx, node, p.Env.Servers, pp, v, p.Env.Config); err != nil {
+	offset := int64(0)
+	for i := 0; i < s; i++ {
+		if err := node.Send(ctx, i, &comm.Message{Kind: "row-offset", Ints: []int64{offset}}); err != nil {
+			return nil, err
+		}
+		offset += counts[i].Ints[0]
+	}
+	v, err := coordBWZBody(ctx, node, s, p.Env.Dim, pp, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := coordBroadcastPCs(ctx, node, s, pp, v, cfg); err != nil {
 		return nil, err
 	}
 	return &Result{PCs: v}, nil
@@ -402,24 +383,21 @@ func (p BWZArbitrary) withEnv(e Env) Protocol { p.Env = e; return p }
 
 func (p BWZArbitrary) rounds() int { return 1 }
 
-func (p BWZArbitrary) validate() { p.PCAParams.withDefaults() }
+func (p BWZArbitrary) validate() error { return p.PCAParams.check(p.Name()) }
 
 // Estimand implements Protocol.
 func (p BWZArbitrary) Estimand() Estimand { return EstimandCovariance }
 
-// Server implements Protocol.
+// Server implements Protocol. Because the shared CountSketch is linear,
+// S·A = Σ_i S·A_i, so the BWZ solve runs with every server using row offset
+// 0 and no offset round at all.
 func (p BWZArbitrary) Server(ctx context.Context, node Node, in Input) error {
-	src, err := in.Covariance(p.Name())
+	local, err := materializeLocal(node, in, p.Name(), p.Env.Config)
 	if err != nil {
 		return err
 	}
-	local, err := materializeLocal(node, src)
-	if err != nil {
-		return err
-	}
-	p.Env.Config.observer().RowsIngested(int64(local.Rows()), false)
 	pp := p.PCAParams.withDefaults()
-	if err := ServerBWZArbitrary(ctx, node, local, pp, p.Env.Config); err != nil {
+	if err := serverBWZBody(ctx, node, local, 0, pp, p.Env.Config); err != nil {
 		return err
 	}
 	return serverMaybeRecvPCs(ctx, node, pp)
@@ -428,7 +406,7 @@ func (p BWZArbitrary) Server(ctx context.Context, node Node, in Input) error {
 // Coordinator implements Protocol.
 func (p BWZArbitrary) Coordinator(ctx context.Context, node Node) (*Result, error) {
 	pp := p.PCAParams.withDefaults()
-	v, err := CoordBWZArbitrary(ctx, node, p.Env.Servers, p.Env.Dim, pp, p.Env.Config)
+	v, err := coordBWZBody(ctx, node, p.Env.Servers, p.Env.Dim, pp, p.Env.Config)
 	if err != nil {
 		return nil, err
 	}
@@ -436,16 +414,6 @@ func (p BWZArbitrary) Coordinator(ctx context.Context, node Node) (*Result, erro
 		return nil, err
 	}
 	return &Result{PCs: v}, nil
-}
-
-// RunBWZArbitrary runs the batch PCA solve in the arbitrary-partition model.
-func RunBWZArbitrary(ctx context.Context, summands []*matrix.Dense, p PCAParams, cfg Config) (*Result, error) {
-	return Run(ctx, BWZArbitrary{PCAParams: p}, summands, WithConfig(cfg))
-}
-
-// RunBWZ runs the batch baseline on the raw partitioned input.
-func RunBWZ(ctx context.Context, parts []*matrix.Dense, p PCAParams, cfg Config) (*Result, error) {
-	return Run(ctx, BWZ{PCAParams: p}, parts, WithConfig(cfg))
 }
 
 // ---------------------------------------------------------------------------
@@ -470,12 +438,7 @@ func (p PCACombined) withEnv(e Env) Protocol { p.Env = e; return p }
 
 func (p PCACombined) rounds() int { return 4 }
 
-func (p PCACombined) validate() { p.PCAParams.withDefaults() }
-
-func (p PCACombined) adaptive() AdaptiveParams {
-	pp := p.PCAParams.withDefaults()
-	return AdaptiveParams{Eps: pp.Eps / 2, K: pp.K, Delta: pp.Delta}
-}
+func (p PCACombined) validate() error { return p.PCAParams.check(p.Name()) }
 
 // Estimand implements Protocol.
 func (p PCACombined) Estimand() Estimand { return EstimandCovariance }
@@ -487,35 +450,23 @@ func (p PCACombined) Server(ctx context.Context, node Node, in Input) error {
 		return err
 	}
 	pp := p.PCAParams.withDefaults()
-	q, err := ServerAdaptiveLocal(ctx, node, local, p.Env.Servers, p.adaptive(), p.Env.Config)
+	q, err := serverAdaptiveLocal(ctx, node, local, p.Env.Servers, pp.adaptive(), p.Env.Config)
 	if err != nil {
 		return err
 	}
-	if err := ServerBWZSolve(ctx, node, q, pp, p.Env.Config); err != nil {
+	if err := serverBWZSolve(ctx, node, q, pp, p.Env.Config); err != nil {
 		return err
 	}
 	return serverMaybeRecvPCs(ctx, node, pp)
 }
 
-// Coordinator implements Protocol.
+// Coordinator implements Protocol: relay the tail-mass total, then run the
+// BWZ coordinator against the servers' local sketches.
 func (p PCACombined) Coordinator(ctx context.Context, node Node) (*Result, error) {
-	pp := p.PCAParams.withDefaults()
-	if _, err := CoordTailRelay(ctx, node, p.Env.Servers, p.Env.Config); err != nil {
+	if err := coordTailRelay(ctx, node, p.Env.Servers, p.Env.Config); err != nil {
 		return nil, err
 	}
-	v, err := CoordBWZSolve(ctx, node, p.Env.Servers, p.Env.Dim, pp, p.Env.Config)
-	if err != nil {
-		return nil, err
-	}
-	if err := coordBroadcastPCs(ctx, node, p.Env.Servers, pp, v, p.Env.Config); err != nil {
-		return nil, err
-	}
-	return &Result{PCs: v}, nil
-}
-
-// RunPCACombined runs the full Theorem 9 pipeline in-process.
-func RunPCACombined(ctx context.Context, parts []*matrix.Dense, p PCAParams, cfg Config) (*Result, error) {
-	return Run(ctx, PCACombined{PCAParams: p}, parts, WithConfig(cfg))
+	return BWZ{PCAParams: p.PCAParams, Env: p.Env}.Coordinator(ctx, node)
 }
 
 // PCAFDMerge is the pre-[5] baseline: FD-merge an (ε/2,k)-sketch at the
@@ -533,7 +484,7 @@ func (p PCAFDMerge) withEnv(e Env) Protocol { p.Env = e; return p }
 
 func (p PCAFDMerge) rounds() int { return 1 }
 
-func (p PCAFDMerge) validate() { p.PCAParams.withDefaults() }
+func (p PCAFDMerge) validate() error { return p.PCAParams.check(p.Name()) }
 
 // Estimand implements Protocol.
 func (p PCAFDMerge) Estimand() Estimand { return EstimandCovariance }
@@ -545,7 +496,7 @@ func (p PCAFDMerge) Server(ctx context.Context, node Node, in Input) error {
 		return err
 	}
 	pp := p.PCAParams.withDefaults()
-	if err := ServerFDMerge(ctx, node, local, pp.Eps/2, pp.K, p.Env.Config); err != nil {
+	if err := serverFDMergeTo(ctx, node, comm.CoordinatorID, local, pp.Eps/2, pp.K, p.Env.Config); err != nil {
 		return err
 	}
 	return serverMaybeRecvPCs(ctx, node, pp)
@@ -559,7 +510,7 @@ func (p PCAFDMerge) Coordinator(ctx context.Context, node Node) (*Result, error)
 	if err := rejectQuorum(p.Env.Config, "pca-fd-merge"); err != nil {
 		return nil, err
 	}
-	sk, _, err := CoordFDMerge(ctx, node, p.Env.Servers, p.Env.Dim, pp.Eps/2, pp.K, p.Env.Config)
+	sk, _, err := coordFDGather(ctx, node, p.Env.plan(), p.Env.Dim, fd.SketchSize(pp.Eps/2, pp.K), p.Env.Config)
 	if err != nil {
 		return nil, err
 	}
@@ -571,9 +522,4 @@ func (p PCAFDMerge) Coordinator(ctx context.Context, node Node) (*Result, error)
 		return nil, err
 	}
 	return &Result{Sketch: sk, PCs: v}, nil
-}
-
-// RunPCAFDMerge runs the FD-merge PCA baseline in-process.
-func RunPCAFDMerge(ctx context.Context, parts []*matrix.Dense, p PCAParams, cfg Config) (*Result, error) {
-	return Run(ctx, PCAFDMerge{PCAParams: p}, parts, WithConfig(cfg))
 }

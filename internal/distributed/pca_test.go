@@ -20,7 +20,7 @@ func pcaInput(seed int64, n, d, k, s int) (*matrix.Dense, []*matrix.Dense) {
 func TestRunPCASketchSolveQuality(t *testing.T) {
 	eps, k := 0.2, 3
 	a, parts := pcaInput(1, 480, 16, k, 6)
-	res, err := RunPCASketchSolve(context.Background(), parts, PCAParams{K: k, Eps: eps}, Config{})
+	res, err := Run(context.Background(), PCASketchSolve{PCAParams: PCAParams{K: k, Eps: eps}}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestRunBWZQualityRegime1(t *testing.T) {
 	// d ≤ m: single-round left sketch.
 	eps, k := 0.3, 3
 	a, parts := pcaInput(2, 600, 14, k, 5)
-	res, err := RunBWZ(context.Background(), parts, PCAParams{K: k, Eps: eps, EmbeddingRows: 150}, Config{Seed: 3})
+	res, err := Run(context.Background(), BWZ{PCAParams: PCAParams{K: k, Eps: eps, EmbeddingRows: 150}}, parts, WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,12 +72,12 @@ func TestBWZSparseDenseAgree(t *testing.T) {
 	// n_i ≥ m, then compare against a sparse run with the same seed on the
 	// same global matrix split more thinly.
 	eps, k := 0.3, 3
-	a, parts := pcaInput(4, 600, 14, k, 5)                                                                            // n_i = 120
-	dense, err := RunBWZ(context.Background(), parts, PCAParams{K: k, Eps: eps, EmbeddingRows: 100}, Config{Seed: 9}) // m=100 ≤ n_i → dense
+	a, parts := pcaInput(4, 600, 14, k, 5)                                                                                     // n_i = 120
+	dense, err := Run(context.Background(), BWZ{PCAParams: PCAParams{K: k, Eps: eps, EmbeddingRows: 100}}, parts, WithSeed(9)) // m=100 ≤ n_i → dense
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparse, err := RunBWZ(context.Background(), parts, PCAParams{K: k, Eps: eps, EmbeddingRows: 150}, Config{Seed: 9}) // m=150 > n_i → sparse
+	sparse, err := Run(context.Background(), BWZ{PCAParams: PCAParams{K: k, Eps: eps, EmbeddingRows: 150}}, parts, WithSeed(9)) // m=150 > n_i → sparse
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestRunBWZQualityRegime2(t *testing.T) {
 	// d > m: two-sided compression + recovery round.
 	eps, k := 0.3, 3
 	a, parts := pcaInput(3, 800, 60, k, 4)
-	res, err := RunBWZ(context.Background(), parts, PCAParams{K: k, Eps: eps, EmbeddingRows: 40}, Config{Seed: 4})
+	res, err := Run(context.Background(), BWZ{PCAParams: PCAParams{K: k, Eps: eps, EmbeddingRows: 40}}, parts, WithSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestRunBWZQualityRegime2(t *testing.T) {
 func TestRunPCACombinedQualityAndCost(t *testing.T) {
 	eps, k := 0.25, 3
 	a, parts := pcaInput(5, 640, 16, k, 8)
-	res, err := RunPCACombined(context.Background(), parts, PCAParams{K: k, Eps: eps, EmbeddingRows: 120}, Config{Seed: 6})
+	res, err := Run(context.Background(), PCACombined{PCAParams: PCAParams{K: k, Eps: eps, EmbeddingRows: 120}}, parts, WithSeed(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestRunPCACombinedQualityAndCost(t *testing.T) {
 func TestRunPCAFDMergeQuality(t *testing.T) {
 	eps, k := 0.25, 3
 	a, parts := pcaInput(7, 480, 16, k, 6)
-	res, err := RunPCAFDMerge(context.Background(), parts, PCAParams{K: k, Eps: eps}, Config{})
+	res, err := Run(context.Background(), PCAFDMerge{PCAParams: PCAParams{K: k, Eps: eps}}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +164,11 @@ func TestPCABroadcastCost(t *testing.T) {
 	// Broadcast adds exactly s·k·d words.
 	eps, k := 0.25, 2
 	_, parts := pcaInput(8, 240, 12, k, 4)
-	noB, err := RunPCAFDMerge(context.Background(), parts, PCAParams{K: k, Eps: eps}, Config{})
+	noB, err := Run(context.Background(), PCAFDMerge{PCAParams: PCAParams{K: k, Eps: eps}}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withB, err := RunPCAFDMerge(context.Background(), parts, PCAParams{K: k, Eps: eps, Broadcast: true}, Config{})
+	withB, err := Run(context.Background(), PCAFDMerge{PCAParams: PCAParams{K: k, Eps: eps, Broadcast: true}}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,14 +185,9 @@ func TestPCAParamsValidation(t *testing.T) {
 		{K: 2, Eps: 0},
 		{K: 2, Eps: 1},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("params %+v: expected panic", p)
-				}
-			}()
-			RunPCASketchSolve(context.Background(), parts, p, Config{})
-		}()
+		if _, err := Run(context.Background(), PCASketchSolve{PCAParams: p}, parts); err == nil {
+			t.Errorf("params %+v: expected an error", p)
+		}
 	}
 }
 
@@ -206,11 +201,11 @@ func TestPCACombinedCheaperThanBWZOnRawData(t *testing.T) {
 	// the sketch-solve run to beat FD-merge at larger s (covered elsewhere).
 	eps, k := 0.25, 2
 	_, parts := pcaInput(10, 400, 12, k, 5)
-	combined, err := RunPCACombined(context.Background(), parts, PCAParams{K: k, Eps: eps, EmbeddingRows: 80}, Config{Seed: 1})
+	combined, err := Run(context.Background(), PCACombined{PCAParams: PCAParams{K: k, Eps: eps, EmbeddingRows: 80}}, parts, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := RunBWZ(context.Background(), parts, PCAParams{K: k, Eps: eps, EmbeddingRows: 80}, Config{Seed: 1})
+	raw, err := Run(context.Background(), BWZ{PCAParams: PCAParams{K: k, Eps: eps, EmbeddingRows: 80}}, parts, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +239,7 @@ func TestRunBWZArbitraryPartition(t *testing.T) {
 	if !sum.EqualApprox(a, 1e-9) {
 		t.Fatal("summands do not add to A")
 	}
-	res, err := RunBWZArbitrary(context.Background(), summands, PCAParams{K: k, Eps: 0.3, EmbeddingRows: 200}, Config{Seed: 5})
+	res, err := Run(context.Background(), BWZArbitrary{PCAParams: PCAParams{K: k, Eps: 0.3, EmbeddingRows: 200}}, summands, WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}

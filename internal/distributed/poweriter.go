@@ -30,9 +30,19 @@ type PowerIterParams struct {
 	Seed int64
 }
 
+// check rejects a subspace dimension below 1.
+func (p PowerIterParams) check(proto string) error {
+	if p.K < 1 {
+		return fmt.Errorf("distributed: %s needs k ≥ 1, got %d", proto, p.K)
+	}
+	return nil
+}
+
+// withDefaults fills the optional fields; like PCAParams.withDefaults it
+// panics on parameters check rejects when a role is driven directly.
 func (p PowerIterParams) withDefaults() PowerIterParams {
-	if p.K <= 0 {
-		panic(fmt.Sprintf("distributed: power iteration needs k ≥ 1, got %d", p.K))
+	if err := p.check("power iteration"); err != nil {
+		panic(err.Error())
 	}
 	if p.Rounds <= 0 {
 		p.Rounds = 8
@@ -40,9 +50,11 @@ func (p PowerIterParams) withDefaults() PowerIterParams {
 	return p
 }
 
-// ServerPowerIter is the server side: for each round, receive V, respond
-// with A_iᵀ(A_i·V). A "done" broadcast ends the loop.
-func ServerPowerIter(ctx context.Context, node Node, local *matrix.Dense) error {
+// serverPowerIter is the server side, run against the raw block
+// (PowerIteration) or the local sketch Q_i (PCACombinedPowerIter): for each
+// round, receive V, respond with A_iᵀ(A_i·V). A "done" broadcast ends the
+// loop.
+func serverPowerIter(ctx context.Context, node Node, local *matrix.Dense) error {
 	for {
 		msg, err := node.Recv(ctx)
 		if err != nil {
@@ -66,10 +78,42 @@ func ServerPowerIter(ctx context.Context, node Node, local *matrix.Dense) error 
 	}
 }
 
-// CoordPowerIter drives the iteration and returns the d×k orthonormal
-// iterate after the configured rounds.
-func CoordPowerIter(ctx context.Context, node Node, s, d int, p PowerIterParams, cfg Config) (*matrix.Dense, error) {
-	p = p.withDefaults()
+// PowerIteration is the iterative solver run on the raw partition. Cost:
+// 2·s·d·k·rounds words (+ s end-of-loop signals); quality improves with
+// rounds as the power method converges.
+type PowerIteration struct {
+	PowerIterParams
+	Env Env
+}
+
+// Name implements Protocol.
+func (p PowerIteration) Name() string { return "pca-power-iteration" }
+
+func (p PowerIteration) withEnv(e Env) Protocol { p.Env = e; return p }
+
+func (p PowerIteration) rounds() int { return p.PowerIterParams.withDefaults().Rounds }
+
+func (p PowerIteration) validate() error { return p.PowerIterParams.check(p.Name()) }
+
+// Estimand implements Protocol.
+func (p PowerIteration) Estimand() Estimand { return EstimandCovariance }
+
+// Server implements Protocol.
+func (p PowerIteration) Server(ctx context.Context, node Node, in Input) error {
+	// The iterative solver multiplies the local block every round, so the
+	// source is materialized (documented O(n_i·d) server memory).
+	local, err := materializeLocal(node, in, p.Name(), p.Env.Config)
+	if err != nil {
+		return err
+	}
+	return serverPowerIter(ctx, node, local)
+}
+
+// Coordinator implements Protocol: drive the iteration and return the d×k
+// orthonormal iterate after the configured rounds.
+func (p PowerIteration) Coordinator(ctx context.Context, node Node) (*Result, error) {
+	s, d, cfg := p.Env.Servers, p.Env.Dim, p.Env.Config
+	p.PowerIterParams = p.PowerIterParams.withDefaults()
 	rng := rand.New(rand.NewSource(p.Seed + 0x90a3))
 	v := matrix.New(d, p.K)
 	for i := 0; i < d; i++ {
@@ -116,57 +160,7 @@ func CoordPowerIter(ctx context.Context, node Node, s, d int, p PowerIterParams,
 	if err := broadcast(ctx, node, s, &comm.Message{Kind: "pi-done"}, cfg.observer()); err != nil {
 		return nil, err
 	}
-	return v, nil
-}
-
-// PowerIteration is the iterative solver run on the raw partition. Cost:
-// 2·s·d·k·rounds words (+ s end-of-loop signals); quality improves with
-// rounds as the power method converges.
-type PowerIteration struct {
-	PowerIterParams
-	Env Env
-}
-
-// Name implements Protocol.
-func (p PowerIteration) Name() string { return "pca-power-iteration" }
-
-func (p PowerIteration) withEnv(e Env) Protocol { p.Env = e; return p }
-
-func (p PowerIteration) rounds() int { return p.PowerIterParams.withDefaults().Rounds }
-
-func (p PowerIteration) validate() { p.PowerIterParams.withDefaults() }
-
-// Estimand implements Protocol.
-func (p PowerIteration) Estimand() Estimand { return EstimandCovariance }
-
-// Server implements Protocol.
-func (p PowerIteration) Server(ctx context.Context, node Node, in Input) error {
-	src, err := in.Covariance(p.Name())
-	if err != nil {
-		return err
-	}
-	// The iterative solver multiplies the local block every round, so the
-	// source is materialized (documented O(n_i·d) server memory).
-	local, err := materializeLocal(node, src)
-	if err != nil {
-		return err
-	}
-	p.Env.Config.observer().RowsIngested(int64(local.Rows()), false)
-	return ServerPowerIter(ctx, node, local)
-}
-
-// Coordinator implements Protocol.
-func (p PowerIteration) Coordinator(ctx context.Context, node Node) (*Result, error) {
-	v, err := CoordPowerIter(ctx, node, p.Env.Servers, p.Env.Dim, p.PowerIterParams, p.Env.Config)
-	if err != nil {
-		return nil, err
-	}
 	return &Result{PCs: v}, nil
-}
-
-// RunPCAPowerIteration runs the iterative solver on the raw partition.
-func RunPCAPowerIteration(ctx context.Context, parts []*matrix.Dense, p PowerIterParams, cfg Config) (*Result, error) {
-	return Run(ctx, PowerIteration{PowerIterParams: p}, parts, WithConfig(cfg))
 }
 
 // PCACombinedPowerIter is Theorem 9 with the iterative solver: servers
@@ -187,14 +181,18 @@ func (p PCACombinedPowerIter) Name() string { return "pca-combined-power-iterati
 
 func (p PCACombinedPowerIter) withEnv(e Env) Protocol { p.Env = e; return p }
 
-// rounds preserves the historical accounting of this pipeline, which lets
-// CoordPowerIter/CoordTailRelay own no round increments of their own: the
-// raw-data variant's count comes from PowerIteration.rounds, and this
-// combined variant has always reported 0 extra rounds beyond the meter's
-// defaults.
+// rounds preserves the historical accounting of this pipeline, in which the
+// coordinator roles own no round increments of their own: the raw-data
+// variant's count comes from PowerIteration.rounds, and this combined
+// variant has always reported 0 extra rounds beyond the meter's defaults.
 func (p PCACombinedPowerIter) rounds() int { return 0 }
 
-func (p PCACombinedPowerIter) validate() { p.PowerIterParams.withDefaults() }
+func (p PCACombinedPowerIter) validate() error {
+	if err := checkUnit(p.Name(), "eps", p.Eps); err != nil {
+		return err
+	}
+	return p.PowerIterParams.check(p.Name())
+}
 
 // Estimand implements Protocol.
 func (p PCACombinedPowerIter) Estimand() Estimand { return EstimandCovariance }
@@ -206,37 +204,30 @@ func (p PCACombinedPowerIter) Server(ctx context.Context, node Node, in Input) e
 		return err
 	}
 	ap := AdaptiveParams{Eps: p.Eps / 2, K: p.PowerIterParams.withDefaults().K}
-	q, err := ServerAdaptiveLocal(ctx, node, local, p.Env.Servers, ap, p.Env.Config)
+	q, err := serverAdaptiveLocal(ctx, node, local, p.Env.Servers, ap, p.Env.Config)
 	if err != nil {
 		return err
 	}
-	return ServerPowerIter(ctx, node, q)
+	return serverPowerIter(ctx, node, q)
 }
 
-// Coordinator implements Protocol.
+// Coordinator implements Protocol: relay the tail-mass total, then run the
+// PowerIteration coordinator against the servers' local sketches.
 func (p PCACombinedPowerIter) Coordinator(ctx context.Context, node Node) (*Result, error) {
-	if _, err := CoordTailRelay(ctx, node, p.Env.Servers, p.Env.Config); err != nil {
+	if err := coordTailRelay(ctx, node, p.Env.Servers, p.Env.Config); err != nil {
 		return nil, err
 	}
-	v, err := CoordPowerIter(ctx, node, p.Env.Servers, p.Env.Dim, p.PowerIterParams, p.Env.Config)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{PCs: v}, nil
-}
-
-// RunPCACombinedPowerIter runs Theorem 9 with the iterative solver.
-func RunPCACombinedPowerIter(ctx context.Context, parts []*matrix.Dense, eps float64, p PowerIterParams, cfg Config) (*Result, error) {
-	return Run(ctx, PCACombinedPowerIter{Eps: eps, PowerIterParams: p}, parts, WithConfig(cfg))
+	return PowerIteration{PowerIterParams: p.PowerIterParams, Env: p.Env}.Coordinator(ctx, node)
 }
 
 // QualityAfterRounds sweeps the rounds knob and returns the measured PCA
-// ratio per round count — the convergence curve the benchmarks plot.
-func QualityAfterRounds(ctx context.Context, parts []*matrix.Dense, a *matrix.Dense, k int, rounds []int, cfg Config) ([]float64, []float64, error) {
+// ratio per round count — the convergence curve the benchmarks plot. seed
+// seeds both the run and the coordinator's random start.
+func QualityAfterRounds(ctx context.Context, parts []*matrix.Dense, a *matrix.Dense, k int, rounds []int, seed int64) ([]float64, []float64, error) {
 	ratios := make([]float64, 0, len(rounds))
 	words := make([]float64, 0, len(rounds))
 	for _, r := range rounds {
-		res, err := RunPCAPowerIteration(ctx, parts, PowerIterParams{K: k, Rounds: r, Seed: cfg.Seed}, cfg)
+		res, err := Run(ctx, PowerIteration{PowerIterParams: PowerIterParams{K: k, Rounds: r, Seed: seed}}, parts, WithSeed(seed))
 		if err != nil {
 			return nil, nil, err
 		}

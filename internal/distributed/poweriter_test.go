@@ -10,7 +10,7 @@ import (
 
 func TestRunPCAPowerIterationQuality(t *testing.T) {
 	a, parts := pcaInput(30, 500, 16, 3, 5)
-	res, err := RunPCAPowerIteration(context.Background(), parts, PowerIterParams{K: 3, Rounds: 12, Seed: 1}, Config{})
+	res, err := Run(context.Background(), PowerIteration{PowerIterParams: PowerIterParams{K: 3, Rounds: 12, Seed: 1}}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestRunPCAPowerIterationQuality(t *testing.T) {
 
 func TestPowerIterationConvergesWithRounds(t *testing.T) {
 	a, parts := pcaInput(31, 400, 12, 3, 4)
-	ratios, words, err := QualityAfterRounds(context.Background(), parts, a, 3, []int{1, 4, 16}, Config{Seed: 2})
+	ratios, words, err := QualityAfterRounds(context.Background(), parts, a, 3, []int{1, 4, 16}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestPowerIterationConvergesWithRounds(t *testing.T) {
 
 func TestRunPCACombinedPowerIter(t *testing.T) {
 	a, parts := pcaInput(32, 600, 16, 3, 6)
-	res, err := RunPCACombinedPowerIter(context.Background(), parts, 0.25, PowerIterParams{K: 3, Rounds: 12, Seed: 3}, Config{Seed: 3})
+	res, err := Run(context.Background(), PCACombinedPowerIter{Eps: 0.25, PowerIterParams: PowerIterParams{K: 3, Rounds: 12, Seed: 3}}, parts, WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestPowerIterationRankDeficient(t *testing.T) {
 			copy(row, p.Row(0))
 		}
 	}
-	res, err := RunPCAPowerIteration(context.Background(), parts, PowerIterParams{K: 4, Rounds: 5, Seed: 4}, Config{})
+	res, err := Run(context.Background(), PowerIteration{PowerIterParams: PowerIterParams{K: 4, Rounds: 5, Seed: 4}}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +91,8 @@ func TestPowerIterationRankDeficient(t *testing.T) {
 }
 
 func TestPowerIterParamsValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for k=0")
-		}
-	}()
 	_, parts := pcaInput(34, 50, 6, 2, 2)
-	RunPCAPowerIteration(context.Background(), parts, PowerIterParams{K: 0}, Config{})
+	if _, err := Run(context.Background(), PowerIteration{PowerIterParams: PowerIterParams{K: 0}}, parts); err == nil {
+		t.Fatal("expected an error for k=0")
+	}
 }

@@ -21,11 +21,11 @@ import (
 func TestFloat32WireHalvesWords(t *testing.T) {
 	a, parts := split(t, 21, 200, 12, 4)
 	ctx := context.Background()
-	res64, err := RunFDMerge(ctx, parts, 0.25, 3, Config{Seed: 7})
+	res64, err := Run(ctx, FDMerge{Eps: 0.25, K: 3}, parts, WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res32, err := RunFDMerge(ctx, parts, 0.25, 3, Config{Seed: 7, WirePrecision: comm.Float32})
+	res32, err := Run(ctx, FDMerge{Eps: 0.25, K: 3}, parts, WithSeed(7), WithWirePrecision(comm.Float32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +64,7 @@ func TestObserverMatchesMeterFloat32(t *testing.T) {
 	reg := obs.NewRegistry()
 	var buf bytes.Buffer
 	ob := obs.NewObserver(reg, obs.NewTracer(&buf))
-	res, err := RunFDMerge(context.Background(), parts, 0.25, 3,
-		Config{Seed: 7, Obs: ob, WirePrecision: comm.Float32})
+	res, err := Run(context.Background(), FDMerge{Eps: 0.25, K: 3}, parts, WithSeed(7), WithObserver(ob), WithWirePrecision(comm.Float32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +82,7 @@ func TestObserverMatchesMeterFloat32(t *testing.T) {
 func TestQuantizeFloat32MutuallyExclusive(t *testing.T) {
 	_, parts := split(t, 23, 80, 8, 2)
 	_, err := Run(context.Background(), FDMerge{Eps: 0.3, K: 2}, parts,
-		WithConfig(Config{Seed: 1, Quantize: true, QuantStep: 1e-6, WirePrecision: comm.Float32}))
+		WithSeed(1), WithQuantization(1e-6), WithWirePrecision(comm.Float32))
 	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
 		t.Fatalf("expected mutual-exclusion error, got %v", err)
 	}
@@ -96,14 +95,14 @@ func TestTCPFloat32MatchesMem(t *testing.T) {
 	ctx := context.Background()
 	_, parts := split(t, 24, 200, 12, 4)
 	eps, k := 0.25, 3
-	cfg := Config{Seed: 7, WirePrecision: comm.Float32}
 
-	mem, err := RunFDMerge(ctx, parts, eps, k, cfg)
+	mem, err := Run(ctx, FDMerge{Eps: eps, K: k}, parts, WithSeed(7), WithWirePrecision(comm.Float32))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	s := len(parts)
+	proto := FDMerge{Eps: eps, K: k, Env: Env{Servers: s, Dim: 12, Config: Config{Seed: 7, WirePrecision: comm.Float32}}}
 	coord, err := NewTCPCoordinator("127.0.0.1:0", s, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +121,7 @@ func TestTCPFloat32MatchesMem(t *testing.T) {
 				return
 			}
 			defer srv.Close()
-			if err := ServerFDMerge(ctx, srv.Node(), workload.NewDenseSource(parts[id]), eps, k, cfg); err != nil {
+			if err := proto.Server(ctx, srv.Node(), CovarianceInput(workload.NewDenseSource(parts[id]))); err != nil {
 				serverErrs <- err
 				return
 			}
@@ -132,10 +131,11 @@ func TestTCPFloat32MatchesMem(t *testing.T) {
 	if err := coord.Accept(ctx); err != nil {
 		t.Fatal(err)
 	}
-	sketch, missing, err := CoordFDMerge(ctx, coord.Node(), s, 12, eps, k, cfg)
+	res, err := proto.Coordinator(ctx, coord.Node())
 	if err != nil {
 		t.Fatal(err)
 	}
+	sketch, missing := res.Sketch, res.Missing
 	wg.Wait()
 	close(serverErrs)
 	for err := range serverErrs {
@@ -164,11 +164,12 @@ func TestTCPFloat64StillMatchesMem(t *testing.T) {
 	ctx := context.Background()
 	_, parts := split(t, 25, 160, 10, 2)
 	eps, k := 0.3, 2
-	mem, err := RunFDMerge(ctx, parts, eps, k, Config{Seed: 3})
+	mem, err := Run(ctx, FDMerge{Eps: eps, K: k}, parts, WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := len(parts)
+	proto := FDMerge{Eps: eps, K: k, Env: Env{Servers: s, Dim: 10, Config: Config{Seed: 3}}}
 	coord, err := NewTCPCoordinator("127.0.0.1:0", s, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +187,7 @@ func TestTCPFloat64StillMatchesMem(t *testing.T) {
 				return
 			}
 			defer srv.Close()
-			if err := ServerFDMerge(ctx, srv.Node(), workload.NewDenseSource(parts[id]), eps, k, Config{Seed: 3}); err != nil {
+			if err := proto.Server(ctx, srv.Node(), CovarianceInput(workload.NewDenseSource(parts[id]))); err != nil {
 				serverErrs <- err
 			}
 		}(i)
@@ -194,10 +195,11 @@ func TestTCPFloat64StillMatchesMem(t *testing.T) {
 	if err := coord.Accept(ctx); err != nil {
 		t.Fatal(err)
 	}
-	sketch, _, err := CoordFDMerge(ctx, coord.Node(), s, 10, eps, k, Config{Seed: 3})
+	res, err := proto.Coordinator(ctx, coord.Node())
 	if err != nil {
 		t.Fatal(err)
 	}
+	sketch := res.Sketch
 	wg.Wait()
 	close(serverErrs)
 	for err := range serverErrs {

@@ -45,10 +45,11 @@ func (p CoordinatedProduct) withEnv(e Env) Protocol { p.Env = e; return p }
 
 func (p CoordinatedProduct) rounds() int { return 1 }
 
-func (p CoordinatedProduct) validate() {
+func (p CoordinatedProduct) validate() error {
 	if p.SampleSize < 2 {
-		panic(fmt.Sprintf("distributed: coord-product needs SampleSize ≥ 2, got %d", p.SampleSize))
+		return fmt.Errorf("distributed: coord-product needs SampleSize ≥ 2, got %d", p.SampleSize)
 	}
+	return nil
 }
 
 // rejectSketchOptions guards both party roles against the matrix-sketch wire
@@ -77,8 +78,8 @@ func (p CoordinatedProduct) Server(ctx context.Context, node Node, in Input) err
 	if err := rejectSketchOptions(cfg); err != nil {
 		return err
 	}
-	if p.SampleSize < 2 {
-		return fmt.Errorf("distributed: coord-product needs SampleSize ≥ 2, got %d", p.SampleSize)
+	if err := p.validate(); err != nil {
+		return err
 	}
 	// The shared seed must be identical on every server — cfg.Seed itself,
 	// not the per-server private stream rng(id) — or the samples decorrelate
@@ -278,12 +279,4 @@ func (p CoordinatedProduct) Coordinator(ctx context.Context, node Node) (*Result
 		Product:     est,
 		Certificate: core.ProductCertificate(p.SampleSize, math.Sqrt(frobA2), math.Sqrt(frobB2)),
 	}, nil
-}
-
-// RunCoordinatedProduct executes coordinated-sampling AᵀB estimation
-// in-process over the given aligned shard pairs (build them with
-// ProductShards or ProductShardsDense) and returns the estimate, its
-// certificate, and exact communication accounting.
-func RunCoordinatedProduct(ctx context.Context, inputs []Input, sampleSize int, opts ...RunOption) (*Result, error) {
-	return RunWorkload(ctx, CoordinatedProduct{SampleSize: sampleSize}, inputs, opts...)
 }

@@ -44,7 +44,7 @@ func productFixture(t *testing.T, n, dA, dB, s int, density float64, seed int64)
 func TestCoordinatedProductWithinCertificate(t *testing.T) {
 	const n, dA, dB, s, sample = 1200, 24, 18, 4, 150
 	inputs, a, b := productFixture(t, n, dA, dB, s, 0.1, 17)
-	res, err := RunCoordinatedProduct(context.Background(), inputs, sample, WithSeed(5))
+	res, err := RunWorkload(context.Background(), CoordinatedProduct{SampleSize: sample}, inputs, WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestCoordinatedProductWithinCertificate(t *testing.T) {
 func TestCoordinatedProductWordsExact(t *testing.T) {
 	const n, dA, dB, s, sample, seed = 900, 30, 22, 3, 80, 9
 	inputs, a, b := productFixture(t, n, dA, dB, s, 0.05, 23)
-	res, err := RunCoordinatedProduct(context.Background(), inputs, sample, WithSeed(seed))
+	res, err := RunWorkload(context.Background(), CoordinatedProduct{SampleSize: sample}, inputs, WithSeed(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestCoordinatedProductShardCountInvariant(t *testing.T) {
 	const n, dA, dB, sample = 700, 16, 16, 90
 	run := func(s int) *Result {
 		inputs, _, _ := productFixture(t, n, dA, dB, s, 0.15, 31)
-		res, err := RunCoordinatedProduct(context.Background(), inputs, sample, WithSeed(3))
+		res, err := RunWorkload(context.Background(), CoordinatedProduct{SampleSize: sample}, inputs, WithSeed(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func TestCoordinatedProductTCPMatchesMem(t *testing.T) {
 	defer cancel()
 
 	inputs, _, _ := productFixture(t, n, dA, dB, s, 0.08, 41)
-	memRes, err := RunCoordinatedProduct(ctx, inputs, sample, WithSeed(seed))
+	memRes, err := RunWorkload(ctx, CoordinatedProduct{SampleSize: sample}, inputs, WithSeed(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestCoordinatedProductRejectsTreeTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunCoordinatedProduct(context.Background(), inputs, 10, WithTopology(Tree(2)))
+	_, err = RunWorkload(context.Background(), CoordinatedProduct{SampleSize: 10}, inputs, WithTopology(Tree(2)))
 	if err == nil || !strings.Contains(err.Error(), "does not support tree aggregation") {
 		t.Fatalf("tree run: %v", err)
 	}
@@ -331,7 +331,7 @@ func TestCoordinatedProductRejectsSketchWireOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunCoordinatedProduct(context.Background(), inputs, 10, WithQuantization(0.01)); err == nil ||
+	if _, err := RunWorkload(context.Background(), CoordinatedProduct{SampleSize: 10}, inputs, WithQuantization(0.01)); err == nil ||
 		!strings.Contains(err.Error(), "quantization is not supported") {
 		t.Fatalf("quantized run: %v", err)
 	}
@@ -339,7 +339,7 @@ func TestCoordinatedProductRejectsSketchWireOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunCoordinatedProduct(context.Background(), inputs, 10, WithWirePrecision(comm.Float32)); err == nil ||
+	if _, err := RunWorkload(context.Background(), CoordinatedProduct{SampleSize: 10}, inputs, WithWirePrecision(comm.Float32)); err == nil ||
 		!strings.Contains(err.Error(), "float32 wire precision is not supported") {
 		t.Fatalf("float32 run: %v", err)
 	}
@@ -347,7 +347,7 @@ func TestCoordinatedProductRejectsSketchWireOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunCoordinatedProduct(context.Background(), inputs, 10,
+	if _, err := RunWorkload(context.Background(), CoordinatedProduct{SampleSize: 10}, inputs,
 		WithStragglers(StragglerPolicy{Timeout: time.Second, Quorum: 1})); err == nil ||
 		!strings.Contains(err.Error(), "Quorum") {
 		t.Fatalf("quorum run: %v", err)

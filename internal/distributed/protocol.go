@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/fd"
-	"repro/internal/rowsample"
 )
 
 // CoordinatorID is the conventional endpoint ID of the coordinator
@@ -44,6 +42,23 @@ type Protocol interface {
 	// Coordinator runs the coordinator role over node and returns the
 	// protocol's output; communication totals are filled in by the driver.
 	Coordinator(ctx context.Context, node Node) (*Result, error)
+
+	// The driver's hooks. They are unexported, so every Protocol is one of
+	// this package's built-in structs and a protocol missing a hook does not
+	// compile (instead of running with an empty Env, metering one round, or
+	// crashing a spawned goroutine on a bad parameter).
+
+	// withEnv returns a copy of the protocol with the driver-derived Env
+	// installed.
+	withEnv(Env) Protocol
+	// rounds is the protocol's synchronous round count on a star, which the
+	// driver adds to the meter.
+	rounds() int
+	// validate rejects out-of-range parameters. The driver calls it in the
+	// caller's goroutine before any party goroutine is spawned: a panic
+	// inside a spawned server would crash the process instead of reaching
+	// the caller.
+	validate() error
 }
 
 // Env is the runtime environment a protocol executes in: the cluster shape
@@ -87,23 +102,25 @@ func (e Env) parent(id int) int {
 	return e.Topology.Parent(id)
 }
 
-// envSetter lets the Run driver install the Env it derived without widening
-// the public Protocol interface; every built-in protocol implements it.
-type envSetter interface {
-	withEnv(Env) Protocol
+// checkUnit rejects an accuracy or probability parameter outside the open
+// interval (0,1), NaN included.
+func checkUnit(proto, name string, v float64) error {
+	if !(v > 0 && v < 1) {
+		return fmt.Errorf("distributed: %s: %s %v out of (0,1)", proto, name, v)
+	}
+	return nil
 }
 
-// roundCounter lets a protocol report its synchronous round count to the
-// driver's meter; protocols without it default to one round.
-type roundCounter interface {
-	rounds() int
-}
-
-// validator lets a protocol reject invalid parameters (by panicking) in the
-// caller's goroutine before any party goroutine is spawned — a panic inside
-// a spawned server would crash the process instead of reaching the caller.
-type validator interface {
-	validate()
+// checkEpsK is the (ε,k) check most protocols share: ε in (0,1) and k at
+// least minK (0 where k = 0 selects the (ε,0) sketch, 1 where k divides).
+func checkEpsK(proto string, eps float64, k, minK int) error {
+	if err := checkUnit(proto, "eps", eps); err != nil {
+		return err
+	}
+	if k < minK {
+		return fmt.Errorf("distributed: %s needs k ≥ %d, got %d", proto, minK, k)
+	}
+	return nil
 }
 
 // SamplingFn selects the SVS sampling function g — the typed replacement
@@ -121,233 +138,3 @@ const (
 
 // ParseSamplingFn converts a flag string to a SamplingFn.
 func ParseSamplingFn(s string) (SamplingFn, error) { return core.ParseSamplingFn(s) }
-
-// ---------------------------------------------------------------------------
-// Covariance-sketch protocols.
-// ---------------------------------------------------------------------------
-
-// FDMerge is the deterministic Theorem 2 protocol: each server streams its
-// rows through FD and the aggregation plan's interior merges the sketches
-// with the canonical FD reduction. It is the one protocol whose gathers
-// honour a straggler quorum: FD sketches merge associatively, so any node
-// can proceed with a subset of its subtree, sketching the responsive
-// servers' rows and reporting the absentees in Result.Missing. For the same
-// reason it is the one built-in protocol that runs under a tree Topology.
-type FDMerge struct {
-	Eps float64
-	K   int
-	Env Env
-}
-
-// Name implements Protocol.
-func (p FDMerge) Name() string { return "fd-merge" }
-
-// Estimand implements Protocol.
-func (p FDMerge) Estimand() Estimand { return EstimandCovariance }
-
-func (p FDMerge) withEnv(e Env) Protocol { p.Env = e; return p }
-
-func (p FDMerge) rounds() int { return 1 }
-
-// Server implements Protocol. Under a tree plan the leaf's summary goes to
-// its aggregator rather than the coordinator.
-func (p FDMerge) Server(ctx context.Context, node Node, in Input) error {
-	local, err := in.Covariance(p.Name())
-	if err != nil {
-		return err
-	}
-	return serverFDMergeTo(ctx, node, p.Env.parent(node.ID()), local, p.Eps, p.K, p.Env.Config)
-}
-
-// Coordinator implements Protocol.
-func (p FDMerge) Coordinator(ctx context.Context, node Node) (*Result, error) {
-	sk, missing, err := coordFDGather(ctx, node, p.Env.plan(), p.Env.Dim, fd.SketchSize(p.Eps, p.K), p.Env.Config)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Sketch: sk, Missing: missing}, nil
-}
-
-// SVS is the §3.1 / Algorithm 2 randomized (α,0)-sketch protocol with the
-// two-round norm calibration. Streaming switches the servers to the
-// one-pass pipeline (FD at α/2 locally, then SVS on the local sketch) so no
-// server ever materializes its raw input.
-type SVS struct {
-	Alpha    float64
-	Delta    float64
-	Sampling SamplingFn
-	// Streaming selects the one-pass server pipeline (always quadratic
-	// sampling, as in the paper's framework).
-	Streaming bool
-	Env       Env
-}
-
-// Name implements Protocol.
-func (p SVS) Name() string {
-	if p.Streaming {
-		return "svs-streaming"
-	}
-	return "svs"
-}
-
-// Estimand implements Protocol.
-func (p SVS) Estimand() Estimand { return EstimandCovariance }
-
-func (p SVS) withEnv(e Env) Protocol { p.Env = e; return p }
-
-func (p SVS) rounds() int { return 2 }
-
-// Server implements Protocol.
-func (p SVS) Server(ctx context.Context, node Node, in Input) error {
-	local, err := in.Covariance(p.Name())
-	if err != nil {
-		return err
-	}
-	if p.Streaming {
-		return ServerSVSStreaming(ctx, node, local, p.Env.Servers, p.Alpha, p.Delta, p.Env.Config)
-	}
-	return ServerSVS(ctx, node, local, p.Env.Servers, p.Alpha, p.Delta, p.Sampling, p.Env.Config)
-}
-
-// Coordinator implements Protocol.
-func (p SVS) Coordinator(ctx context.Context, node Node) (*Result, error) {
-	sk, err := CoordSVS(ctx, node, p.Env.Servers, p.Env.Config)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Sketch: sk}, nil
-}
-
-// RowSampling is the [10] baseline: distributed squared-norm row sampling
-// with m = ⌈1/ε²⌉ global samples.
-type RowSampling struct {
-	Eps float64
-	Env Env
-}
-
-// Name implements Protocol.
-func (p RowSampling) Name() string { return "row-sampling" }
-
-// Estimand implements Protocol.
-func (p RowSampling) Estimand() Estimand { return EstimandCovariance }
-
-func (p RowSampling) withEnv(e Env) Protocol { p.Env = e; return p }
-
-func (p RowSampling) rounds() int { return 2 }
-
-// Server implements Protocol.
-func (p RowSampling) Server(ctx context.Context, node Node, in Input) error {
-	local, err := in.Covariance(p.Name())
-	if err != nil {
-		return err
-	}
-	return ServerRowSampling(ctx, node, local, p.Env.Config)
-}
-
-// Coordinator implements Protocol.
-func (p RowSampling) Coordinator(ctx context.Context, node Node) (*Result, error) {
-	sk, err := CoordRowSampling(ctx, node, p.Env.Servers, rowsample.SampleSize(p.Eps), p.Env.Config)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Sketch: sk}, nil
-}
-
-// Adaptive is the §3.2 / Theorem 7 adaptive (ε,k)-sketch protocol.
-type Adaptive struct {
-	AdaptiveParams
-	Env Env
-}
-
-// Name implements Protocol.
-func (p Adaptive) Name() string { return "adaptive" }
-
-// Estimand implements Protocol.
-func (p Adaptive) Estimand() Estimand { return EstimandCovariance }
-
-func (p Adaptive) withEnv(e Env) Protocol { p.Env = e; return p }
-
-func (p Adaptive) rounds() int { return 2 }
-
-// Server implements Protocol.
-func (p Adaptive) Server(ctx context.Context, node Node, in Input) error {
-	local, err := in.Covariance(p.Name())
-	if err != nil {
-		return err
-	}
-	return ServerAdaptive(ctx, node, local, p.Env.Servers, p.AdaptiveParams, p.Env.Config)
-}
-
-// Coordinator implements Protocol.
-func (p Adaptive) Coordinator(ctx context.Context, node Node) (*Result, error) {
-	sk, err := CoordAdaptive(ctx, node, p.Env.Servers, p.AdaptiveParams, p.Env.Config)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Sketch: sk}, nil
-}
-
-// LowRankExact is the §3.3 Case-1 exact protocol for inputs of rank at most
-// 2·KBound per server.
-type LowRankExact struct {
-	KBound int
-	Env    Env
-}
-
-// Name implements Protocol.
-func (p LowRankExact) Name() string { return "lowrank-exact" }
-
-// Estimand implements Protocol.
-func (p LowRankExact) Estimand() Estimand { return EstimandCovariance }
-
-func (p LowRankExact) withEnv(e Env) Protocol { p.Env = e; return p }
-
-func (p LowRankExact) rounds() int { return 1 }
-
-// Server implements Protocol.
-func (p LowRankExact) Server(ctx context.Context, node Node, in Input) error {
-	local, err := in.Covariance(p.Name())
-	if err != nil {
-		return err
-	}
-	return ServerLowRankExact(ctx, node, local, p.KBound, p.Env.Config)
-}
-
-// Coordinator implements Protocol.
-func (p LowRankExact) Coordinator(ctx context.Context, node Node) (*Result, error) {
-	gram, sketch, err := CoordLowRankExact(ctx, node, p.Env.Servers, p.Env.Dim, p.Env.Config)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Gram: gram, Sketch: sketch}, nil
-}
-
-// FullTransfer is the trivial exact baseline: ship every row to the
-// coordinator.
-type FullTransfer struct {
-	Env Env
-}
-
-// Name implements Protocol.
-func (p FullTransfer) Name() string { return "full-transfer" }
-
-// Estimand implements Protocol.
-func (p FullTransfer) Estimand() Estimand { return EstimandCovariance }
-
-func (p FullTransfer) withEnv(e Env) Protocol { p.Env = e; return p }
-
-func (p FullTransfer) rounds() int { return 1 }
-
-// Server implements Protocol.
-func (p FullTransfer) Server(ctx context.Context, node Node, in Input) error {
-	local, err := in.Covariance(p.Name())
-	if err != nil {
-		return err
-	}
-	return ServerFullTransfer(ctx, node, local, p.Env.Config)
-}
-
-// Coordinator implements Protocol.
-func (p FullTransfer) Coordinator(ctx context.Context, node Node) (*Result, error) {
-	return CoordFullTransfer(ctx, node, p.Env.Servers, p.Env.Config)
-}

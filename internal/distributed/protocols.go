@@ -130,18 +130,48 @@ func finish(res *Result, meter *comm.Meter) *Result {
 // Theorem 2: deterministic FD merge.
 // ---------------------------------------------------------------------------
 
-// ServerFDMerge is the server side of the deterministic protocol: stream the
-// local rows through FD — one pass, O(d·ℓ) working space regardless of the
-// source's size — and send the ℓ-row sketch to the coordinator. Sparse
-// sources take the nnz-proportional update path. Under a tree plan the
-// driver routes the summary to the leaf's aggregator instead (see
-// serverFDMergeTo); this star entry point is kept for direct callers.
-func ServerFDMerge(ctx context.Context, node Node, local workload.RowSource, eps float64, k int, cfg Config) error {
-	return serverFDMergeTo(ctx, node, comm.CoordinatorID, local, eps, k, cfg)
+// FDMerge is the deterministic Theorem 2 protocol: each server streams its
+// rows through FD and the aggregation plan's interior merges the sketches
+// with the canonical FD reduction. It is the one protocol whose gathers
+// honour a straggler quorum: FD sketches merge associatively, so any node
+// can proceed with a subset of its subtree, sketching the responsive
+// servers' rows and reporting the absentees in Result.Missing. For the same
+// reason it is the one built-in protocol that runs under a tree Topology.
+// Expected communication: O(s·k·d/ε) words.
+type FDMerge struct {
+	Eps float64
+	K   int
+	Env Env
 }
 
-// serverFDMergeTo is ServerFDMerge with an explicit uplink destination —
-// the coordinator in the star, the leaf's aggregator in a tree.
+// Name implements Protocol.
+func (p FDMerge) Name() string { return "fd-merge" }
+
+// Estimand implements Protocol.
+func (p FDMerge) Estimand() Estimand { return EstimandCovariance }
+
+func (p FDMerge) withEnv(e Env) Protocol { p.Env = e; return p }
+
+func (p FDMerge) rounds() int { return 1 }
+
+func (p FDMerge) validate() error { return checkEpsK(p.Name(), p.Eps, p.K, 0) }
+
+// Server implements Protocol: stream the local rows through FD — one pass,
+// O(d·ℓ) working space regardless of the source's size — and send the ℓ-row
+// sketch to the coordinator. Sparse sources take the nnz-proportional
+// update path. Under a tree plan the leaf's summary goes to its aggregator
+// rather than the coordinator.
+func (p FDMerge) Server(ctx context.Context, node Node, in Input) error {
+	local, err := in.Covariance(p.Name())
+	if err != nil {
+		return err
+	}
+	return serverFDMergeTo(ctx, node, p.Env.parent(node.ID()), local, p.Eps, p.K, p.Env.Config)
+}
+
+// serverFDMergeTo is the FD-merge server body with an explicit uplink
+// destination — the coordinator in the star, the leaf's aggregator in a
+// tree. FDMerge and PCAFDMerge share it.
 func serverFDMergeTo(ctx context.Context, node Node, dest int, local workload.RowSource, eps float64, k int, cfg Config) error {
 	if err := fd.CheckMergeable(cfg.Shrink); err != nil {
 		return fmt.Errorf("server %d: %w", node.ID(), err)
@@ -160,45 +190,79 @@ func serverFDMergeTo(ctx context.Context, node Node, dest int, local workload.Ro
 	return cfg.sendMatrix(ctx, node, dest, "fd-sketch", b)
 }
 
-// CoordFDMerge is the star coordinator side: collect the s local sketches
-// and reduce them with the canonical FD merge, yielding an (ε,k)-sketch of
-// A (mergeability, Theorem 2). Under a quorum straggler policy
-// (cfg.Stragglers.Quorum > 0) the merge proceeds once the quorum has
-// reported and the returned missing slice lists the absent servers — the
-// sketch then covers only the responsive servers' rows. Tree runs go
+// Coordinator implements Protocol: collect the children's summaries (the s
+// local sketches under the star) and reduce them with the canonical FD
+// merge, yielding an (ε,k)-sketch of A (mergeability, Theorem 2). Under a
+// quorum straggler policy (Config.Stragglers.Quorum > 0) the merge proceeds
+// once the quorum has reported and Result.Missing lists the absent servers —
+// the sketch then covers only the responsive servers' rows. Tree runs go
 // through the same gather-and-merge code with a deeper plan (WithTopology),
-// so their results are bit-identical to this star path at every
-// power-of-two fan-out (see fd.MergeCanonical).
-func CoordFDMerge(ctx context.Context, node Node, s, d int, eps float64, k int, cfg Config) (*matrix.Dense, []int, error) {
-	plan, err := Star().Plan(s)
+// so their results are bit-identical to the star's at every power-of-two
+// fan-out (see fd.MergeCanonical).
+func (p FDMerge) Coordinator(ctx context.Context, node Node) (*Result, error) {
+	sk, missing, err := coordFDGather(ctx, node, p.Env.plan(), p.Env.Dim, fd.SketchSize(p.Eps, p.K), p.Env.Config)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return coordFDGather(ctx, node, plan, d, fd.SketchSize(eps, k), cfg)
-}
-
-// RunFDMerge runs the full Theorem 2 protocol in-process over parts.
-// Expected communication: O(s·k·d/ε) words.
-func RunFDMerge(ctx context.Context, parts []*matrix.Dense, eps float64, k int, cfg Config) (*Result, error) {
-	return Run(ctx, FDMerge{Eps: eps, K: k}, parts, WithConfig(cfg))
+	return &Result{Sketch: sk, Missing: missing}, nil
 }
 
 // ---------------------------------------------------------------------------
 // §3.1 / Algorithm 2: SVS protocol.
 // ---------------------------------------------------------------------------
 
-// ServerSVS is the server side of Algorithm 2 with the two-round calibration
-// the paper sketches in footnote 6: send ‖A_i‖F² (one word), receive the
-// global ‖A‖F² (one word), then run SVS with the shared sampling function
-// and send the sampled rows. The batch SVS needs the full local block (its
-// SVD), so the source is materialized — O(n_i·d) memory; use the Streaming
-// variant for bounded space.
-func ServerSVS(ctx context.Context, node Node, src workload.RowSource, s int, alpha, delta float64, sampling SamplingFn, cfg Config) error {
-	local, err := materializeLocal(node, src)
+// SVS is the §3.1 / Algorithm 2 randomized (α,0)-sketch protocol with the
+// two-round norm calibration. Streaming switches the servers to the
+// one-pass pipeline (FD at α/2 locally, then SVS on the local sketch) so no
+// server ever materializes its raw input. Expected communication:
+// O(√s·d·√log(d/δ)/α) words (quadratic g) plus the 2s calibration words.
+type SVS struct {
+	Alpha    float64
+	Delta    float64
+	Sampling SamplingFn
+	// Streaming selects the one-pass server pipeline (always quadratic
+	// sampling, as in the paper's framework).
+	Streaming bool
+	Env       Env
+}
+
+// Name implements Protocol.
+func (p SVS) Name() string {
+	if p.Streaming {
+		return "svs-streaming"
+	}
+	return "svs"
+}
+
+// Estimand implements Protocol.
+func (p SVS) Estimand() Estimand { return EstimandCovariance }
+
+func (p SVS) withEnv(e Env) Protocol { p.Env = e; return p }
+
+func (p SVS) rounds() int { return 2 }
+
+func (p SVS) validate() error {
+	if err := checkUnit(p.Name(), "alpha", p.Alpha); err != nil {
+		return err
+	}
+	return checkUnit(p.Name(), "delta", p.Delta)
+}
+
+// Server implements Protocol with the two-round calibration the paper
+// sketches in footnote 6: send ‖A_i‖F² (one word), receive the global
+// ‖A‖F² (one word), then run SVS with the shared sampling function and send
+// the sampled rows. The batch SVS needs the full local block (its SVD), so
+// the source is materialized — O(n_i·d) memory; set Streaming for bounded
+// space.
+func (p SVS) Server(ctx context.Context, node Node, in Input) error {
+	if p.Streaming {
+		return p.serverStreaming(ctx, node, in)
+	}
+	s, alpha, delta, cfg := p.Env.Servers, p.Alpha, p.Delta, p.Env.Config
+	local, err := materializeLocal(node, in, p.Name(), cfg)
 	if err != nil {
 		return err
 	}
-	cfg.observer().RowsIngested(int64(local.Rows()), false)
 	if err := node.Send(ctx, comm.CoordinatorID, &comm.Message{Kind: "frob2", Scalars: []float64{local.Frob2()}}); err != nil {
 		return err
 	}
@@ -208,7 +272,7 @@ func ServerSVS(ctx context.Context, node Node, src workload.RowSource, s int, al
 	}
 	frob2 := msg.Scalars[0]
 	msg.Release()
-	g := sampling.Build(s, local.Cols(), alpha, delta, frob2)
+	g := p.Sampling.Build(s, local.Cols(), alpha, delta, frob2)
 	b, err := core.SVS(local, g, cfg.rng(node.ID()))
 	if err != nil {
 		return fmt.Errorf("server %d SVS: %w", node.ID(), err)
@@ -217,57 +281,21 @@ func ServerSVS(ctx context.Context, node Node, src workload.RowSource, s int, al
 	return cfg.sendMatrix(ctx, node, comm.CoordinatorID, "svs-sketch", b)
 }
 
-// CoordSVS is the coordinator side of Algorithm 2. The calibration round
-// makes a partial merge unsound (the broadcast mass would include servers
-// whose rows never arrive), so stragglers are always fail-fast here.
-func CoordSVS(ctx context.Context, node Node, s int, cfg Config) (*matrix.Dense, error) {
-	masses, err := gatherAll(ctx, node, s, "frob2", cfg)
-	if err != nil {
-		return nil, err
-	}
-	total := 0.0
-	for _, m := range masses {
-		total += m.Scalars[0]
-		m.Release()
-	}
-	if err := broadcast(ctx, node, s, &comm.Message{Kind: "frob2-total", Scalars: []float64{total}}, cfg.observer()); err != nil {
-		return nil, err
-	}
-	sketches, err := gatherAll(ctx, node, s, "svs-sketch", cfg)
-	if err != nil {
-		return nil, err
-	}
-	parts := make([]*matrix.Dense, 0, s)
-	for _, msg := range sketches {
-		m, err := recvMatrix(msg)
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, m)
-	}
-	stacked := matrix.Stack(parts...)
-	for _, msg := range sketches {
-		msg.Release() // Stack copied every part
-	}
-	return stacked, nil
-}
-
-// RunSVS runs the §3.1 randomized (α,0)-sketch protocol in-process.
-// Expected communication: O(√s·d·√log(d/δ)/α) words (quadratic g) plus the
-// 2s calibration words.
-func RunSVS(ctx context.Context, parts []*matrix.Dense, alpha, delta float64, sampling SamplingFn, cfg Config) (*Result, error) {
-	return Run(ctx, SVS{Alpha: alpha, Delta: delta, Sampling: sampling}, parts, WithConfig(cfg))
-}
-
-// ServerSVSStreaming is the one-pass form of the §3.1 protocol, following
-// the paper's framework sentence ("each server first independently computes
-// a local sketch using a streaming algorithm, then all servers run a
+// serverStreaming is the one-pass form of the server role, following the
+// paper's framework sentence ("each server first independently computes a
+// local sketch using a streaming algorithm, then all servers run a
 // distributed algorithm on top of the local sketches"): the server streams
 // its rows through FD at accuracy ε/2 (O(d/ε) space), then runs SVS on the
 // FD sketch at accuracy ε/2. The combined covariance error is at most the
 // sum of the two stages' errors, so the output is still an (O(ε),0)-sketch,
-// and the server never holds its raw input in memory.
-func ServerSVSStreaming(ctx context.Context, node Node, rows workload.RowSource, s int, alpha, delta float64, cfg Config) error {
+// and the server never holds its raw input in memory. The coordinator side
+// is the same as the batch form's.
+func (p SVS) serverStreaming(ctx context.Context, node Node, in Input) error {
+	rows, err := in.Covariance(p.Name())
+	if err != nil {
+		return err
+	}
+	s, alpha, delta, cfg := p.Env.Servers, p.Alpha, p.Delta, p.Env.Config
 	_, d := rows.Dims()
 	local := fd.New(d, fd.SketchSize(alpha/2, 0), fd.Options{Obs: cfg.Obs})
 	n, sparse, err := streamRows(rows, local.Update, local.UpdateSparse)
@@ -299,26 +327,80 @@ func ServerSVSStreaming(ctx context.Context, node Node, rows workload.RowSource,
 	return cfg.sendMatrix(ctx, node, comm.CoordinatorID, "svs-sketch", w)
 }
 
-// RunSVSStreaming runs the one-pass §3.1 pipeline in-process; the
-// coordinator side is identical to RunSVS.
-func RunSVSStreaming(ctx context.Context, parts []*matrix.Dense, alpha, delta float64, cfg Config) (*Result, error) {
-	return Run(ctx, SVS{Alpha: alpha, Delta: delta, Streaming: true}, parts, WithConfig(cfg))
+// Coordinator implements Protocol. The calibration round makes a partial
+// merge unsound (the broadcast mass would include servers whose rows never
+// arrive), so stragglers are always fail-fast here.
+func (p SVS) Coordinator(ctx context.Context, node Node) (*Result, error) {
+	s, cfg := p.Env.Servers, p.Env.Config
+	masses, err := gatherAll(ctx, node, s, "frob2", cfg)
+	if err != nil {
+		return nil, err
+	}
+	total := 0.0
+	for _, m := range masses {
+		total += m.Scalars[0]
+		m.Release()
+	}
+	if err := broadcast(ctx, node, s, &comm.Message{Kind: "frob2-total", Scalars: []float64{total}}, cfg.observer()); err != nil {
+		return nil, err
+	}
+	sketches, err := gatherAll(ctx, node, s, "svs-sketch", cfg)
+	if err != nil {
+		return nil, err
+	}
+	parts := make([]*matrix.Dense, 0, s)
+	for _, msg := range sketches {
+		m, err := recvMatrix(msg)
+		if err != nil {
+			return nil, err
+		}
+		parts = append(parts, m)
+	}
+	stacked := matrix.Stack(parts...)
+	for _, msg := range sketches {
+		msg.Release() // Stack copied every part
+	}
+	return &Result{Sketch: stacked}, nil
 }
 
 // ---------------------------------------------------------------------------
 // Baseline [10]: distributed squared-norm row sampling.
 // ---------------------------------------------------------------------------
 
-// ServerRowSampling is the server side of the sampling baseline: report the
-// local mass, receive the global mass and this server's sample count, sample
-// locally and send the rescaled rows. Cost O(s + d/ε²) words overall.
+// RowSampling is the [10] baseline: distributed squared-norm row sampling
+// with m = ⌈1/ε²⌉ global samples. Cost O(s + d/ε²) words overall.
+type RowSampling struct {
+	Eps float64
+	Env Env
+}
+
+// Name implements Protocol.
+func (p RowSampling) Name() string { return "row-sampling" }
+
+// Estimand implements Protocol.
+func (p RowSampling) Estimand() Estimand { return EstimandCovariance }
+
+func (p RowSampling) withEnv(e Env) Protocol { p.Env = e; return p }
+
+func (p RowSampling) rounds() int { return 2 }
+
+func (p RowSampling) validate() error { return checkUnit(p.Name(), "eps", p.Eps) }
+
+// Server implements Protocol: report the local mass, receive the global
+// mass and this server's sample count, sample locally and send the rescaled
+// rows.
 //
 // It runs in two streaming passes over the source — pass 1 accumulates
 // ‖A_i‖F² for the calibration round, Reset, pass 2 draws the assigned count
 // of rows with rowsample.SampleStream — so working space is O(count·d)
 // regardless of the local block's size. Each sampled row is rescaled by
 // 1/√(m·p_global) directly against the global mass.
-func ServerRowSampling(ctx context.Context, node Node, local workload.RowSource, cfg Config) error {
+func (p RowSampling) Server(ctx context.Context, node Node, in Input) error {
+	local, err := in.Covariance(p.Name())
+	if err != nil {
+		return err
+	}
+	cfg := p.Env.Config
 	_, d := local.Dims()
 	frob2 := 0.0
 	rows := 0
@@ -361,10 +443,11 @@ func ServerRowSampling(ctx context.Context, node Node, local workload.RowSource,
 	return cfg.sendMatrix(ctx, node, comm.CoordinatorID, "sample-rows", out)
 }
 
-// CoordRowSampling is the coordinator side: gather masses, split the m
-// global samples across servers proportionally (multinomially, seeded by
-// cfg.Seed), then stack the returned rows.
-func CoordRowSampling(ctx context.Context, node Node, s, m int, cfg Config) (*matrix.Dense, error) {
+// Coordinator implements Protocol: gather masses, split the m global
+// samples across servers proportionally (multinomially, seeded by
+// Config.Seed), then stack the returned rows.
+func (p RowSampling) Coordinator(ctx context.Context, node Node) (*Result, error) {
+	s, m, cfg := p.Env.Servers, rowsample.SampleSize(p.Eps), p.Env.Config
 	masses, err := gatherAll(ctx, node, s, "mass", cfg)
 	if err != nil {
 		return nil, err
@@ -409,12 +492,7 @@ func CoordRowSampling(ctx context.Context, node Node, s, m int, cfg Config) (*ma
 	for _, msg := range rowsMsgs {
 		msg.Release() // Stack copied every part
 	}
-	return stacked, nil
-}
-
-// RunRowSampling runs the [10] baseline in-process with m = ⌈1/ε²⌉ samples.
-func RunRowSampling(ctx context.Context, parts []*matrix.Dense, eps float64, cfg Config) (*Result, error) {
-	return Run(ctx, RowSampling{Eps: eps}, parts, WithConfig(cfg))
+	return &Result{Sketch: stacked}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -427,10 +505,37 @@ func RunRowSampling(ctx context.Context, parts []*matrix.Dense, eps float64, cfg
 // its whole block.
 const fullTransferChunk = 512
 
-// ServerFullTransfer streams the local rows to the coordinator in chunks of
-// fullTransferChunk: one "raw-dims" header (the chunk count, one word)
-// followed by the "raw" chunk messages. Exact cost: n_i·d + 1 words.
-func ServerFullTransfer(ctx context.Context, node Node, local workload.RowSource, cfg Config) error {
+// FullTransfer ships every row to the coordinator — the trivial exact
+// algorithm whose O(n·d) (= O(d³) in the paper's headline setting with
+// n = s/ε = d²) cost anchors the comparisons. Exact cost: n·d + s words
+// (one chunk-count header word per server). The coordinator returns the
+// exact aggregated form (≤ d rows), so downstream error is zero.
+type FullTransfer struct {
+	Env Env
+}
+
+// Name implements Protocol.
+func (p FullTransfer) Name() string { return "full-transfer" }
+
+// Estimand implements Protocol.
+func (p FullTransfer) Estimand() Estimand { return EstimandCovariance }
+
+func (p FullTransfer) withEnv(e Env) Protocol { p.Env = e; return p }
+
+func (p FullTransfer) rounds() int { return 1 }
+
+// validate has nothing to reject: the protocol takes no parameters.
+func (p FullTransfer) validate() error { return nil }
+
+// Server implements Protocol: stream the local rows to the coordinator in
+// chunks of fullTransferChunk — one "raw-dims" header (the chunk count, one
+// word) followed by the "raw" chunk messages. Exact cost: n_i·d + 1 words.
+func (p FullTransfer) Server(ctx context.Context, node Node, in Input) error {
+	local, err := in.Covariance(p.Name())
+	if err != nil {
+		return err
+	}
+	cfg := p.Env.Config
 	n, d := local.Dims()
 	chunks := (n + fullTransferChunk - 1) / fullTransferChunk
 	if err := node.Send(ctx, comm.CoordinatorID, &comm.Message{Kind: "raw-dims", Ints: []int64{int64(chunks)}}); err != nil {
@@ -465,10 +570,11 @@ func ServerFullTransfer(ctx context.Context, node Node, local workload.RowSource
 	return nil
 }
 
-// CoordFullTransfer collects every server's chunked rows, reassembles them
-// in server order, and returns the exact aggregated form plus the Gram
-// matrix.
-func CoordFullTransfer(ctx context.Context, node Node, s int, cfg Config) (*Result, error) {
+// Coordinator implements Protocol: collect every server's chunked rows,
+// reassemble them in server order, and return the exact aggregated form
+// plus the Gram matrix.
+func (p FullTransfer) Coordinator(ctx context.Context, node Node) (*Result, error) {
+	s, cfg := p.Env.Servers, p.Env.Config
 	// Exactness needs every row, so a partial-participation quorum is a
 	// configuration error here, same as in every strict gather.
 	if err := rejectQuorum(cfg, "full-transfer"); err != nil {
@@ -521,13 +627,4 @@ func CoordFullTransfer(ctx context.Context, node Node, s int, cfg Config) (*Resu
 		return nil, err
 	}
 	return &Result{Sketch: agg, Gram: a.Gram()}, nil
-}
-
-// RunFullTransfer ships every row to the coordinator — the trivial exact
-// algorithm whose O(n·d) (= O(d³) in the paper's headline setting with
-// n = s/ε = d²) cost anchors the comparisons. Exact cost: n·d + s words
-// (one chunk-count header word per server). The coordinator returns the
-// exact aggregated form (≤ d rows), so downstream error is zero.
-func RunFullTransfer(ctx context.Context, parts []*matrix.Dense, cfg Config) (*Result, error) {
-	return Run(ctx, FullTransfer{}, parts, WithConfig(cfg))
 }

@@ -24,7 +24,7 @@ func split(t *testing.T, seed int64, n, d, s int) (*matrix.Dense, []*matrix.Dens
 func TestRunFDMergeGuaranteeAndCost(t *testing.T) {
 	a, parts := split(t, 1, 240, 16, 6)
 	eps, k := 0.25, 3
-	res, err := RunFDMerge(context.Background(), parts, eps, k, Config{})
+	res, err := Run(context.Background(), FDMerge{Eps: eps, K: k}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestRunSVSGuaranteeAndCost(t *testing.T) {
 	var lastWords float64
 	for trial := 0; trial < trials; trial++ {
 		a, parts := split(t, int64(100+trial), 320, 16, 8)
-		res, err := RunSVS(context.Background(), parts, alpha, delta, SampleQuadratic, Config{Seed: int64(trial)})
+		res, err := Run(context.Background(), SVS{Alpha: alpha, Delta: delta}, parts, WithSeed(int64(trial)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,11 +88,11 @@ func TestSVSBeatsFDMergeAtLargeS(t *testing.T) {
 	a := workload.PowerLawSpectrum(rng, 960, 24, 0.8, 20)
 	parts := workload.Split(a, s, workload.Contiguous, nil)
 	eps := 0.1
-	det, err := RunFDMerge(context.Background(), parts, eps, 0, Config{})
+	det, err := Run(context.Background(), FDMerge{Eps: eps}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	randomized, err := RunSVS(context.Background(), parts, eps, 0.1, SampleQuadratic, Config{})
+	randomized, err := Run(context.Background(), SVS{Alpha: eps, Delta: 0.1}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestRunRowSamplingGuarantee(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(200 + trial)))
 		a := workload.Gaussian(rng, 300, 12)
 		parts := workload.Split(a, 5, workload.Skewed, nil)
-		res, err := RunRowSampling(context.Background(), parts, eps, Config{Seed: int64(trial)})
+		res, err := Run(context.Background(), RowSampling{Eps: eps}, parts, WithSeed(int64(trial)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestRowSamplingUnbiasedThroughProtocol(t *testing.T) {
 	sum := matrix.New(6, 6)
 	const trials = 400
 	for i := 0; i < trials; i++ {
-		res, err := RunRowSampling(context.Background(), parts, 0.25, Config{Seed: int64(i)})
+		res, err := Run(context.Background(), RowSampling{Eps: 0.25}, parts, WithSeed(int64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestRunAdaptiveGuaranteeAndCost(t *testing.T) {
 	const trials = 8
 	for trial := 0; trial < trials; trial++ {
 		a, parts := split(t, int64(300+trial), 360, 18, 6)
-		res, err := RunAdaptive(context.Background(), parts, AdaptiveParams{Eps: eps, K: k}, Config{Seed: int64(trial)})
+		res, err := Run(context.Background(), Adaptive{AdaptiveParams: AdaptiveParams{Eps: eps, K: k}}, parts, WithSeed(int64(trial)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,11 +181,11 @@ func TestAdaptiveBeatsFDMergeAtLargeS(t *testing.T) {
 	a := workload.LowRankPlusNoise(rng, 1280, 24, 3, 40, 0.7, 0.5)
 	parts := workload.Split(a, s, workload.Contiguous, nil)
 	eps, k := 0.1, 3
-	det, err := RunFDMerge(context.Background(), parts, eps, k, Config{})
+	det, err := Run(context.Background(), FDMerge{Eps: eps, K: k}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ad, err := RunAdaptive(context.Background(), parts, AdaptiveParams{Eps: eps, K: k}, Config{})
+	ad, err := Run(context.Background(), Adaptive{AdaptiveParams: AdaptiveParams{Eps: eps, K: k}}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestAdaptiveBeatsFDMergeAtLargeS(t *testing.T) {
 func TestRunAdaptiveFinalCompress(t *testing.T) {
 	a, parts := split(t, 10, 300, 16, 5)
 	eps, k := 0.25, 3
-	res, err := RunAdaptive(context.Background(), parts, AdaptiveParams{Eps: eps, K: k, FinalCompress: true}, Config{})
+	res, err := Run(context.Background(), Adaptive{AdaptiveParams: AdaptiveParams{Eps: eps, K: k, FinalCompress: true}}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestRunAdaptiveFinalCompress(t *testing.T) {
 
 func TestRunFullTransferExact(t *testing.T) {
 	a, parts := split(t, 11, 120, 10, 4)
-	res, err := RunFullTransfer(context.Background(), parts, Config{})
+	res, err := Run(context.Background(), FullTransfer{}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestRunLowRankExact(t *testing.T) {
 	k := 3
 	a := workload.ExactRank(rng, 120, 14, 2*k, 4)
 	parts := workload.Split(a, 5, workload.Contiguous, nil)
-	res, err := RunLowRankExact(context.Background(), parts, k, Config{})
+	res, err := Run(context.Background(), LowRankExact{KBound: k}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestLowRankExactRankOverflow(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	a := workload.Gaussian(rng, 40, 10) // full rank 10 > 2k = 4
 	parts := workload.Split(a, 2, workload.Contiguous, nil)
-	if _, err := RunLowRankExact(context.Background(), parts, 2, Config{}); err == nil {
+	if _, err := Run(context.Background(), LowRankExact{KBound: 2}, parts); err == nil {
 		t.Fatal("expected rank-overflow error")
 	}
 }
@@ -307,12 +307,12 @@ func TestQuantizedProtocolSavesBits(t *testing.T) {
 	// the error penalty is below the quantizer's worst-case bound.
 	a, parts := split(t, 15, 200, 12, 4)
 	eps, k := 0.25, 3
-	plain, err := RunFDMerge(context.Background(), parts, eps, k, Config{})
+	plain, err := Run(context.Background(), FDMerge{Eps: eps, K: k}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	step := comm.StepFor(200, 12, eps)
-	quant, err := RunFDMerge(context.Background(), parts, eps, k, Config{Quantize: true, QuantStep: step})
+	quant, err := Run(context.Background(), FDMerge{Eps: eps, K: k}, parts, WithQuantization(step))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestPartitionInvariance(t *testing.T) {
 	eps, k := 0.25, 3
 	for _, scheme := range []workload.Partition{workload.Contiguous, workload.RoundRobin, workload.Skewed, workload.RandomAssign} {
 		parts := workload.Split(a, 6, scheme, rand.New(rand.NewSource(17)))
-		res, err := RunFDMerge(context.Background(), parts, eps, k, Config{})
+		res, err := Run(context.Background(), FDMerge{Eps: eps, K: k}, parts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -417,7 +417,7 @@ func TestRunSVSStreamingGuarantee(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(400 + trial)))
 		a := workload.PowerLawSpectrum(rng, 400, 16, 0.8, 15)
 		parts := workload.Split(a, 5, workload.Contiguous, nil)
-		res, err := RunSVSStreaming(context.Background(), parts, alpha, delta, Config{Seed: int64(trial)})
+		res, err := Run(context.Background(), SVS{Alpha: alpha, Delta: delta, Streaming: true}, parts, WithSeed(int64(trial)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -442,11 +442,11 @@ func TestSVSStreamingCheaperThanBatchSVSLocally(t *testing.T) {
 	rng := rand.New(rand.NewSource(410))
 	a := workload.PowerLawSpectrum(rng, 600, 24, 0.6, 20)
 	parts := workload.Split(a, 4, workload.Contiguous, nil)
-	stream, err := RunSVSStreaming(context.Background(), parts, 0.15, 0.1, Config{Seed: 1})
+	stream, err := Run(context.Background(), SVS{Alpha: 0.15, Delta: 0.1, Streaming: true}, parts, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := RunSVS(context.Background(), parts, 0.15, 0.1, SampleQuadratic, Config{Seed: 1})
+	batch, err := Run(context.Background(), SVS{Alpha: 0.15, Delta: 0.1}, parts, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}

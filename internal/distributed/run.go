@@ -26,13 +26,6 @@ type runOpts struct {
 // RunOption configures a Run invocation.
 type RunOption func(*runOpts)
 
-// WithConfig replaces the whole common Config (quantization, seed,
-// straggler policy) in one option — the bridge for callers that already
-// hold a Config value.
-func WithConfig(cfg Config) RunOption {
-	return func(o *runOpts) { o.cfg = cfg }
-}
-
 // WithDeadline bounds the whole protocol run: when it expires, every
 // party's pending Send/Recv unblocks and Run returns the deadline error.
 func WithDeadline(d time.Duration) RunOption {
@@ -134,9 +127,6 @@ func WithParallelism(n int) RunOption {
 // over RunSources — each partition is wrapped in a workload.DenseSource —
 // kept so existing callers and examples work unchanged.
 func Run(ctx context.Context, proto Protocol, parts []*matrix.Dense, opts ...RunOption) (*Result, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("distributed: Run(%s) with no partitions", proto.Name())
-	}
 	return RunSources(ctx, proto, workload.DenseSources(parts), opts...)
 }
 
@@ -146,9 +136,6 @@ func Run(ctx context.Context, proto Protocol, parts []*matrix.Dense, opts ...Run
 // covariance Input — kept as the entry point for every covariance protocol;
 // handing it file-backed sources runs the whole protocol out of core.
 func RunSources(ctx context.Context, proto Protocol, sources []RowSource, opts ...RunOption) (*Result, error) {
-	if len(sources) == 0 {
-		return nil, fmt.Errorf("distributed: Run(%s) with no sources", proto.Name())
-	}
 	return RunWorkload(ctx, proto, CovarianceInputs(sources), opts...)
 }
 
@@ -171,6 +158,9 @@ func RunWorkload(ctx context.Context, proto Protocol, inputs []Input, opts ...Ru
 	var o runOpts
 	for _, opt := range opts {
 		opt(&o)
+	}
+	if err := proto.validate(); err != nil {
+		return nil, err
 	}
 	if o.cfg.Quantize && o.cfg.WirePrecision == comm.Float32 {
 		return nil, fmt.Errorf("distributed: Run(%s): quantization and float32 wire precision are mutually exclusive (the quantizer's step accounting already covers the payload)", proto.Name())
@@ -220,12 +210,7 @@ func RunWorkload(ctx context.Context, proto Protocol, inputs []Input, opts ...Ru
 		fn.SetObserver(ob)
 		net = fn
 	}
-	if es, ok := proto.(envSetter); ok {
-		proto = es.withEnv(Env{Servers: s, Dim: d, DimB: dB, Config: o.cfg, Topology: plan})
-	}
-	if v, ok := proto.(validator); ok {
-		v.validate()
-	}
+	proto = proto.withEnv(Env{Servers: s, Dim: d, DimB: dB, Config: o.cfg, Topology: plan})
 	serverFns := make([]func() error, s, s+len(plan.Aggregators()))
 	for i := range inputs {
 		i := i
@@ -250,12 +235,8 @@ func RunWorkload(ctx context.Context, proto Protocol, inputs []Input, opts ...Ru
 	res := &Result{}
 	ob.RunStart(proto.Name(), s)
 	err = runParties(ctx, net, serverFns, func() error {
-		nRounds := 1
-		if rc, ok := proto.(roundCounter); ok {
-			nRounds = rc.rounds()
-		}
 		// Each aggregation level below the root is one more lockstep wave.
-		nRounds += plan.Depth() - 1
+		nRounds := proto.rounds() + plan.Depth() - 1
 		for r := 0; r < nRounds; r++ {
 			net.Meter().AddRound()
 		}

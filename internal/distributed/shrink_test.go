@@ -17,14 +17,14 @@ func TestRunFDMergeShrinkStrategies(t *testing.T) {
 	ctx := context.Background()
 	eps := 0.25
 	a, parts := split(t, 31, 512, 12, 8)
-	base, err := RunFDMerge(ctx, parts, eps, 0, Config{Seed: 1})
+	base, err := Run(ctx, FDMerge{Eps: eps}, parts, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, st := range []fd.ShrinkStrategy{fd.Vanilla, fd.FastFD, fd.AlphaFD(0.5)} {
 		st := st
 		t.Run(st.Name(), func(t *testing.T) {
-			res, err := RunFDMerge(ctx, parts, eps, 0, Config{Seed: 1, Shrink: st})
+			res, err := Run(ctx, FDMerge{Eps: eps}, parts, WithSeed(1), WithShrink(st))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,7 +62,7 @@ func TestRunFDMergeRejectsNonMergeable(t *testing.T) {
 	for _, st := range []fd.ShrinkStrategy{fd.ISVD, fd.Compensative} {
 		st := st
 		t.Run(st.Name(), func(t *testing.T) {
-			_, err := RunFDMerge(ctx, parts, 0.25, 0, Config{Seed: 1, Shrink: st})
+			_, err := Run(ctx, FDMerge{Eps: 0.25}, parts, WithSeed(1), WithShrink(st))
 			if err == nil || !strings.Contains(err.Error(), "no mergeability proof") {
 				t.Fatalf("star: err = %v, want mergeability rejection", err)
 			}

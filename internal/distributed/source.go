@@ -49,15 +49,20 @@ func streamRows(src workload.RowSource, update func([]float64) error, sparseUpda
 	return rows, false, src.Err()
 }
 
-// materializeLocal collects a server's source into a dense matrix, for the
-// protocols that need random access to their local rows (the batch SVS
-// path, the subspace-embedding PCA solves, power iteration). These paths
-// are documented as requiring O(n_i·d) server memory; in-memory sources
-// pass through without copying.
-func materializeLocal(node Node, src workload.RowSource) (*matrix.Dense, error) {
+// materializeLocal collects a server's covariance shard into a dense matrix
+// and reports its rows as ingested, for the protocols that need random
+// access to their local rows (the batch SVS path, the subspace-embedding PCA
+// solves, power iteration). These paths are documented as requiring
+// O(n_i·d) server memory; in-memory sources pass through without copying.
+func materializeLocal(node Node, in Input, proto string, cfg Config) (*matrix.Dense, error) {
+	src, err := in.Covariance(proto)
+	if err != nil {
+		return nil, err
+	}
 	m, err := workload.Materialize(src)
 	if err != nil {
 		return nil, fmt.Errorf("server %d: %w", node.ID(), err)
 	}
+	cfg.observer().RowsIngested(int64(m.Rows()), false)
 	return m, nil
 }

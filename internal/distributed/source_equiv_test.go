@@ -117,7 +117,7 @@ func TestSparseSourceEquivalence(t *testing.T) {
 // n·d + s (one header word per server).
 func TestFullTransferChunking(t *testing.T) {
 	a, parts := split(t, 13, 2600, 8, 2) // 1300 rows/server → 3 chunks each
-	res, err := RunFullTransfer(context.Background(), parts, Config{})
+	res, err := Run(context.Background(), FullTransfer{}, parts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,6 +24,7 @@ func TestTCPFDMergeEndToEnd(t *testing.T) {
 	s := 4
 	parts := workload.Split(a, s, workload.Contiguous, nil)
 	eps, k := 0.25, 3
+	proto := FDMerge{Eps: eps, K: k, Env: Env{Servers: s, Dim: 12}}
 
 	coord, err := NewTCPCoordinator("127.0.0.1:0", s, nil)
 	if err != nil {
@@ -44,7 +45,7 @@ func TestTCPFDMergeEndToEnd(t *testing.T) {
 				return
 			}
 			defer srv.Close()
-			if err := ServerFDMerge(ctx, srv.Node(), workload.NewDenseSource(parts[id]), eps, k, Config{}); err != nil {
+			if err := proto.Server(ctx, srv.Node(), CovarianceInput(workload.NewDenseSource(parts[id]))); err != nil {
 				serverErrs <- err
 				return
 			}
@@ -55,12 +56,13 @@ func TestTCPFDMergeEndToEnd(t *testing.T) {
 	if err := coord.Accept(ctx); err != nil {
 		t.Fatal(err)
 	}
-	sketch, missing, err := CoordFDMerge(ctx, coord.Node(), s, 12, eps, k, Config{})
+	res, err := proto.Coordinator(ctx, coord.Node())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(missing) != 0 {
-		t.Fatalf("unexpected stragglers: %v", missing)
+	sketch := res.Sketch
+	if len(res.Missing) != 0 {
+		t.Fatalf("unexpected stragglers: %v", res.Missing)
 	}
 	wg.Wait()
 	close(serverErrs)
@@ -94,6 +96,7 @@ func TestTCPSVSEndToEnd(t *testing.T) {
 	s := 3
 	parts := workload.Split(a, s, workload.Contiguous, nil)
 	alpha := 0.25
+	proto := SVS{Alpha: alpha, Delta: 0.1, Env: Env{Servers: s, Dim: 10, Config: Config{Seed: 7}}}
 
 	coord, err := NewTCPCoordinator("127.0.0.1:0", s, nil)
 	if err != nil {
@@ -113,7 +116,7 @@ func TestTCPSVSEndToEnd(t *testing.T) {
 				return
 			}
 			defer srv.Close()
-			if err := ServerSVS(ctx, srv.Node(), workload.NewDenseSource(parts[id]), s, alpha, 0.1, SampleQuadratic, Config{Seed: 7}); err != nil {
+			if err := proto.Server(ctx, srv.Node(), CovarianceInput(workload.NewDenseSource(parts[id]))); err != nil {
 				serverErrs <- err
 			}
 		}(i)
@@ -122,10 +125,11 @@ func TestTCPSVSEndToEnd(t *testing.T) {
 	if err := coord.Accept(ctx); err != nil {
 		t.Fatal(err)
 	}
-	sketch, err := CoordSVS(ctx, coord.Node(), s, Config{})
+	res, err := proto.Coordinator(ctx, coord.Node())
 	if err != nil {
 		t.Fatal(err)
 	}
+	sketch := res.Sketch
 	wg.Wait()
 	close(serverErrs)
 	for err := range serverErrs {

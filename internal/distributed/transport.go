@@ -3,10 +3,11 @@
 // (§1 "Distributed models"), with every protocol's communication metered in
 // words at the transport layer.
 //
-// Each protocol is split into a server side and a coordinator side operating
-// on the Node interface, so the same protocol code runs in-process over
-// channels (MemNetwork, used by tests and benchmarks) and across machines
-// over TCP (cmd/distsketch). Unlike the paper's failure-free blackboard
+// Each protocol is one Protocol struct whose Server and Coordinator methods
+// operate on the Node interface, so the same protocol code runs in-process
+// over channels (Run/RunSources/RunWorkload over a MemNetwork, used by tests
+// and benchmarks) and role by role across machines over TCP
+// (cmd/distsketch). Unlike the paper's failure-free blackboard
 // model, the runtime is context-aware end to end: every Send/Recv takes a
 // context.Context, cancellation unblocks all parties, the coordinator can
 // bound how long it waits for stragglers (StragglerPolicy), and any network
@@ -429,22 +430,16 @@ func serverPeers(s int) []int {
 	return peers
 }
 
-// gather receives exactly one message of the given kind from every server,
-// returning them indexed by server ID. Messages of other kinds are an error
-// (protocols are lockstep). Under cfg.Stragglers with a timeout, each
-// receive waits at most the policy's Timeout; when the timeout fires and
-// partialOK is set with the quorum met, gather returns the partial results
-// with the missing servers listed (their entries are nil) — otherwise the
-// timeout is an ErrStraggler. Straggler timeouts are reported to the
-// config's observer either way.
-func gather(ctx context.Context, node Node, s int, kind string, cfg Config, partialOK bool) (msgs []*comm.Message, missing []int, err error) {
+// gatherAll receives exactly one message of the given kind from every
+// server, returning them indexed by server ID. Messages of other kinds are
+// an error (protocols are lockstep). The gather is strict: under
+// cfg.Stragglers with a timeout, each receive waits at most the policy's
+// Timeout, and a server that misses it fails the gather with ErrStraggler
+// (reported to the config's observer). The quorum-tolerant gather is
+// fdSubtreeGather.
+func gatherAll(ctx context.Context, node Node, s int, kind string, cfg Config) ([]*comm.Message, error) {
 	out := make([]*comm.Message, s)
-	spec := gatherSpec{Label: kind, Peers: serverPeers(s)}
-	if partialOK {
-		pol := cfg.Stragglers
-		spec.Quorum = func(done []int) bool { return pol.Quorum > 0 && len(done) >= pol.Quorum }
-	}
-	missing, err = gatherFrom(ctx, node, cfg, spec, func(msg *comm.Message) error {
+	_, err := gatherFrom(ctx, node, cfg, gatherSpec{Label: kind, Peers: serverPeers(s)}, func(msg *comm.Message) error {
 		if msg.Kind != kind {
 			return fmt.Errorf("distributed: expected %q message, got %q from %d", kind, msg.Kind, msg.From)
 		}
@@ -452,16 +447,9 @@ func gather(ctx context.Context, node Node, s int, kind string, cfg Config, part
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return out, missing, nil
-}
-
-// gatherAll is the strict form of gather: every server must respond within
-// the policy's per-server timeout or the gather fails.
-func gatherAll(ctx context.Context, node Node, s int, kind string, cfg Config) ([]*comm.Message, error) {
-	msgs, _, err := gather(ctx, node, s, kind, cfg, false)
-	return msgs, err
+	return out, nil
 }
 
 // recvPolicy is Recv bounded by an optional per-message timeout.

@@ -45,24 +45,21 @@ func AggregateTree(ctx context.Context, proto Protocol, node Node, plan *Plan) e
 // them (mergePair always allocates), but a single part passes through
 // fd.MergeCanonical by reference, so callers must skip release in that
 // case and let the GC reclaim the message.
-func fdSubtreeGather(ctx context.Context, node Node, plan *Plan, cfg Config, partialOK bool) (parts []*matrix.Dense, missing []int, release func(), err error) {
+func fdSubtreeGather(ctx context.Context, node Node, plan *Plan, cfg Config) (parts []*matrix.Dense, missing []int, release func(), err error) {
 	self := node.ID()
 	children := plan.Children(self)
 	byChild := make(map[int]*comm.Message, len(children))
 	pol := cfg.Stragglers
-	spec := gatherSpec{Label: "fd-sketch", Peers: children}
-	if partialOK {
-		spec.Quorum = func(done []int) bool {
-			if pol.Quorum <= 0 {
-				return false
-			}
-			covered := 0
-			for _, c := range done {
-				covered += plan.Leaves(c) - len(byChild[c].Ints)
-			}
-			return covered >= plan.SubtreeQuorum(pol.Quorum, self)
+	spec := gatherSpec{Label: "fd-sketch", Peers: children, Quorum: func(done []int) bool {
+		if pol.Quorum <= 0 {
+			return false
 		}
-	}
+		covered := 0
+		for _, c := range done {
+			covered += plan.Leaves(c) - len(byChild[c].Ints)
+		}
+		return covered >= plan.SubtreeQuorum(pol.Quorum, self)
+	}}
 	if _, err := gatherFrom(ctx, node, cfg, spec, func(msg *comm.Message) error {
 		if msg.Kind != "fd-sketch" {
 			return fmt.Errorf("distributed: expected %q message, got %q from %d", "fd-sketch", msg.Kind, msg.From)
@@ -103,9 +100,9 @@ func fdSubtreeGather(ctx context.Context, node Node, plan *Plan, cfg Config, par
 	return parts, missing, release, nil
 }
 
-// coordFDGather is the root side of the FD merge for any plan (the star is
-// the depth-1 case): gather the children's summaries and reduce them with
-// the canonical merge. Because the canonical reduction is grouping-invariant
+// coordFDGather is one node's side of the FD merge — the root's for any plan
+// (the star is the depth-1 case) and every aggregator's: gather the
+// children's summaries and reduce them with the canonical merge. Because the canonical reduction is grouping-invariant
 // over consecutive power-of-two groups (see fd.MergeCanonical), the result
 // is bit-identical across star and every power-of-two fan-out.
 func coordFDGather(ctx context.Context, node Node, plan *Plan, d, ell int, cfg Config) (*matrix.Dense, []int, error) {
@@ -115,7 +112,7 @@ func coordFDGather(ctx context.Context, node Node, plan *Plan, d, ell int, cfg C
 	if err := fd.CheckMergeable(cfg.Shrink); err != nil {
 		return nil, nil, err
 	}
-	parts, missing, release, err := fdSubtreeGather(ctx, node, plan, cfg, true)
+	parts, missing, release, err := fdSubtreeGather(ctx, node, plan, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -160,21 +157,11 @@ func (c Config) sendSummary(ctx context.Context, node Node, to int, kind string,
 // most ℓ·d words, like any leaf's) to the parent, missing leaves attached.
 func (p FDMerge) Aggregate(ctx context.Context, node Node, plan *Plan) error {
 	cfg := p.Env.Config
-	ell := fd.SketchSize(p.Eps, p.K)
-	parts, missing, release, err := fdSubtreeGather(ctx, node, plan, cfg, true)
+	sk, missing, err := coordFDGather(ctx, node, plan, p.Env.Dim, fd.SketchSize(p.Eps, p.K), cfg)
 	if err != nil {
 		return err
-	}
-	level := plan.Height(node.ID())
-	cfg.observer().TreeMerge(level, len(parts), len(missing))
-	sk, err := fd.MergeCanonical(p.Env.Dim, ell, parts, fd.Options{Obs: cfg.Obs, Strategy: cfg.Shrink})
-	if err != nil {
-		return err
-	}
-	if len(parts) >= 2 {
-		release() // sk is freshly merged; the gathered payloads are done
 	}
 	parent := plan.Parent(node.ID())
-	cfg.observer().TreeForward(level, node.ID(), parent)
+	cfg.observer().TreeForward(plan.Height(node.ID()), node.ID(), parent)
 	return cfg.sendSummary(ctx, node, parent, "fd-sketch", sk, missing)
 }

@@ -1,0 +1,90 @@
+package distributed
+
+import (
+	"context"
+	"runtime"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/workload"
+)
+
+// touchedSource records whether any party started reading it.
+type touchedSource struct {
+	RowSource
+	touched *atomic.Bool
+}
+
+func (s touchedSource) Next() ([]float64, bool) {
+	s.touched.Store(true)
+	return s.RowSource.Next()
+}
+
+func (s touchedSource) Reset() error {
+	s.touched.Store(true)
+	return s.RowSource.Reset()
+}
+
+// TestIllegalParamsFailInCaller runs every built-in protocol with one
+// illegal parameter. The failure must be observed here, in the calling
+// goroutine, as an error, and before any party exists: a bad parameter that
+// first panics inside a spawned server goroutine (fd.SketchSize did, for
+// FDMerge{Eps: 1.5}, while validation was optional) kills the process, which
+// no caller can recover from. FullTransfer is absent because it takes no
+// parameters.
+func TestIllegalParamsFailInCaller(t *testing.T) {
+	a, parts := split(t, 71, 60, 8, 3)
+	var touched atomic.Bool
+	watch := func(srcs []RowSource) []RowSource {
+		for i, src := range srcs {
+			srcs[i] = touchedSource{RowSource: src, touched: &touched}
+		}
+		return srcs
+	}
+	cov := CovarianceInputs(watch(workload.DenseSources(parts)))
+	prod, err := ProductShards(a.Rows(), watch(workload.DenseSources(parts)), watch(workload.DenseSources(parts)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		proto  Protocol
+		inputs []Input
+	}{
+		{FDMerge{Eps: 1.5, K: 1}, cov},
+		{SVS{Alpha: 0.2, Delta: 1}, cov},
+		{SVS{Alpha: 0, Delta: 0.1, Streaming: true}, cov},
+		{RowSampling{Eps: -0.1}, cov},
+		{Adaptive{AdaptiveParams: AdaptiveParams{Eps: 0.2, K: 0}}, cov},
+		{LowRankExact{KBound: 0}, cov},
+		{PCASketchSolve{PCAParams: PCAParams{K: 2, Eps: 1}}, cov},
+		{BWZ{PCAParams: PCAParams{K: 0, Eps: 0.2}}, cov},
+		{BWZArbitrary{PCAParams: PCAParams{K: 2, Eps: 0}}, cov},
+		{PCACombined{PCAParams: PCAParams{K: -1, Eps: 0.2}}, cov},
+		{PCAFDMerge{PCAParams: PCAParams{K: 2, Eps: 2}}, cov},
+		{PowerIteration{PowerIterParams: PowerIterParams{K: 0}}, cov},
+		{PCACombinedPowerIter{Eps: 1, PowerIterParams: PowerIterParams{K: 2}}, cov},
+		{CoordinatedProduct{SampleSize: 1}, prod},
+	}
+	for _, tc := range cases {
+		t.Run(tc.proto.Name(), func(t *testing.T) {
+			touched.Store(false)
+			before := runtime.NumGoroutine()
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("panicked instead of returning an error: %v", r)
+					}
+				}()
+				if _, err := RunWorkload(context.Background(), tc.proto, tc.inputs); err == nil {
+					t.Errorf("%+v: expected an error", tc.proto)
+				}
+			}()
+			if after := runtime.NumGoroutine(); after != before {
+				t.Errorf("party goroutines were started: %d goroutines before, %d after", before, after)
+			}
+			if touched.Load() {
+				t.Error("a server started reading its input")
+			}
+		})
+	}
+}

@@ -208,7 +208,7 @@ func TestPartitionString(t *testing.T) {
 
 func TestRowStream(t *testing.T) {
 	a := matrix.NewFromRows([][]float64{{1, 2}, {3, 4}})
-	s := NewRowStream(a)
+	s := NewDenseSource(a)
 	if s.Remaining() != 2 {
 		t.Fatal("Remaining wrong")
 	}

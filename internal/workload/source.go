@@ -26,8 +26,8 @@ import (
 //   - Dims is known up front and constant across passes.
 //   - Next returns a freshly allocated row the caller owns: retaining or
 //     mutating a delivered row can never corrupt the source's backing data
-//     or later rows (copy-on-next; see the RowStream aliasing hazard this
-//     replaced).
+//     or later rows (copy-on-next: a Next that aliased the backing matrix
+//     let an FD consumer's in-place scaling corrupt every later pass).
 //   - Reset rewinds to the first row so multi-pass protocols can stream
 //     again; sources for which a second pass is impossible return an error.
 //   - Next returns (nil, false) at end of data or on error; Err
@@ -77,14 +77,6 @@ type DenseSource struct {
 
 // NewDenseSource returns a source over the rows of m.
 func NewDenseSource(m *matrix.Dense) *DenseSource { return &DenseSource{m: m} }
-
-// RowStream is the historical name of DenseSource, kept as an alias for
-// existing callers. Its old Next returned a slice aliasing the matrix; the
-// DenseSource contract (copy-on-next) fixes that hazard.
-type RowStream = DenseSource
-
-// NewRowStream returns a stream over the rows of m.
-func NewRowStream(m *matrix.Dense) *RowStream { return NewDenseSource(m) }
 
 // Dims implements RowSource.
 func (s *DenseSource) Dims() (int, int) { return s.m.Dims() }

@@ -38,8 +38,8 @@ func drain(t *testing.T, src RowSource) *matrix.Dense {
 }
 
 // TestDenseSourceCopyOnNext is the aliasing regression test: mutating a
-// delivered row must not corrupt the backing matrix or later passes. The old
-// RowStream returned the matrix's own row slices, so an FD consumer's
+// delivered row must not corrupt the backing matrix or later passes. An
+// earlier source returned the matrix's own row slices, so an FD consumer's
 // in-place scaling corrupted the data for every later pass.
 func TestDenseSourceCopyOnNext(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
