@@ -287,20 +287,6 @@ func BenchmarkAblationBufferFactor(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSVDMethod is A4.
-func BenchmarkAblationSVDMethod(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.SVDMethodAblation(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportRows(b, rows)
-		}
-	}
-}
-
 // BenchmarkMonitoring is M1: continuous tracking in the [17] model,
 // including the SVS-delta policy answering the paper's §1.5 open question
 // empirically.

@@ -7,6 +7,11 @@
 //	sketchbench -experiment all
 //	sketchbench -experiment table1 -s 32 -d 128 -k 5 -eps 0.05
 //	sketchbench -experiment f2 -seed 7
+//	sketchbench -experiment s1 -baseline frontier.json
+//
+// -experiment takes all or one name from the experiments table below (-h
+// lists them); -baseline records the selected row experiments as JSON
+// instead of printing them.
 //
 // Output is aligned text; "theory" columns are the paper's formulas with
 // unit constants, "words" are measured at the transport layer.
@@ -24,7 +29,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "which experiment to run: all, table1, table2, f1..f10, a1..a5, p1, m1, i1, t1, s1, k1, c1")
+		experiment = flag.String("experiment", "all", "which experiment to run: all, "+experimentNames())
 		seed       = flag.Int64("seed", 1, "random seed")
 		n          = flag.Int("n", 1<<13, "global row count")
 		d          = flag.Int("d", 64, "column dimension")
@@ -33,11 +38,7 @@ func main() {
 		eps        = flag.Float64("eps", 0.1, "accuracy epsilon")
 		format     = flag.String("format", "text", "output format: text or csv")
 		par        = flag.Int("parallel", 0, "compute worker pool width (0 = GOMAXPROCS)")
-		baseline   = flag.String("baseline", "", "write a JSON timing/words baseline (table1+table2) to this file and exit")
-		baselineT  = flag.String("baseline-topology", "", "write a JSON fan-out sweep baseline (t1) to this file and exit")
-		baselineF  = flag.String("baseline-frontier", "", "write a JSON shrink-strategy frontier baseline (s1) to this file and exit")
-		baselineK  = flag.String("baseline-kernels", "", "write a JSON kernel/wire-precision baseline (timed table1 + k1) to this file and exit")
-		baselineP  = flag.String("baseline-product", "", "write a JSON product-frontier baseline (c1) to this file and exit")
+		baseline   = flag.String("baseline", "", "instead of printing, write the selected row experiments (timing, rows, exact communication) as a JSON baseline to this file")
 		shrink     = flag.String("shrink", "", "FD shrink strategy for the FD-based experiments: fd, fast-fd (default), alpha-fd; isvd and compensative are single-node only and rejected by fd-merge")
 		alpha      = flag.Float64("alpha", 0.5, "alpha parameter for -shrink alpha-fd, in (0,1]")
 		trace      = flag.String("trace", "", "write a JSONL protocol trace of every run to this file")
@@ -55,19 +56,7 @@ func main() {
 		os.Exit(1)
 	}
 	cfg := bench.Config{Seed: *seed, N: *n, D: *d, S: *s, K: *k, Eps: *eps, Parallel: *par, Shrink: *shrink, Alpha: *alpha}
-	if *baseline != "" {
-		err = writeBaseline(*baseline, cfg)
-	} else if *baselineT != "" {
-		err = writeTopologyBaseline(*baselineT, cfg)
-	} else if *baselineF != "" {
-		err = writeFrontierBaseline(*baselineF, cfg)
-	} else if *baselineK != "" {
-		err = writeKernelBaseline(*baselineK, cfg)
-	} else if *baselineP != "" {
-		err = writeProductBaseline(*baselineP, cfg)
-	} else {
-		err = run(strings.ToLower(*experiment), cfg)
-	}
+	err = run(strings.ToLower(*experiment), *baseline, cfg)
 	if ferr := finish(); err == nil {
 		err = ferr
 	}
@@ -120,84 +109,100 @@ func setupObservability(trace, metrics string) (finish func() error, err error) 
 	}, nil
 }
 
-func writeBaseline(path string, cfg bench.Config) error {
-	b, err := bench.CollectBaseline(cfg)
-	if err != nil {
-		return err
-	}
-	out, err := b.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("baseline written to %s (%d experiments, pool width %d)\n", path, len(b.Experiments), b.PoolWorkers)
-	return nil
+// An experiment produces either a table of rows or series over xlabel.
+type experiment struct {
+	name, title string
+	rows        func(bench.Config) ([]bench.Row, error)
+	xlabel      string
+	series      func(bench.Config) ([]bench.Series, error)
 }
 
-func writeTopologyBaseline(path string, cfg bench.Config) error {
-	b, err := bench.CollectTopologyBaseline(cfg, sweepFanouts(cfg.S))
-	if err != nil {
-		return err
-	}
-	out, err := b.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("topology baseline written to %s (pool width %d)\n", path, b.PoolWorkers)
-	return nil
+// experiments is the one table of what sketchbench can run: -experiment's
+// help text, "all", the unknown-name error and -baseline all read it.
+var experiments = []experiment{
+	{name: "table1", title: "Table 1: covariance sketch communication (words) and guarantees", rows: bench.Table1},
+	{name: "table2", title: "Table 2: distributed PCA communication (words) and quality ratio", rows: bench.Table2},
+	{name: "f1", title: "F1: headline s=d, error ‖A‖F²/d — words vs d (new is d^2.5·√log d)", xlabel: "d",
+		series: func(c bench.Config) ([]bench.Series, error) {
+			return bench.HeadlineD25([]int{16, 24, 32, 48, 64}, c.Seed)
+		}},
+	{name: "f2", title: "F2: words vs s (deterministic linear vs randomized √s)", xlabel: "s",
+		series: func(c bench.Config) ([]bench.Series, error) {
+			return bench.CommVsServers([]int{2, 4, 8, 16, 32, 64, 128}, c.D, c.Eps, c.Seed)
+		}},
+	{name: "f3", title: "F3: words vs 1/ε (sampling's quadratic blowup)", xlabel: "1/eps",
+		series: func(c bench.Config) ([]bench.Series, error) {
+			return bench.CommVsEpsilon([]float64{0.4, 0.3, 0.2, 0.1, 0.05}, c.S, c.D, c.Seed)
+		}},
+	{name: "f4", title: "F4: error vs communication frontier (relative coverr)", xlabel: "words",
+		series: func(c bench.Config) ([]bench.Series, error) {
+			return bench.ErrorFrontier([]float64{0.4, 0.3, 0.2, 0.1, 0.05}, c.S, c.D, 0.8, c.Seed)
+		}},
+	{name: "f5", title: "F5: Thm5 linear vs Thm6 quadratic sampling function (words & rel. error)", xlabel: "d",
+		series: func(c bench.Config) ([]bench.Series, error) {
+			return bench.SamplingFunctionAblation([]int{16, 32, 64, 128, 256}, c.S, c.Eps, c.Seed)
+		}},
+	{name: "f6", title: "F6: §3.3 bit complexity — quantization and the rank≤2k exact protocol", rows: bench.BitComplexity},
+	{name: "f7", title: "F7: PCA quality ratio vs k (Lemma 1 / Lemma 8)", xlabel: "k",
+		series: func(c bench.Config) ([]bench.Series, error) { return bench.PCAQuality([]int{2, 3, 5, 8, 12}, c) }},
+	{name: "f8", title: "F8: lower-bound machinery — Lemma 3 probability, Lemma 2 gap vs d", xlabel: "d",
+		series: func(c bench.Config) ([]bench.Series, error) {
+			return bench.LowerBoundSeparation([]int{8, 12, 16, 24, 32}, c.Seed)
+		}},
+	{name: "f9", title: "F9: per-server working space (words)", rows: bench.StreamingSpace},
+	{name: "f10", title: "F10: mergeability — merged vs direct FD error across random partitions", xlabel: "trial",
+		series: func(c bench.Config) ([]bench.Series, error) { return bench.Mergeability(c, 8) }},
+	{name: "a1", title: "A1: Bernoulli vs i.i.d. sampling inside SVS (max rel. error)",
+		rows: func(c bench.Config) ([]bench.Row, error) { return bench.BernoulliVsIID(c, 5) }},
+	{name: "a2", title: "A2: final FD re-compression of Q (size vs extra error)", rows: bench.FinalCompressAblation},
+	{name: "a3", title: "A3: FD buffer factor (runtime at identical guarantee)", rows: bench.BufferFactorAblation},
+	{name: "a5", title: "A5: sparse-input FD ([15] regime) — update path", rows: sparseInput},
+	{name: "p1", title: "P1: distributed power iteration — quality and words vs rounds", xlabel: "rounds",
+		series: func(c bench.Config) ([]bench.Series, error) {
+			return bench.PowerIterationCurve(c, []int{1, 2, 4, 8, 16})
+		}},
+	{name: "m1", title: "M1: continuous tracking ([17] model) — policies incl. the §1.5 SVS question",
+		rows: func(c bench.Config) ([]bench.Row, error) { return bench.MonitoringComparison(c, 256) }},
+	{name: "i1", title: "I1: ingestion throughput — in-memory vs file-backed vs sparse sources", rows: bench.IngestionThroughput},
+	{name: "t1", title: "T1: tree aggregation — words, root fan-in, and bit-identity vs fan-out",
+		rows: func(c bench.Config) ([]bench.Row, error) { return bench.FanoutSweep(c, sweepFanouts(c.S)) }},
+	{name: "s1", title: "S1: shrink-strategy frontier — covariance error vs ingest throughput", rows: bench.ShrinkFrontier},
+	{name: "k1", title: "K1: blocked kernels vs reference loops, and float64 vs float32 wire", rows: bench.KernelBench},
+	{name: "c1", title: "C1: product estimand — coord-product vs SVS [A|B], words vs relative error", rows: productFrontier},
 }
 
-func writeFrontierBaseline(path string, cfg bench.Config) error {
-	b, err := bench.CollectFrontierBaseline(cfg)
-	if err != nil {
-		return err
+// experimentNames lists what -experiment accepts besides "all".
+func experimentNames() string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
 	}
-	out, err := b.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("frontier baseline written to %s (pool width %d)\n", path, b.PoolWorkers)
-	return nil
+	return strings.Join(names, ", ")
 }
 
-func writeKernelBaseline(path string, cfg bench.Config) error {
-	b, err := bench.CollectKernelBaseline(cfg)
-	if err != nil {
-		return err
+// sparseInput is A5 at two densities.
+func sparseInput(cfg bench.Config) ([]bench.Row, error) {
+	var rows []bench.Row
+	for _, density := range []float64{0.05, 0.2} {
+		r, err := bench.SparseInputAblation(cfg, density)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, r...)
 	}
-	out, err := b.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("kernel baseline written to %s (pool width %d)\n", path, b.PoolWorkers)
-	return nil
+	return rows, nil
 }
 
-func writeProductBaseline(path string, cfg bench.Config) error {
-	b, err := bench.CollectProductBaseline(cfg)
+// productFrontier is C1. A failed headline claim (coordinated sampling beats
+// SVS on [A|B] at some density) comes back together with the rows: the table
+// is still printed, and -baseline refuses to record it.
+func productFrontier(cfg bench.Config) ([]bench.Row, error) {
+	rows, err := bench.ProductFrontier(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	out, err := b.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("product baseline written to %s (pool width %d)\n", path, b.PoolWorkers)
-	return nil
+	_, err = bench.CheckProductHeadline(rows)
+	return rows, err
 }
 
 // sweepFanouts picks the fan-outs for the t1 sweep: powers of two up to s/2
@@ -214,50 +219,72 @@ func sweepFanouts(s int) []int {
 	return fs
 }
 
-func run(experiment string, cfg bench.Config) error {
-	runners := []struct {
-		name string
-		fn   func(bench.Config) error
-	}{
-		{"table1", table1},
-		{"table2", table2},
-		{"f1", f1},
-		{"f2", f2},
-		{"f3", f3},
-		{"f4", f4},
-		{"f5", f5},
-		{"f6", f6},
-		{"f7", f7},
-		{"f8", f8},
-		{"f9", f9},
-		{"f10", f10},
-		{"a1", a1},
-		{"a2", a2},
-		{"a3", a3},
-		{"a4", a4},
-		{"a5", a5},
-		{"p1", p1},
-		{"m1", m1},
-		{"i1", i1},
-		{"t1", t1},
-		{"s1", s1},
-		{"k1", k1},
-		{"c1", c1},
-	}
-	if experiment == "all" {
-		for _, r := range runners {
-			if err := r.fn(cfg); err != nil {
-				return fmt.Errorf("%s: %w", r.name, err)
+// run prints the selected experiment ("all" for every one) — or, with a
+// baseline path, records it as a bench.Baseline JSON file instead.
+func run(name, baseline string, cfg bench.Config) error {
+	selected := experiments
+	if name != "all" {
+		selected = nil
+		for _, e := range experiments {
+			if e.name == name {
+				selected = []experiment{e}
 			}
 		}
-		return nil
-	}
-	for _, r := range runners {
-		if r.name == experiment {
-			return r.fn(cfg)
+		if selected == nil {
+			return fmt.Errorf("unknown experiment %q (want all or one of %s)", name, experimentNames())
 		}
 	}
-	return fmt.Errorf("unknown experiment %q", experiment)
+	if baseline != "" {
+		return writeBaseline(baseline, selected, cfg)
+	}
+	for _, e := range selected {
+		header(e.title)
+		if e.rows != nil {
+			rows, err := e.rows(cfg)
+			printRows(rows)
+			if err != nil {
+				return fmt.Errorf("%s: %w", e.name, err)
+			}
+			continue
+		}
+		series, err := e.series(cfg)
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
+		}
+		printSeries(e.xlabel, series)
+	}
+	return nil
+}
+
+// writeBaseline runs the row experiments among selected, each timed under
+// its own observer, and writes them to path as one bench.Baseline. Series
+// experiments have no place in that shape and are skipped with a note.
+func writeBaseline(path string, selected []experiment, cfg bench.Config) error {
+	var names []string
+	var rows []experiment
+	for _, e := range selected {
+		if e.rows == nil {
+			fmt.Fprintf(os.Stderr, "sketchbench: %s reports series, which a baseline does not record\n", e.name)
+			continue
+		}
+		names, rows = append(names, e.name), append(rows, e)
+	}
+	if len(rows) == 0 {
+		return fmt.Errorf("-baseline: no row experiment selected")
+	}
+	b, err := bench.CollectBaseline(cfg, names, func(i int) ([]bench.Row, error) { return rows[i].rows(cfg) })
+	if err != nil {
+		return err
+	}
+	out, err := b.JSON()
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("baseline written to %s (%d experiments, pool width %d)\n", path, len(b.Experiments), b.PoolWorkers)
+	return nil
 }
 
 // csvOut switches row/series rendering to CSV.
@@ -285,251 +312,4 @@ func printSeries(xlabel string, series []bench.Series) {
 		return
 	}
 	fmt.Print(bench.FormatSeries(xlabel, series))
-}
-
-func table1(cfg bench.Config) error {
-	header("Table 1: covariance sketch communication (words) and guarantees")
-	rows, err := bench.Table1(cfg)
-	if err != nil {
-		return err
-	}
-	printRows(rows)
-	return nil
-}
-
-func table2(cfg bench.Config) error {
-	header("Table 2: distributed PCA communication (words) and quality ratio")
-	rows, err := bench.Table2(cfg)
-	if err != nil {
-		return err
-	}
-	printRows(rows)
-	return nil
-}
-
-func f1(cfg bench.Config) error {
-	header("F1: headline s=d, error ‖A‖F²/d — words vs d (new is d^2.5·√log d)")
-	series, err := bench.HeadlineD25([]int{16, 24, 32, 48, 64}, cfg.Seed)
-	if err != nil {
-		return err
-	}
-	printSeries("d", series)
-	return nil
-}
-
-func f2(cfg bench.Config) error {
-	header("F2: words vs s (deterministic linear vs randomized √s)")
-	series, err := bench.CommVsServers([]int{2, 4, 8, 16, 32, 64, 128}, cfg.D, cfg.Eps, cfg.Seed)
-	if err != nil {
-		return err
-	}
-	printSeries("s", series)
-	return nil
-}
-
-func f3(cfg bench.Config) error {
-	header("F3: words vs 1/ε (sampling's quadratic blowup)")
-	series, err := bench.CommVsEpsilon([]float64{0.4, 0.3, 0.2, 0.1, 0.05}, cfg.S, cfg.D, cfg.Seed)
-	if err != nil {
-		return err
-	}
-	printSeries("1/eps", series)
-	return nil
-}
-
-func f4(cfg bench.Config) error {
-	header("F4: error vs communication frontier (relative coverr)")
-	series, err := bench.ErrorFrontier([]float64{0.4, 0.3, 0.2, 0.1, 0.05}, cfg.S, cfg.D, 0.8, cfg.Seed)
-	if err != nil {
-		return err
-	}
-	printSeries("words", series)
-	return nil
-}
-
-func f5(cfg bench.Config) error {
-	header("F5: Thm5 linear vs Thm6 quadratic sampling function (words & rel. error)")
-	series, err := bench.SamplingFunctionAblation([]int{16, 32, 64, 128, 256}, cfg.S, cfg.Eps, cfg.Seed)
-	if err != nil {
-		return err
-	}
-	printSeries("d", series)
-	return nil
-}
-
-func f6(cfg bench.Config) error {
-	header("F6: §3.3 bit complexity — quantization and the rank≤2k exact protocol")
-	rows, err := bench.BitComplexity(cfg)
-	if err != nil {
-		return err
-	}
-	printRows(rows)
-	return nil
-}
-
-func f7(cfg bench.Config) error {
-	header("F7: PCA quality ratio vs k (Lemma 1 / Lemma 8)")
-	series, err := bench.PCAQuality([]int{2, 3, 5, 8, 12}, cfg)
-	if err != nil {
-		return err
-	}
-	printSeries("k", series)
-	return nil
-}
-
-func f8(cfg bench.Config) error {
-	header("F8: lower-bound machinery — Lemma 3 probability, Lemma 2 gap vs d")
-	series, err := bench.LowerBoundSeparation([]int{8, 12, 16, 24, 32}, cfg.Seed)
-	if err != nil {
-		return err
-	}
-	printSeries("d", series)
-	return nil
-}
-
-func f9(cfg bench.Config) error {
-	header("F9: per-server working space (words)")
-	rows, err := bench.StreamingSpace(cfg)
-	if err != nil {
-		return err
-	}
-	printRows(rows)
-	return nil
-}
-
-func f10(cfg bench.Config) error {
-	header("F10: mergeability — merged vs direct FD error across random partitions")
-	series, err := bench.Mergeability(cfg, 8)
-	if err != nil {
-		return err
-	}
-	printSeries("trial", series)
-	return nil
-}
-
-func a1(cfg bench.Config) error {
-	header("A1: Bernoulli vs i.i.d. sampling inside SVS (max rel. error)")
-	rows, err := bench.BernoulliVsIID(cfg, 5)
-	if err != nil {
-		return err
-	}
-	printRows(rows)
-	return nil
-}
-
-func a2(cfg bench.Config) error {
-	header("A2: final FD re-compression of Q (size vs extra error)")
-	rows, err := bench.FinalCompressAblation(cfg)
-	if err != nil {
-		return err
-	}
-	printRows(rows)
-	return nil
-}
-
-func a3(cfg bench.Config) error {
-	header("A3: FD buffer factor (runtime at identical guarantee)")
-	rows, err := bench.BufferFactorAblation(cfg)
-	if err != nil {
-		return err
-	}
-	printRows(rows)
-	return nil
-}
-
-func a4(cfg bench.Config) error {
-	header("A4: FD shrink factorization — Jacobi vs Gram vs randomized")
-	rows, err := bench.SVDMethodAblation(cfg)
-	if err != nil {
-		return err
-	}
-	printRows(rows)
-	return nil
-}
-
-func a5(cfg bench.Config) error {
-	header("A5: sparse-input FD ([15] regime) — update path and shrink factorization")
-	for _, density := range []float64{0.05, 0.2} {
-		rows, err := bench.SparseInputAblation(cfg, density)
-		if err != nil {
-			return err
-		}
-		printRows(rows)
-	}
-	return nil
-}
-
-func p1(cfg bench.Config) error {
-	header("P1: distributed power iteration — quality and words vs rounds")
-	series, err := bench.PowerIterationCurve(cfg, []int{1, 2, 4, 8, 16})
-	if err != nil {
-		return err
-	}
-	printSeries("rounds", series)
-	return nil
-}
-
-func i1(cfg bench.Config) error {
-	header("I1: ingestion throughput — in-memory vs file-backed vs sparse sources")
-	rows, err := bench.IngestionThroughput(cfg)
-	if err != nil {
-		return err
-	}
-	printRows(rows)
-	return nil
-}
-
-func s1(cfg bench.Config) error {
-	header("S1: shrink-strategy frontier — covariance error vs ingest throughput")
-	rows, err := bench.ShrinkFrontier(cfg)
-	if err != nil {
-		return err
-	}
-	printRows(rows)
-	return nil
-}
-
-func k1(cfg bench.Config) error {
-	header("K1: blocked kernels vs reference loops, and float64 vs float32 wire")
-	rows, err := bench.KernelBench(cfg)
-	if err != nil {
-		return err
-	}
-	printRows(rows)
-	return nil
-}
-
-func c1(cfg bench.Config) error {
-	header("C1: product estimand — coord-product vs SVS [A|B], words vs relative error")
-	rows, err := bench.ProductFrontier(cfg)
-	if err != nil {
-		return err
-	}
-	printRows(rows)
-	if density, err := bench.CheckProductHeadline(rows); err != nil {
-		fmt.Printf("headline: %v\n", err)
-	} else {
-		fmt.Printf("headline: coordinated sampling beats svs [A|B] at density=%g\n", density)
-	}
-	return nil
-}
-
-func t1(cfg bench.Config) error {
-	header("T1: tree aggregation — words, root fan-in, and bit-identity vs fan-out")
-	rows, err := bench.FanoutSweep(cfg, sweepFanouts(cfg.S))
-	if err != nil {
-		return err
-	}
-	printRows(rows)
-	return nil
-}
-
-func m1(cfg bench.Config) error {
-	header("M1: continuous tracking ([17] model) — policies incl. the §1.5 SVS question")
-	rows, err := bench.MonitoringComparison(cfg, 256)
-	if err != nil {
-		return err
-	}
-	printRows(rows)
-	return nil
 }

@@ -53,7 +53,7 @@ type (
 var NewFaultNetwork = distributed.NewFaultNetwork
 
 // TCP transport: a TCPCoordinator listens for s servers; each server
-// process dials in with DialTCPServer(Context). TCPOptions adds dial
+// process dials in with DialTCPServerContext. TCPOptions adds dial
 // retries with exponential backoff and per-operation read/write deadlines.
 // Tree deployments use NewTCPRoot (the root's hub under a Plan),
 // TCPAggregator (interior node: child-facing hub plus parent uplink), and
@@ -66,12 +66,9 @@ type (
 )
 
 var (
-	NewTCPCoordinator     = distributed.NewTCPCoordinator
 	NewTCPCoordinatorOpts = distributed.NewTCPCoordinatorOpts
 	NewTCPRoot            = distributed.NewTCPRoot
-	NewTCPNodeHub         = distributed.NewTCPNodeHub
 	NewTCPAggregator      = distributed.NewTCPAggregator
-	DialTCPServer         = distributed.DialTCPServer
 	DialTCPServerContext  = distributed.DialTCPServerContext
 	DialTCPUplink         = distributed.DialTCPUplink
 )

@@ -10,14 +10,18 @@
 //
 // Packages (all under internal/):
 //
-//   - matrix, linalg    — dense linear algebra substrate (SVD, QR, eigen)
+//   - matrix, linalg    — dense linear algebra substrate (SVD, pivoted QR,
+//     eigen)
 //   - fd                — Frequent Directions streaming sketch (Theorem 1/2)
 //   - core              — the paper's contribution: SVS sampling
-//     (Algorithm 1, Theorems 4–6), Decomp (Lemma 6) and
-//     the adaptive (ε,k)-sketch (§3.2, Theorem 7)
-//   - rowsample         — squared-norm row-sampling baseline [10]
+//     (Algorithm 1, Theorems 4–6), Decomp (Lemma 6), the
+//     sketch predicates; coordinated product sampling
+//   - rowsample         — squared-norm row-sampling baseline [10]: streaming
+//     sampler and multinomial split
 //   - comm              — word/bit accounting, wire codec, §3.3 quantizer
-//   - distributed       — server/coordinator protocols over channels or TCP
+//   - distributed       — server/coordinator protocols over channels or TCP,
+//     the one implementation of every algorithm (FD merge,
+//     SVS, adaptive §3.2, row sampling, PCA, product)
 //   - pca               — distributed PCA (§4, Lemma 8, Theorem 9)
 //   - lowerbound        — §2.1 lower-bound machinery and cost formulas
 //   - monitoring        — continuous tracking in the [17] model (§1.5

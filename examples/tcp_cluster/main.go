@@ -32,7 +32,7 @@ func main() {
 		Env:            distsketch.Env{Servers: s, Dim: d},
 	}
 
-	coord, err := distsketch.NewTCPCoordinator("127.0.0.1:0", s, nil)
+	coord, err := distsketch.NewTCPCoordinatorOpts("127.0.0.1:0", s, nil, distsketch.TCPOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -123,7 +123,7 @@ func TestEndToEndTCPPipeline(t *testing.T) {
 		Env:            distributed.Env{Servers: 3, Dim: 24},
 	}
 
-	coord, err := distributed.NewTCPCoordinator("127.0.0.1:0", 3, nil)
+	coord, err := distributed.NewTCPCoordinatorOpts("127.0.0.1:0", 3, nil, distributed.TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestEndToEndTCPPipeline(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			srv, err := distributed.DialTCPServer(coord.Addr(), id, nil)
+			srv, err := distributed.DialTCPServerContext(context.Background(), coord.Addr(), id, nil, distributed.TCPOptions{})
 			if err != nil {
 				errs <- err
 				return

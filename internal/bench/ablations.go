@@ -38,11 +38,13 @@ func BernoulliVsIID(cfg Config, trials int) ([]Row, error) {
 		for trial := 0; trial < trials; trial++ {
 			a := spec.mk()
 			parts := workload.Split(a, cfg.S, workload.Contiguous, nil)
-			bs, err := core.SVSSketch(parts, cfg.Eps, 0.1, core.SampleQuadratic, rng)
+			res, err := distributed.Run(context.Background(), distributed.SVS{
+				Alpha: cfg.Eps, Delta: 0.1, Sampling: core.SampleQuadratic,
+			}, parts, distributed.WithSeed(rng.Int63()))
 			if err != nil {
 				return nil, err
 			}
-			bern := matrix.Stack(bs...)
+			bern := res.Sketch
 			sizeSum += bern.Rows()
 			ceB, err := linalg.CovarianceError(a, bern)
 			if err != nil {
@@ -147,62 +149,22 @@ func BufferFactorAblation(cfg Config) ([]Row, error) {
 	return rows, nil
 }
 
-// SVDMethodAblation is ablation A4: the shrink factorization inside FD —
-// Jacobi (exact), Gram (fast, squaring loss), randomized range finder
-// (the [15] fast-FD device) — runtime vs measured error.
-func SVDMethodAblation(cfg Config) ([]Row, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	a := workload.LowRankPlusNoise(rng, cfg.N, cfg.D, cfg.K, 100, 0.8, 0.2)
-	ell := fd.SketchSize(cfg.Eps, cfg.K)
-	var rows []Row
-	for _, method := range []fd.SVDMethod{fd.SVDJacobi, fd.SVDGram, fd.SVDRandomized} {
-		start := time.Now()
-		s := fd.New(cfg.D, ell, fd.Options{SVD: method, Seed: cfg.Seed})
-		if err := s.UpdateMatrix(a); err != nil {
-			return nil, err
-		}
-		b, err := s.Matrix()
-		if err != nil {
-			return nil, err
-		}
-		elapsed := time.Since(start)
-		budgetEps := cfg.Eps
-		if method == fd.SVDRandomized {
-			budgetEps = 3 * cfg.Eps // truncation + range-finder slack
-		}
-		r, err := covRow("A4", "FD svd="+method.String(), cfg, a, b, 0, 0, budgetEps, cfg.K)
-		if err != nil {
-			return nil, err
-		}
-		r.Note = elapsed.Round(time.Millisecond).String()
-		rows = append(rows, r)
-	}
-	return rows, nil
-}
-
-// SparseInputAblation is ablation A5: the sparse-input regime of [15] —
-// dense FD updates with exact Jacobi shrinks vs sparse updates with the
-// randomized range-finder shrink, on streams of varying density. Reports
-// wall-clock and measured error for each combination.
+// SparseInputAblation is ablation A5: the FD update path on sparse streams
+// of varying density — dense Update vs nnz-proportional UpdateSparse into
+// the same sketch. Reports wall-clock and measured error for each.
 func SparseInputAblation(cfg Config, density float64) ([]Row, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	sp := workload.SparseRandom(rng, cfg.N, cfg.D, density)
 	dense := sp.ToDense()
 	ell := fd.SketchSize(cfg.Eps, 0)
 	var rows []Row
-	for _, variant := range []struct {
-		name   string
-		method fd.SVDMethod
-		sparse bool
-	}{
-		{"dense+jacobi", fd.SVDJacobi, false},
-		{"sparse+jacobi", fd.SVDJacobi, true},
-		{"sparse+randomized", fd.SVDRandomized, true},
-	} {
+	for _, sparse := range []bool{false, true} {
 		start := time.Now()
-		s := fd.New(cfg.D, ell, fd.Options{SVD: variant.method, Seed: cfg.Seed})
+		s := fd.New(cfg.D, ell, fd.Options{})
+		name := "dense"
 		var err error
-		if variant.sparse {
+		if sparse {
+			name = "sparse"
 			err = s.UpdateSparseMatrix(sp)
 		} else {
 			err = s.UpdateMatrix(dense)
@@ -215,11 +177,7 @@ func SparseInputAblation(cfg Config, density float64) ([]Row, error) {
 			return nil, err
 		}
 		elapsed := time.Since(start)
-		budgetEps := cfg.Eps
-		if variant.method == fd.SVDRandomized {
-			budgetEps = 3 * cfg.Eps
-		}
-		r, err := covRow("A5", "FD "+variant.name, cfg, dense, b, 0, 0, budgetEps, 0)
+		r, err := covRow("A5", "FD "+name+"+jacobi", cfg, dense, b, 0, 0, cfg.Eps, 0)
 		if err != nil {
 			return nil, err
 		}

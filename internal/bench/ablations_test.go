@@ -53,27 +53,12 @@ func TestBufferFactorAblation(t *testing.T) {
 	}
 }
 
-func TestSVDMethodAblation(t *testing.T) {
-	rows, err := SVDMethodAblation(smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if !r.OK {
-			t.Errorf("%s: guarantee violated (%v > %v)", r.Algorithm, r.CovErr, r.Budget)
-		}
-	}
-}
-
 func TestSparseInputAblation(t *testing.T) {
 	rows, err := SparseInputAblation(smallConfig(), 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
+	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {

@@ -45,35 +45,26 @@ type BaselineComm struct {
 	PoolForCalls   int64 `json:"pool_for_calls"`
 }
 
-// CollectBaseline runs the headline experiments (Table 1, Table 2, and the
-// I1 ingestion-throughput comparison) under cfg, timing each, and returns
-// the result for serialization.
-func CollectBaseline(cfg Config) (*Baseline, error) {
+// CollectBaseline runs the named experiments under cfg — run(i) produces the
+// rows of names[i] — timing each and scoping a fresh observer to it, so the
+// baseline records each experiment's exact communication and kernel
+// activity; the caller's default observer is restored afterwards.
+func CollectBaseline(cfg Config, names []string, run func(i int) ([]Row, error)) (*Baseline, error) {
 	cfg.applyParallel()
 	b := &Baseline{Config: cfg, GoMaxProcs: runtime.GOMAXPROCS(0), PoolWorkers: parallel.Workers()}
-	// Scope a fresh observer to each experiment so the baseline records its
-	// exact communication and kernel activity; the caller's default observer
-	// is restored afterwards.
 	prev := obs.Default()
 	defer obs.SetDefault(prev)
-	for _, exp := range []struct {
-		name string
-		fn   func(Config) ([]Row, error)
-	}{
-		{"table1", Table1},
-		{"table2", Table2},
-		{"ingest", IngestionThroughput},
-	} {
+	for i, name := range names {
 		reg := obs.NewRegistry()
 		obs.SetDefault(obs.NewObserver(reg, nil))
 		start := time.Now()
-		rows, err := exp.fn(cfg)
+		rows, err := run(i)
 		if err != nil {
-			return nil, fmt.Errorf("baseline %s: %w", exp.name, err)
+			return nil, fmt.Errorf("baseline %s: %w", name, err)
 		}
 		snap := reg.Snapshot()
 		b.Experiments = append(b.Experiments, BaselineExperiment{
-			Name:      exp.name,
+			Name:      name,
 			ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
 			Rows:      rows,
 			Comm: BaselineComm{

@@ -3,15 +3,12 @@ package bench
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/distributed"
 	"repro/internal/fd"
 	"repro/internal/linalg"
 	"repro/internal/lowerbound"
-	"repro/internal/obs"
-	"repro/internal/parallel"
 )
 
 // ShrinkFrontier is the S1 experiment: the error-vs-throughput frontier of
@@ -116,34 +113,4 @@ func ShrinkFrontier(cfg Config) ([]Row, error) {
 		rows = append(rows, r)
 	}
 	return rows, nil
-}
-
-// CollectFrontierBaseline wraps ShrinkFrontier in a Baseline for committing
-// (BENCH_PR7.json): exact per-run communication from a scoped observer plus
-// wall-clock, in the same shape as CollectBaseline/CollectTopologyBaseline.
-func CollectFrontierBaseline(cfg Config) (*Baseline, error) {
-	cfg.applyParallel()
-	b := &Baseline{Config: cfg, GoMaxProcs: runtime.GOMAXPROCS(0), PoolWorkers: parallel.Workers()}
-	prev := obs.Default()
-	defer obs.SetDefault(prev)
-	reg := obs.NewRegistry()
-	obs.SetDefault(obs.NewObserver(reg, nil))
-	start := time.Now()
-	rows, err := ShrinkFrontier(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("baseline frontier: %w", err)
-	}
-	snap := reg.Snapshot()
-	b.Experiments = append(b.Experiments, BaselineExperiment{
-		Name:      "frontier",
-		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
-		Rows:      rows,
-		Comm: BaselineComm{
-			Bits:      snap.Counters["comm.bits_total"],
-			Messages:  snap.Counters["comm.messages_total"],
-			Rounds:    snap.Counters["comm.rounds_total"],
-			FDShrinks: snap.Counters["fd.shrinks"],
-		},
-	})
-	return b, nil
 }

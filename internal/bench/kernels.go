@@ -13,7 +13,6 @@ import (
 	"repro/internal/distributed"
 	"repro/internal/linalg"
 	"repro/internal/matrix"
-	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/workload"
 )
@@ -131,45 +130,4 @@ func wireLegs(cfg Config, a *matrix.Dense) ([]Row, error) {
 		r32.CovErr <= ce64+charge && r32.CovErr <= r32.Budget
 	r32.Note = fmt.Sprintf("words halved exactly; certificate charge +%.3g = s·Float32RoundTripError(%d,%d,‖A‖F)", charge, ell, cfg.D)
 	return []Row{r64, r32}, nil
-}
-
-// CollectKernelBaseline captures the PR's perf evidence for committing as
-// BENCH_PR8.json: a timed table1 run (comparable against the table1 timing
-// in earlier BENCH_PR*.json baselines — same workload, same pool width) plus
-// the K1 kernel/wire rows.
-func CollectKernelBaseline(cfg Config) (*Baseline, error) {
-	cfg.applyParallel()
-	b := &Baseline{Config: cfg, GoMaxProcs: runtime.GOMAXPROCS(0), PoolWorkers: parallel.Workers()}
-	prev := obs.Default()
-	defer obs.SetDefault(prev)
-	for _, exp := range []struct {
-		name string
-		fn   func(Config) ([]Row, error)
-	}{
-		{"table1", Table1},
-		{"k1", KernelBench},
-	} {
-		reg := obs.NewRegistry()
-		obs.SetDefault(obs.NewObserver(reg, nil))
-		start := time.Now()
-		rows, err := exp.fn(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("kernel baseline %s: %w", exp.name, err)
-		}
-		snap := reg.Snapshot()
-		b.Experiments = append(b.Experiments, BaselineExperiment{
-			Name:      exp.name,
-			ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
-			Rows:      rows,
-			Comm: BaselineComm{
-				Bits:           snap.Counters["comm.bits_total"],
-				Messages:       snap.Counters["comm.messages_total"],
-				Rounds:         snap.Counters["comm.rounds_total"],
-				FDShrinks:      snap.Counters["fd.shrinks"],
-				SVSSampledRows: snap.Counters["svs.sampled_rows"],
-				PoolForCalls:   snap.Counters["pool.for_calls"],
-			},
-		})
-	}
-	return b, nil
 }

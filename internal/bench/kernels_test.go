@@ -55,7 +55,10 @@ func TestKernelBenchSmokeAndWireInvariants(t *testing.T) {
 }
 
 func TestCollectKernelBaseline(t *testing.T) {
-	b, err := CollectKernelBaseline(smallConfig())
+	// The BENCH_PR8.json shape: a timed table1 next to the k1 rows.
+	cfg := smallConfig()
+	fns := []func(Config) ([]Row, error){Table1, KernelBench}
+	b, err := CollectBaseline(cfg, []string{"table1", "k1"}, func(i int) ([]Row, error) { return fns[i](cfg) })
 	if err != nil {
 		t.Fatal(err)
 	}

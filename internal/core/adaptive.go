@@ -2,176 +2,10 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
-	"repro/internal/fd"
 	"repro/internal/linalg"
 	"repro/internal/matrix"
 )
-
-// AdaptiveConfig parameterizes the §3.2 adaptive (ε,k)-sketch.
-type AdaptiveConfig struct {
-	// Eps is the target accuracy: coverr ≤ O(ε)·‖A−[A]_k‖F²/k.
-	Eps float64
-	// K is the rank parameter (k ≥ 1; for k = 0 use SVSSketch directly).
-	K int
-	// Delta is the failure probability of the randomized stage (default 0.1).
-	Delta float64
-	// Sampling switches the SVS stage between the quadratic (Theorem 6,
-	// default) and linear (Theorem 5) sampling functions — the paper's own
-	// ablation.
-	Sampling SamplingFn
-	// FinalCompress applies one more FD pass to the combined sketch Q,
-	// reducing it to the optimal O(k/ε) rows at the cost of an extra O(ε)
-	// error term (the remark after Theorem 7).
-	FinalCompress bool
-}
-
-func (c AdaptiveConfig) withDefaults() AdaptiveConfig {
-	if c.Delta == 0 {
-		c.Delta = 0.1
-	}
-	if c.Eps <= 0 || c.Eps >= 1 {
-		panic(fmt.Sprintf("core: eps %v out of (0,1)", c.Eps))
-	}
-	if c.K < 1 {
-		panic(fmt.Sprintf("core: adaptive sketch needs k ≥ 1, got %d", c.K))
-	}
-	if c.Delta <= 0 || c.Delta >= 1 {
-		panic(fmt.Sprintf("core: delta %v out of (0,1)", c.Delta))
-	}
-	return c
-}
-
-// LocalTail runs the per-server first phase of the adaptive algorithm:
-// B_i = FD(A_i, ε, k) followed by (T_i, R_i) = Decomp(B_i, k). T_i captures
-// the top-k subspace of the local sketch; R_i is its tail, whose total
-// squared Frobenius norm across servers is at most (1+ε)‖A−[A]_k‖F²
-// (Lemma 5 + Eq. 9–11).
-func LocalTail(a *matrix.Dense, eps float64, k int) (t, r *matrix.Dense, err error) {
-	b, err := fd.SketchEpsK(a, eps, k)
-	if err != nil {
-		return nil, nil, err
-	}
-	return Decomp(b, k)
-}
-
-// ServerSketch is the output of one server in the adaptive algorithm:
-// the top block T_i (k rows, always sent) and the sampled tail W_i.
-type ServerSketch struct {
-	T *matrix.Dense
-	W *matrix.Dense
-}
-
-// Q returns the server's message Q_i = [T_i; W_i].
-func (s *ServerSketch) Q() *matrix.Dense { return s.T.Stack(s.W) }
-
-// AdaptiveResult is the outcome of the adaptive (ε,k)-sketch.
-type AdaptiveResult struct {
-	// PerServer holds each server's Q_i.
-	PerServer []*ServerSketch
-	// Q = [Q_1; …; Q_s], a (3ε,k)-sketch of A (Theorem 7).
-	Q *matrix.Dense
-	// Compressed is FD(Q, ε, k) when FinalCompress was requested, nil
-	// otherwise: an (O(ε),k)-sketch of optimal size O(k/ε).
-	Compressed *matrix.Dense
-	// TailFrob2 is Σ_i ‖R_i‖F², the quantity exchanged between servers to
-	// calibrate the sampling function (the protocol's only extra
-	// communication: one word per server each way).
-	TailFrob2 float64
-}
-
-// AdaptiveSketch runs the full §3.2 algorithm over a row partition of A
-// given as parts (one matrix per server). It mirrors exactly what the
-// distributed protocol computes; communication accounting lives in
-// internal/distributed.
-func AdaptiveSketch(parts []*matrix.Dense, cfg AdaptiveConfig, rng *rand.Rand) (*AdaptiveResult, error) {
-	cfg = cfg.withDefaults()
-	if len(parts) == 0 {
-		panic("core: AdaptiveSketch with no parts")
-	}
-	d := parts[0].Cols()
-	s := len(parts)
-
-	// Phase 1 (local, streaming): FD sketch + Decomp split.
-	ts := make([]*matrix.Dense, s)
-	rs := make([]*matrix.Dense, s)
-	tailFrob2 := 0.0
-	for i, p := range parts {
-		if p.Cols() != d {
-			panic(fmt.Sprintf("core: part %d has %d cols, want %d", i, p.Cols(), d))
-		}
-		t, r, err := LocalTail(p, cfg.Eps, cfg.K)
-		if err != nil {
-			return nil, fmt.Errorf("server %d: %w", i, err)
-		}
-		ts[i], rs[i] = t, r
-		tailFrob2 += r.Frob2()
-	}
-
-	// Phase 2: exchange Σ‖R_i‖F², build the shared sampling function with
-	// α = ε/k relative to ‖R‖F² (so the SVS error is ≤ O(ε)‖R‖F²/k), and
-	// sample each tail.
-	alpha := cfg.Eps / float64(cfg.K)
-	g := cfg.Sampling.Build(s, d, clampAlpha(alpha), cfg.Delta, tailFrob2)
-	res := &AdaptiveResult{TailFrob2: tailFrob2}
-	var qs []*matrix.Dense
-	for i := 0; i < s; i++ {
-		w, err := SVS(rs[i], g, rng)
-		if err != nil {
-			return nil, fmt.Errorf("server %d SVS: %w", i, err)
-		}
-		ss := &ServerSketch{T: ts[i], W: w}
-		res.PerServer = append(res.PerServer, ss)
-		qs = append(qs, ss.Q())
-	}
-	res.Q = matrix.Stack(qs...)
-
-	if cfg.FinalCompress {
-		c, err := fd.SketchEpsK(res.Q, cfg.Eps, cfg.K)
-		if err != nil {
-			return nil, fmt.Errorf("final compress: %w", err)
-		}
-		res.Compressed = c
-	}
-	return res, nil
-}
-
-// clampAlpha keeps α inside the open interval the sampling constructors
-// require; α = ε/k can reach or exceed 1 only for ε ≈ 1, k = 1, where any
-// value below 1 is valid and the guarantee is vacuous anyway.
-func clampAlpha(alpha float64) float64 {
-	if alpha >= 1 {
-		return 0.999999
-	}
-	return alpha
-}
-
-// SVSSketch is the §3.1 distributed (α,0)-sketch: every server runs SVS on
-// its raw local matrix with a shared sampling function calibrated to the
-// global ‖A‖F² (exchanged in one scalar round). Returns the per-server
-// sketches; their concatenation B satisfies ‖BᵀB−AᵀA‖₂ ≤ O(α)‖A‖F² with
-// probability 1−δ.
-func SVSSketch(parts []*matrix.Dense, alpha, delta float64, sampling SamplingFn, rng *rand.Rand) ([]*matrix.Dense, error) {
-	if len(parts) == 0 {
-		panic("core: SVSSketch with no parts")
-	}
-	d := parts[0].Cols()
-	frob2 := 0.0
-	for _, p := range parts {
-		frob2 += p.Frob2()
-	}
-	g := sampling.Build(len(parts), d, alpha, delta, frob2)
-	out := make([]*matrix.Dense, len(parts))
-	for i, p := range parts {
-		b, err := SVS(p, g, rng)
-		if err != nil {
-			return nil, fmt.Errorf("server %d SVS: %w", i, err)
-		}
-		out[i] = b
-	}
-	return out, nil
-}
 
 // CovErr returns coverr(A,B) = ‖AᵀA−BᵀB‖₂ (Definition 1).
 func CovErr(a, b *matrix.Dense) (float64, error) {

@@ -72,165 +72,34 @@ func TestLemma5TailShrinkage(t *testing.T) {
 	}
 }
 
-func TestLocalTail(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := workload.LowRankPlusNoise(rng, 100, 10, 3, 10, 0.8, 0.3)
-	tt, r, err := LocalTail(a, 0.3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tt.Rows() != 3 {
-		t.Fatalf("T rows = %d, want 3", tt.Rows())
-	}
-	// T+R together replicate the FD sketch's Gram.
-	b, err := fd.SketchEpsK(a, 0.3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tt.Gram().Add(r.Gram()).EqualApprox(b.Gram(), 1e-7) {
-		t.Fatal("LocalTail does not preserve the FD Gram")
-	}
-}
-
-func TestAdaptiveSketchGuarantee(t *testing.T) {
-	// Theorem 7: Q is a (3ε,k)-sketch of A w.h.p., and
-	// ‖Q‖F² = ‖A‖F² + O(‖A−[A]_k‖F²).
-	rng := rand.New(rand.NewSource(4))
-	eps, k := 0.25, 3
-	fails := 0
-	const trials = 10
-	for trial := 0; trial < trials; trial++ {
-		a := workload.LowRankPlusNoise(rng, 240, 16, k, 30, 0.7, 0.4)
-		parts := workload.Split(a, 6, workload.Contiguous, nil)
-		res, err := AdaptiveSketch(parts, AdaptiveConfig{Eps: eps, K: k}, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ce, err := CovErr(a, res.Q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bound, err := EpsKBound(a, 3*eps, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ce > bound {
-			fails++
-		}
-		// Frobenius norm control.
-		tail, err := linalg.TailEnergy(a, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Q.Frob2() > a.Frob2()+8*tail {
-			t.Fatalf("trial %d: ‖Q‖F² = %v too large (‖A‖F²=%v, tail=%v)", trial, res.Q.Frob2(), a.Frob2(), tail)
-		}
-		if len(res.PerServer) != 6 {
-			t.Fatalf("per-server count %d", len(res.PerServer))
-		}
-	}
-	if fails > 2 {
-		t.Fatalf("adaptive sketch exceeded (3ε,k) bound in %d/%d trials", fails, trials)
-	}
-}
-
-func TestAdaptiveSketchTailBound(t *testing.T) {
-	// Eq. (11): Σ‖R_i‖F² ≤ (1+ε)‖A−[A]_k‖F².
+func TestAdaptiveTailBound(t *testing.T) {
+	// Eq. (11): Σ‖R_i‖F² ≤ (1+ε)‖A−[A]_k‖F², with (T_i, R_i) the Decomp of
+	// each server's local FD sketch as the adaptive protocol computes them.
 	rng := rand.New(rand.NewSource(5))
 	eps, k := 0.2, 4
 	a := workload.LowRankPlusNoise(rng, 300, 20, k, 25, 0.6, 0.5)
-	parts := workload.Split(a, 5, workload.RoundRobin, nil)
-	res, err := AdaptiveSketch(parts, AdaptiveConfig{Eps: eps, K: k}, rng)
-	if err != nil {
-		t.Fatal(err)
+	tailFrob2 := 0.0
+	for _, p := range workload.Split(a, 5, workload.RoundRobin, nil) {
+		b, err := fd.SketchEpsK(p, eps, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tt, r, err := Decomp(b, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tt.Rows() != k {
+			t.Fatalf("T rows = %d, want %d", tt.Rows(), k)
+		}
+		tailFrob2 += r.Frob2()
 	}
 	tail, err := linalg.TailEnergy(a, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TailFrob2 > (1+eps)*tail+1e-9 {
-		t.Fatalf("Σ‖R_i‖F² = %v > (1+ε)‖A−[A]_k‖F² = %v", res.TailFrob2, (1+eps)*tail)
+	if tailFrob2 > (1+eps)*tail+1e-9 {
+		t.Fatalf("Σ‖R_i‖F² = %v > (1+ε)‖A−[A]_k‖F² = %v", tailFrob2, (1+eps)*tail)
 	}
-}
-
-func TestAdaptiveFinalCompress(t *testing.T) {
-	// Remark after Theorem 7: one more FD gives optimal size with O(ε) error.
-	rng := rand.New(rand.NewSource(6))
-	eps, k := 0.25, 3
-	a := workload.LowRankPlusNoise(rng, 200, 14, k, 20, 0.7, 0.4)
-	parts := workload.Split(a, 8, workload.Contiguous, nil)
-	res, err := AdaptiveSketch(parts, AdaptiveConfig{Eps: eps, K: k, FinalCompress: true}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Compressed == nil {
-		t.Fatal("Compressed must be set")
-	}
-	if res.Compressed.Rows() > fd.SketchSize(eps, k) {
-		t.Fatalf("compressed %d rows > optimal %d", res.Compressed.Rows(), fd.SketchSize(eps, k))
-	}
-	ce, err := CovErr(a, res.Compressed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Error budget: O(ε)·tail/k; constant from 3ε (Q) + ε·‖Q−[Q]k‖/k ≤ O(ε).
-	bound, err := EpsKBound(a, 8*eps, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ce > bound {
-		t.Fatalf("compressed coverr %v > %v", ce, bound)
-	}
-}
-
-func TestAdaptiveLinearVariant(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	eps, k := 0.3, 2
-	a := workload.LowRankPlusNoise(rng, 150, 12, k, 15, 0.7, 0.4)
-	parts := workload.Split(a, 4, workload.Contiguous, nil)
-	res, err := AdaptiveSketch(parts, AdaptiveConfig{Eps: eps, K: k, Sampling: SampleLinear}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ce, err := CovErr(a, res.Q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bound, err := EpsKBound(a, 4*eps, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ce > bound {
-		t.Fatalf("linear-variant coverr %v > %v", ce, bound)
-	}
-}
-
-func TestAdaptiveConfigValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	parts := []*matrix.Dense{workload.Gaussian(rng, 10, 4)}
-	for _, cfg := range []AdaptiveConfig{
-		{Eps: 0, K: 1},
-		{Eps: 1.2, K: 1},
-		{Eps: 0.1, K: 0},
-		{Eps: 0.1, K: 1, Delta: -1},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("cfg %+v: expected panic", cfg)
-				}
-			}()
-			AdaptiveSketch(parts, cfg, rng)
-		}()
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("empty parts: expected panic")
-			}
-		}()
-		AdaptiveSketch(nil, AdaptiveConfig{Eps: 0.1, K: 1}, rng)
-	}()
 }
 
 func TestIsEpsKSketch(t *testing.T) {

@@ -73,6 +73,26 @@ func TestSVSUnbiased(t *testing.T) {
 	}
 }
 
+// svsParts is the §3.1 distributed (α,0)-sketch in core: every server runs SVS
+// on its part with one sampling function calibrated to the global ‖A‖F², and
+// the outputs are stacked.
+func svsParts(parts []*matrix.Dense, alpha, delta float64, sampling SamplingFn, rng *rand.Rand) (*matrix.Dense, error) {
+	frob2 := 0.0
+	for _, p := range parts {
+		frob2 += p.Frob2()
+	}
+	g := sampling.Build(len(parts), parts[0].Cols(), alpha, delta, frob2)
+	bs := make([]*matrix.Dense, len(parts))
+	for i, p := range parts {
+		b, err := SVS(p, g, rng)
+		if err != nil {
+			return nil, err
+		}
+		bs[i] = b
+	}
+	return matrix.Stack(bs...), nil
+}
+
 func TestSVSErrorBoundQuadratic(t *testing.T) {
 	// Theorem 6: coverr ≤ O(α)‖A‖F² with probability 1−δ, across several
 	// seeds on a partitioned input (the concatenated-output setting of
@@ -84,11 +104,10 @@ func TestSVSErrorBoundQuadratic(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		a := workload.PowerLawSpectrum(rng, 120, 16, 0.8, 10)
 		parts := workload.Split(a, 4, workload.Contiguous, nil)
-		bs, err := SVSSketch(parts, alpha, delta, SampleQuadratic, rng)
+		b, err := svsParts(parts, alpha, delta, SampleQuadratic, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := matrix.Stack(bs...)
 		ce, err := CovErr(a, b)
 		if err != nil {
 			t.Fatal(err)
@@ -112,11 +131,10 @@ func TestSVSErrorBoundLinear(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		a := workload.PowerLawSpectrum(rng, 100, 14, 0.6, 5)
 		parts := workload.Split(a, 4, workload.Contiguous, nil)
-		bs, err := SVSSketch(parts, alpha, delta, SampleLinear, rng)
+		b, err := svsParts(parts, alpha, delta, SampleLinear, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := matrix.Stack(bs...)
 		ce, err := CovErr(a, b)
 		if err != nil {
 			t.Fatal(err)
@@ -149,14 +167,11 @@ func TestSVSCommunicationScaling(t *testing.T) {
 	for _, s := range []int{1, 4, 16, 64} {
 		a := workload.Gaussian(rng, 64*8, d)
 		parts := workload.Split(a, s, workload.Contiguous, nil)
-		bs, err := SVSSketch(parts, alpha, delta, SampleQuadratic, rng)
+		b, err := svsParts(parts, alpha, delta, SampleQuadratic, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows := 0
-		for _, b := range bs {
-			rows += b.Rows()
-		}
+		rows := b.Rows()
 		budget := math.Sqrt(float64(s))*math.Sqrt(math.Log(float64(d)/delta))/alpha + 3*math.Sqrt(float64(s)*math.Log(float64(d)/delta))/alpha
 		if float64(rows) > budget {
 			t.Fatalf("s=%d: %d rows > √s budget %v", s, rows, budget)

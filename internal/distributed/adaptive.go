@@ -73,8 +73,8 @@ func (p Adaptive) validate() error { return p.AdaptiveParams.check(p.Name()) }
 func serverAdaptiveLocal(ctx context.Context, node Node, local workload.RowSource, s int, p AdaptiveParams, cfg Config) (*matrix.Dense, error) {
 	p = p.withDefaults()
 	_, d := local.Dims()
-	// Stream the local rows through FD (core.LocalTail's first stage,
-	// unrolled so the input never materializes), then split the sketch.
+	// Stream the local rows through FD so the input never materializes,
+	// then split the sketch.
 	sk := fd.New(d, fd.SketchSize(p.Eps, p.K), fd.Options{Obs: cfg.Obs})
 	rows, sparse, err := streamRows(local, sk.Update, sk.UpdateSparse)
 	if err != nil {

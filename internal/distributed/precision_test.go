@@ -103,7 +103,7 @@ func TestTCPFloat32MatchesMem(t *testing.T) {
 
 	s := len(parts)
 	proto := FDMerge{Eps: eps, K: k, Env: Env{Servers: s, Dim: 12, Config: Config{Seed: 7, WirePrecision: comm.Float32}}}
-	coord, err := NewTCPCoordinator("127.0.0.1:0", s, nil)
+	coord, err := NewTCPCoordinatorOpts("127.0.0.1:0", s, nil, TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestTCPFloat32MatchesMem(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			srv, err := DialTCPServer(coord.Addr(), id, nil)
+			srv, err := DialTCPServerContext(context.Background(), coord.Addr(), id, nil, TCPOptions{})
 			if err != nil {
 				serverErrs <- err
 				return
@@ -170,7 +170,7 @@ func TestTCPFloat64StillMatchesMem(t *testing.T) {
 	}
 	s := len(parts)
 	proto := FDMerge{Eps: eps, K: k, Env: Env{Servers: s, Dim: 10, Config: Config{Seed: 3}}}
-	coord, err := NewTCPCoordinator("127.0.0.1:0", s, nil)
+	coord, err := NewTCPCoordinatorOpts("127.0.0.1:0", s, nil, TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestTCPFloat64StillMatchesMem(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			srv, err := DialTCPServer(coord.Addr(), id, nil)
+			srv, err := DialTCPServerContext(context.Background(), coord.Addr(), id, nil, TCPOptions{})
 			if err != nil {
 				serverErrs <- err
 				return

@@ -161,7 +161,7 @@ func TestCoordinatedProductTCPMatchesMem(t *testing.T) {
 		SampleSize: sample,
 		Env:        Env{Servers: s, Dim: dA, DimB: dB, Config: Config{Seed: seed}},
 	}
-	coord, err := NewTCPCoordinator("127.0.0.1:0", s, nil)
+	coord, err := NewTCPCoordinatorOpts("127.0.0.1:0", s, nil, TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/fd"
 	"repro/internal/linalg"
 	"repro/internal/matrix"
+	"repro/internal/rowsample"
 	"repro/internal/workload"
 )
 
@@ -108,10 +109,20 @@ func TestRunRowSamplingGuarantee(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(200 + trial)))
 		a := workload.Gaussian(rng, 300, 12)
-		parts := workload.Split(a, 5, workload.Skewed, nil)
+		// A zero-mass server first: it must be assigned no samples.
+		parts := append([]*matrix.Dense{matrix.New(5, 12)}, workload.Split(a, 5, workload.Skewed, nil)...)
 		res, err := Run(context.Background(), RowSampling{Eps: eps}, parts, WithSeed(int64(trial)))
 		if err != nil {
 			t.Fatal(err)
+		}
+		// Exactly m samples come back, each a rescaled positive-norm row.
+		if m := rowsample.SampleSize(eps); res.Sketch.Rows() != m {
+			t.Fatalf("trial %d: %d of %d samples returned", trial, res.Sketch.Rows(), m)
+		}
+		for r := 0; r < res.Sketch.Rows(); r++ {
+			if matrix.Norm2(res.Sketch.Row(r)) == 0 {
+				t.Fatalf("trial %d: all-zero sampled row %d", trial, r)
+			}
 		}
 		ce, err := core.CovErr(a, res.Sketch)
 		if err != nil {
@@ -123,6 +134,14 @@ func TestRunRowSamplingGuarantee(t *testing.T) {
 	}
 	if okCount < trials*3/5 {
 		t.Fatalf("sampling protocol ok only %d/%d", okCount, trials)
+	}
+	// Zero total mass: nothing to sample.
+	res, err := Run(context.Background(), RowSampling{Eps: eps}, []*matrix.Dense{matrix.New(4, 3), matrix.New(2, 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Sketch.Rows() != 0 {
+		t.Fatalf("zero-mass input produced %d sampled rows", res.Sketch.Rows())
 	}
 }
 
@@ -152,25 +171,42 @@ func TestRowSamplingUnbiasedThroughProtocol(t *testing.T) {
 }
 
 func TestRunAdaptiveGuaranteeAndCost(t *testing.T) {
+	// Theorem 7: Q is a (3ε,k)-sketch of A w.h.p. (4ε under the linear
+	// sampling function of Theorem 5), and ‖Q‖F² = ‖A‖F² + O(‖A−[A]_k‖F²).
 	eps, k := 0.25, 3
-	fails := 0
-	const trials = 8
-	for trial := 0; trial < trials; trial++ {
-		a, parts := split(t, int64(300+trial), 360, 18, 6)
-		res, err := Run(context.Background(), Adaptive{AdaptiveParams: AdaptiveParams{Eps: eps, K: k}}, parts, WithSeed(int64(trial)))
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		sampling  SamplingFn
+		budgetEps float64
+	}{
+		{core.SampleQuadratic, 3 * eps},
+		{core.SampleLinear, 4 * eps},
+	} {
+		fails := 0
+		const trials = 8
+		for trial := 0; trial < trials; trial++ {
+			a, parts := split(t, int64(300+trial), 360, 18, 6)
+			res, err := Run(context.Background(), Adaptive{AdaptiveParams: AdaptiveParams{Eps: eps, K: k, Sampling: tc.sampling}}, parts, WithSeed(int64(trial)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ok, _, _, err := core.IsEpsKSketch(a, res.Sketch, tc.budgetEps, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				fails++
+			}
+			tail, err := linalg.TailEnergy(a, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Sketch.Frob2() > a.Frob2()+8*tail {
+				t.Fatalf("%v trial %d: ‖Q‖F² = %v too large (‖A‖F²=%v, tail=%v)", tc.sampling, trial, res.Sketch.Frob2(), a.Frob2(), tail)
+			}
 		}
-		ok, _, _, err := core.IsEpsKSketch(a, res.Sketch, 3*eps, k)
-		if err != nil {
-			t.Fatal(err)
+		if fails > 2 {
+			t.Fatalf("adaptive protocol (%v sampling) failed %d/%d trials", tc.sampling, fails, trials)
 		}
-		if !ok {
-			fails++
-		}
-	}
-	if fails > 2 {
-		t.Fatalf("adaptive protocol failed %d/%d trials", fails, trials)
 	}
 }
 

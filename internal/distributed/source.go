@@ -12,9 +12,6 @@ import (
 // facade): Dims up front, copy-on-next rows, Reset for two-pass protocols.
 type RowSource = workload.RowSource
 
-// SparseRowSource is a RowSource with an nnz-proportional fast path.
-type SparseRowSource = workload.SparseRowSource
-
 // streamRows feeds every row of src into update — or into sparseUpdate,
 // when both the source and the consumer support the sparse fast path —
 // and returns the number of rows delivered plus whether the sparse path

@@ -124,8 +124,8 @@ func wrapIOErr(ctx context.Context, err error) error {
 
 // TCPCoordinator is a tree node's hub: it accepts exactly one connection
 // per expected child and exposes a Node whose Send routes to the right
-// connection. The default constructors build the star coordinator (self is
-// comm.CoordinatorID, children are 0..s-1); NewTCPRoot and NewTCPNodeHub
+// connection. NewTCPCoordinatorOpts builds the star coordinator (self is
+// comm.CoordinatorID, children are 0..s-1); NewTCPRoot and NewTCPAggregator
 // build hubs for arbitrary plan nodes.
 type TCPCoordinator struct {
 	self   int
@@ -138,9 +138,10 @@ type TCPCoordinator struct {
 	mu    sync.Mutex
 	conns map[int]net.Conn
 
-	inbox chan recvResult
-	done  chan struct{}
-	dbg   *obs.DebugServer
+	inbox     chan recvResult
+	done      chan struct{}
+	closeOnce sync.Once
+	dbg       *obs.DebugServer
 }
 
 type recvResult struct {
@@ -148,30 +149,26 @@ type recvResult struct {
 	err error
 }
 
-// NewTCPCoordinator listens on addr (e.g. "127.0.0.1:0") for s servers with
-// default options. Call Accept before running a protocol.
-func NewTCPCoordinator(addr string, s int, meter *comm.Meter) (*TCPCoordinator, error) {
-	return NewTCPCoordinatorOpts(addr, s, meter, TCPOptions{})
-}
-
-// NewTCPCoordinatorOpts is NewTCPCoordinator with explicit transport options.
+// NewTCPCoordinatorOpts listens on addr (e.g. "127.0.0.1:0") for s servers;
+// the zero TCPOptions selects the defaults. Call Accept before running a
+// protocol.
 func NewTCPCoordinatorOpts(addr string, s int, meter *comm.Meter, opts TCPOptions) (*TCPCoordinator, error) {
 	if s <= 0 {
 		panic(fmt.Sprintf("distributed: TCP coordinator with s=%d", s))
 	}
-	return NewTCPNodeHub(addr, comm.CoordinatorID, serverPeers(s), meter, opts)
+	return newTCPNodeHub(addr, comm.CoordinatorID, serverPeers(s), meter, opts)
 }
 
 // NewTCPRoot listens for the root's children under plan — the coordinator
 // of a TCP tree run. With a star plan it is NewTCPCoordinatorOpts.
 func NewTCPRoot(addr string, plan *Plan, meter *comm.Meter, opts TCPOptions) (*TCPCoordinator, error) {
-	return NewTCPNodeHub(addr, comm.CoordinatorID, plan.Children(comm.CoordinatorID), meter, opts)
+	return newTCPNodeHub(addr, comm.CoordinatorID, plan.Children(comm.CoordinatorID), meter, opts)
 }
 
-// NewTCPNodeHub listens on addr as tree node self, expecting exactly one
+// newTCPNodeHub listens on addr as tree node self, expecting exactly one
 // connection from each listed child. Call Accept before running the node's
 // role.
-func NewTCPNodeHub(addr string, self int, children []int, meter *comm.Meter, opts TCPOptions) (*TCPCoordinator, error) {
+func newTCPNodeHub(addr string, self int, children []int, meter *comm.Meter, opts TCPOptions) (*TCPCoordinator, error) {
 	if len(children) == 0 {
 		panic(fmt.Sprintf("distributed: TCP hub for node %d with no children", self))
 	}
@@ -357,25 +354,24 @@ func (c *TCPCoordinator) readLoop(id int, conn net.Conn) {
 // Node returns the coordinator endpoint.
 func (c *TCPCoordinator) Node() Node { return &tcpCoordNode{c} }
 
-// Close shuts down the listener and all connections.
+// Close shuts down the listener and all connections. It is safe to call
+// more than once and from several goroutines; every call returns after the
+// shutdown has completed.
 func (c *TCPCoordinator) Close() {
-	select {
-	case <-c.done:
-		return
-	default:
+	c.closeOnce.Do(func() {
 		close(c.done)
-	}
-	c.ln.Close()
-	if c.dbg != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		c.dbg.Shutdown(ctx)
-		cancel()
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, conn := range c.conns {
-		conn.Close()
-	}
+		c.ln.Close()
+		if c.dbg != nil {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			c.dbg.Shutdown(ctx)
+			cancel()
+		}
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for _, conn := range c.conns {
+			conn.Close()
+		}
+	})
 }
 
 type tcpCoordNode struct{ c *TCPCoordinator }
@@ -418,12 +414,6 @@ type TCPServer struct {
 	meter *comm.Meter
 	conn  net.Conn
 	opts  TCPOptions
-}
-
-// DialTCPServer connects server id to the coordinator at addr with default
-// options and no external cancellation.
-func DialTCPServer(addr string, id int, meter *comm.Meter) (*TCPServer, error) {
-	return DialTCPServerContext(context.Background(), addr, id, meter, TCPOptions{})
 }
 
 // DialTCPServerContext connects server id to the coordinator at addr,

@@ -26,7 +26,7 @@ func TestTCPFDMergeEndToEnd(t *testing.T) {
 	eps, k := 0.25, 3
 	proto := FDMerge{Eps: eps, K: k, Env: Env{Servers: s, Dim: 12}}
 
-	coord, err := NewTCPCoordinator("127.0.0.1:0", s, nil)
+	coord, err := NewTCPCoordinatorOpts("127.0.0.1:0", s, nil, TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestTCPFDMergeEndToEnd(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			srv, err := DialTCPServer(coord.Addr(), id, nil)
+			srv, err := DialTCPServerContext(context.Background(), coord.Addr(), id, nil, TCPOptions{})
 			if err != nil {
 				serverErrs <- err
 				return
@@ -98,7 +98,7 @@ func TestTCPSVSEndToEnd(t *testing.T) {
 	alpha := 0.25
 	proto := SVS{Alpha: alpha, Delta: 0.1, Env: Env{Servers: s, Dim: 10, Config: Config{Seed: 7}}}
 
-	coord, err := NewTCPCoordinator("127.0.0.1:0", s, nil)
+	coord, err := NewTCPCoordinatorOpts("127.0.0.1:0", s, nil, TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestTCPSVSEndToEnd(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			srv, err := DialTCPServer(coord.Addr(), id, nil)
+			srv, err := DialTCPServerContext(context.Background(), coord.Addr(), id, nil, TCPOptions{})
 			if err != nil {
 				serverErrs <- err
 				return
@@ -159,7 +159,7 @@ func TestTCPProtocolValueDrivesBothRoles(t *testing.T) {
 		Env:            Env{Servers: s, Dim: 10},
 	}
 
-	coord, err := NewTCPCoordinator("127.0.0.1:0", s, nil)
+	coord, err := NewTCPCoordinatorOpts("127.0.0.1:0", s, nil, TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestTCPDialRetriesUntilListen(t *testing.T) {
 	defer cancel()
 
 	// Reserve an address, then free it so the dialer races a dead port.
-	probe, err := NewTCPCoordinator("127.0.0.1:0", 1, nil)
+	probe, err := NewTCPCoordinatorOpts("127.0.0.1:0", 1, nil, TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestTCPDialRetriesUntilListen(t *testing.T) {
 
 	// Give the dialer time to hit the refused port at least once.
 	time.Sleep(200 * time.Millisecond)
-	coord, err := NewTCPCoordinator(addr, 1, nil)
+	coord, err := NewTCPCoordinatorOpts(addr, 1, nil, TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestTCPDialRetriesUntilListen(t *testing.T) {
 // with the context error when nothing ever listens.
 func TestTCPDialContextCancelled(t *testing.T) {
 	// Reserve-and-release a port so nothing is listening there.
-	probe, err := NewTCPCoordinator("127.0.0.1:0", 1, nil)
+	probe, err := NewTCPCoordinatorOpts("127.0.0.1:0", 1, nil, TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,14 +280,14 @@ func TestTCPDialContextCancelled(t *testing.T) {
 
 func TestTCPServerRestrictions(t *testing.T) {
 	ctx := context.Background()
-	coord, err := NewTCPCoordinator("127.0.0.1:0", 1, nil)
+	coord, err := NewTCPCoordinatorOpts("127.0.0.1:0", 1, nil, TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
 	done := make(chan error, 1)
 	go func() {
-		srv, err := DialTCPServer(coord.Addr(), 0, nil)
+		srv, err := DialTCPServerContext(context.Background(), coord.Addr(), 0, nil, TCPOptions{})
 		if err != nil {
 			done <- err
 			return
@@ -316,14 +316,14 @@ func TestTCPServerRestrictions(t *testing.T) {
 }
 
 func TestTCPBadHello(t *testing.T) {
-	coord, err := NewTCPCoordinator("127.0.0.1:0", 1, nil)
+	coord, err := NewTCPCoordinatorOpts("127.0.0.1:0", 1, nil, TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
 	go func() {
 		// Out-of-range server ID must be rejected by Accept.
-		srv, err := DialTCPServer(coord.Addr(), 7, nil)
+		srv, err := DialTCPServerContext(context.Background(), coord.Addr(), 7, nil, TCPOptions{})
 		if err == nil {
 			srv.Close()
 		}

@@ -44,7 +44,7 @@ func NewTCPAggregator(addr string, id int, plan *Plan, meter *comm.Meter, opts T
 	if meter == nil {
 		meter = comm.NewMeter()
 	}
-	hub, err := NewTCPNodeHub(addr, id, plan.Children(id), meter, opts)
+	hub, err := newTCPNodeHub(addr, id, plan.Children(id), meter, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package distributed
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -111,7 +112,7 @@ func TestTCPUplinkRejectsForeignPeer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root, err := NewTCPNodeHub("127.0.0.1:0", 4, plan.Children(4), nil, TCPOptions{})
+	root, err := newTCPNodeHub("127.0.0.1:0", 4, plan.Children(4), nil, TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,5 +127,51 @@ func TestTCPUplinkRejectsForeignPeer(t *testing.T) {
 	}
 	if err := srv.Send(ctx, 4, &comm.Message{Kind: "note"}); err != nil {
 		t.Fatalf("send to parent: %v", err)
+	}
+}
+
+// TestTCPCloseConcurrent: closing a hub, or an aggregator, from several
+// goroutines at once while a Recv is pending must neither panic (a double
+// close of the done channel) nor leave the Recv blocked.
+func TestTCPCloseConcurrent(t *testing.T) {
+	plan, err := Tree(2).Plan(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds, closers = 200, 64
+	for round := 0; round < rounds; round++ {
+		hub, err := NewTCPCoordinatorOpts("127.0.0.1:0", 1, nil, TCPOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		agg, err := NewTCPAggregator("127.0.0.1:0", plan.Aggregators()[0], plan, nil, TCPOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, end := range []struct {
+			node  Node
+			close func()
+		}{{hub.Node(), hub.Close}, {agg.Node(), agg.Close}} {
+			recvErr := make(chan error, 1)
+			go func() {
+				_, err := end.node.Recv(context.Background())
+				recvErr <- err
+			}()
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for i := 0; i < closers; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					end.close()
+				}()
+			}
+			close(start)
+			wg.Wait()
+			if err := <-recvErr; !errors.Is(err, ErrNetworkClosed) {
+				t.Fatalf("round %d: pending Recv returned %v, want ErrNetworkClosed", round, err)
+			}
+		}
 	}
 }

@@ -30,7 +30,6 @@ package fd
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/linalg"
 	"repro/internal/matrix"
@@ -43,10 +42,7 @@ type Sketch struct {
 	d          int
 	ell        int
 	bufferRows int
-	method     SVDMethod
 	strategy   ShrinkStrategy
-	seed       int64
-	rng        *rand.Rand
 	buf        *matrix.Dense
 	ws         linalg.SVDWorkspace // reused across shrinks (no per-shrink allocs)
 	sig2       []float64           // reused squared-spectrum scratch (no per-shrink allocs)
@@ -58,38 +54,6 @@ type Sketch struct {
 	inputFrob2 float64
 	inputRows  int
 	err        error // latched SVD failure
-}
-
-// SVDMethod selects the factorization used by the shrink step — the
-// DESIGN.md ablation between accuracy and speed.
-type SVDMethod int
-
-const (
-	// SVDJacobi is the default: one-sided Jacobi, accurate to machine
-	// precision.
-	SVDJacobi SVDMethod = iota
-	// SVDGram squares into the d×d Gram matrix first — faster when the
-	// buffer is tall (n ≫ d), loses singular values below √ε_machine·σ₁,
-	// which the shrink step never needs.
-	SVDGram
-	// SVDRandomized uses the Halko–Martinsson–Tropp range finder truncated
-	// at ℓ+1 triples, the device behind the fast sparse FD of [15]. The
-	// sketch becomes randomized; the expected guarantee matches.
-	SVDRandomized
-)
-
-// String implements fmt.Stringer.
-func (m SVDMethod) String() string {
-	switch m {
-	case SVDJacobi:
-		return "jacobi"
-	case SVDGram:
-		return "gram"
-	case SVDRandomized:
-		return "randomized"
-	default:
-		return fmt.Sprintf("SVDMethod(%d)", int(m))
-	}
 }
 
 // Options configures a Sketch beyond the required (d, ℓ).
@@ -107,10 +71,6 @@ type Options struct {
 	// selects FastFD, the package's historical hard-coded behavior). See
 	// ShrinkStrategy and the package-level variants.
 	Strategy ShrinkStrategy
-	// SVD selects the shrink factorization (default SVDJacobi).
-	SVD SVDMethod
-	// Seed seeds SVDRandomized (ignored otherwise).
-	Seed int64
 	// Obs records each shrink (count, δ, rows shrunk) on the observability
 	// layer; nil falls back to the process-wide obs.Default(). The shrink
 	// hot path stays allocation-free either way.
@@ -134,11 +94,7 @@ func New(d, ell int, opts Options) *Sketch {
 	} else if br < ell+1 {
 		panic(fmt.Sprintf("fd: BufferRows=%d below minimum ℓ+1=%d", br, ell+1))
 	}
-	s := &Sketch{d: d, ell: ell, bufferRows: br, method: opts.SVD, strategy: st, seed: opts.Seed, buf: matrix.New(br, d), obs: opts.Obs}
-	if opts.SVD == SVDRandomized {
-		s.rng = rand.New(rand.NewSource(opts.Seed + 0x5eed))
-	}
-	return s
+	return &Sketch{d: d, ell: ell, bufferRows: br, strategy: st, buf: matrix.New(br, d), obs: opts.Obs}
 }
 
 // SketchSize returns the number of rows ℓ for an (ε,k)-sketch:
@@ -224,9 +180,7 @@ func (s *Sketch) Update(row []float64) error {
 
 // UpdateSparse feeds one sparse row into the sketch. The buffer itself is
 // dense (FD's state is inherently dense after the first shrink), but the
-// insert costs O(d) zeroing plus O(nnz) scatter, and combined with
-// Options{SVD: SVDRandomized} this is the sparse-input regime of
-// Ghashami–Liberty–Phillips [15].
+// insert costs O(d) zeroing plus O(nnz) scatter.
 func (s *Sketch) UpdateSparse(row *matrix.SparseVector) error {
 	if row.Len != s.d {
 		panic(fmt.Sprintf("fd: sparse row length %d != d=%d", row.Len, s.d))
@@ -283,26 +237,13 @@ func (s *Sketch) UpdateMatrix(m *matrix.Dense) error {
 }
 
 // shrink runs one shrink step, reducing the buffer to at most ℓ rows under
-// the sketch's strategy. The default Jacobi path factorizes through a
-// workspace held by the sketch and the squared spectrum lives in a reused
-// scratch slice, so steady-state shrinking allocates nothing.
+// the sketch's strategy. The SVD factorizes through a workspace held by the
+// sketch and the squared spectrum lives in a reused scratch slice, so
+// steady-state shrinking allocates nothing.
 func (s *Sketch) shrink() error {
-	work := s.buf.SliceRows(0, s.used)
-	var svd *linalg.SVD
-	var err error
-	switch s.method {
-	case SVDGram:
-		svd, err = linalg.ComputeSVDGram(work)
-	case SVDRandomized:
-		// ℓ+1 triples suffice: the shrink needs σ_{ℓ+1} and the top ℓ
-		// directions. Rows beyond the computed rank are treated as zero,
-		// which only discards mass the guarantee already charges for.
-		svd, err = linalg.RandomizedSVD(work, s.ell+1, 8, 2, s.rng)
-	default:
-		svd, err = linalg.ComputeSVDWith(work, &s.ws)
-	}
+	svd, err := linalg.ComputeSVDWith(s.buf.SliceRows(0, s.used), &s.ws)
 	if err != nil {
-		s.err = fmt.Errorf("fd: shrink SVD (%v): %w", s.method, err)
+		s.err = fmt.Errorf("fd: shrink SVD: %w", err)
 		return s.err
 	}
 	ns := len(svd.Sigma)
@@ -312,14 +253,6 @@ func (s *Sketch) shrink() error {
 	sig2 := s.sig2[:ns]
 	for j, sig := range svd.Sigma {
 		sig2[j] = sig * sig
-	}
-	// σ²_{ℓ+1} before the strategy rewrites the spectrum: the randomized
-	// method charges it once more below, because the truncated range finder
-	// also discards directions beyond ℓ+1, each carrying at most this much
-	// spectral mass.
-	trunc := 0.0
-	if ns > s.ell {
-		trunc = sig2[s.ell]
 	}
 	charge := s.strategy.Apply(sig2, s.ell)
 	out := 0
@@ -349,12 +282,6 @@ func (s *Sketch) shrink() error {
 		ob = obs.Default()
 	}
 	ob.FDShrink(shrunk, charge)
-	if s.method == SVDRandomized {
-		// Keep the certificate an upper bound under the approximate
-		// factorization (up to the range finder's own error): add the
-		// truncation mass on top of the strategy's charge.
-		charge += trunc
-	}
 	s.totalDelta += charge
 	return nil
 }
@@ -424,9 +351,7 @@ func (s *Sketch) compensate(b *matrix.Dense) (*matrix.Dense, error) {
 // Snapshot returns the current sketch matrix (at most ℓ non-zero rows)
 // without mutating s: when the buffer holds more than ℓ rows, the shrink
 // runs on a private copy, leaving s's buffer, certificate (Shrinks,
-// TotalShrinkage) and accounting untouched. For SVDRandomized the private
-// shrink draws from a stream derived from (Seed, Shrinks) rather than
-// advancing s's generator.
+// TotalShrinkage) and accounting untouched.
 func (s *Sketch) Snapshot() (*matrix.Dense, error) {
 	if s.err != nil {
 		return nil, s.err
@@ -438,14 +363,10 @@ func (s *Sketch) Snapshot() (*matrix.Dense, error) {
 	// compensated snapshot matches what Matrix would return after the same
 	// shrink, bit for bit.
 	tmp := &Sketch{
-		d: s.d, ell: s.ell, bufferRows: s.bufferRows, method: s.method,
-		strategy: s.strategy, seed: s.seed,
+		d: s.d, ell: s.ell, bufferRows: s.bufferRows, strategy: s.strategy,
 		buf: s.buf.CopyRows(0, s.bufferRows), used: s.used,
 		totalDelta: s.totalDelta,
 		obs:        s.obs,
-	}
-	if s.method == SVDRandomized {
-		tmp.rng = rand.New(rand.NewSource(s.seed + 0x5eed + int64(s.shrinks) + 1))
 	}
 	if err := tmp.shrink(); err != nil {
 		return nil, err

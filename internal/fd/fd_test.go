@@ -374,50 +374,6 @@ func BenchmarkFDUpdate(b *testing.B) {
 	}
 }
 
-func TestSVDMethodAblation(t *testing.T) {
-	// DESIGN.md ablation: all three shrink factorizations keep the FD
-	// guarantee (randomized with its factor-2 certificate).
-	rng := rand.New(rand.NewSource(50))
-	a := workload.LowRankPlusNoise(rng, 300, 20, 4, 30, 0.7, 0.3)
-	ell := 10
-	for _, method := range []SVDMethod{SVDJacobi, SVDGram, SVDRandomized} {
-		s := New(20, ell, Options{SVD: method, Seed: 7})
-		if err := s.UpdateMatrix(a); err != nil {
-			t.Fatalf("%v: %v", method, err)
-		}
-		b, err := s.Matrix()
-		if err != nil {
-			t.Fatalf("%v: %v", method, err)
-		}
-		ce, err := linalg.CovarianceError(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		budget := a.Frob2() / float64(ell)
-		if method == SVDRandomized {
-			budget *= 2.5 // truncation + range-finder slack
-		}
-		if ce > budget {
-			t.Errorf("%v: coverr %v > budget %v", method, ce, budget)
-		}
-		if b.Rows() > ell {
-			t.Errorf("%v: %d rows > ℓ", method, b.Rows())
-		}
-		// The a-posteriori certificate still upper-bounds the error.
-		if method != SVDRandomized && ce > s.TotalShrinkage()+1e-9 {
-			t.Errorf("%v: coverr %v above certificate %v", method, ce, s.TotalShrinkage())
-		}
-	}
-}
-
-func TestSVDMethodString(t *testing.T) {
-	for _, m := range []SVDMethod{SVDJacobi, SVDGram, SVDRandomized, SVDMethod(9)} {
-		if m.String() == "" {
-			t.Fatal("empty String")
-		}
-	}
-}
-
 func TestNonFiniteRowRejected(t *testing.T) {
 	s := New(3, 2, Options{})
 	if err := s.Update([]float64{1, math.NaN(), 2}); err == nil {

@@ -2,7 +2,6 @@ package fd
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/matrix"
 )
@@ -11,9 +10,7 @@ import (
 // checkpointing: the raw (unshrunk) buffer rows plus the certificate
 // counters. Because the buffer is captured verbatim — no shrink runs to
 // produce it — a sketch restored via FromState and fed the remainder of a
-// stream is bit-identical to one that consumed the stream uninterrupted
-// (for the deterministic SVD methods; SVDRandomized re-derives its
-// generator from (Seed, Shrinks) on restore, as Snapshot does).
+// stream is bit-identical to one that consumed the stream uninterrupted.
 //
 // State does not capture a latched SVD error: State returns that error
 // instead, so a poisoned sketch is never checkpointed.
@@ -48,11 +45,11 @@ func (s *Sketch) State() (*State, error) {
 	}, nil
 }
 
-// FromState reconstructs a sketch from a State snapshot. The strategy,
-// SVD method, seed, and observer come from opts (they are runtime wiring,
-// not stream state); the resolved strategy's name must match the name
-// recorded in the snapshot — a restore under a different shrink rule would
-// silently invalidate the certificate, so it fails loudly instead.
+// FromState reconstructs a sketch from a State snapshot. The strategy and
+// observer come from opts (they are runtime wiring, not stream state); the
+// resolved strategy's name must match the name recorded in the snapshot — a
+// restore under a different shrink rule would silently invalidate the
+// certificate, so it fails loudly instead.
 func FromState(st *State, opts Options) (*Sketch, error) {
 	if st == nil {
 		return nil, fmt.Errorf("fd: nil state")
@@ -88,10 +85,5 @@ func FromState(st *State, opts Options) (*Sketch, error) {
 	s.totalDelta = st.TotalDelta
 	s.inputRows = st.InputRows
 	s.inputFrob2 = st.InputFrob2
-	if s.method == SVDRandomized {
-		// Snapshot's convention: derive the stream position from the shrink
-		// count so restored randomized sketches keep drawing fresh sequences.
-		s.rng = rand.New(rand.NewSource(s.seed + 0x5eed + int64(s.shrinks)))
-	}
 	return s, nil
 }

@@ -229,9 +229,8 @@ func TestErrorBoundClampedByInputMass(t *testing.T) {
 		t.Fatalf("unclamped regime: ErrorBound %g != TotalShrinkage %g",
 			s.ErrorBound(), s.TotalShrinkage())
 	}
-	// Force the pathological accounting the clamp guards against (a caller
-	// can reach it via SVDRandomized's 2δ conservative charging on adversarial
-	// spectra): the bound must fall back to the input mass.
+	// Force the pathological accounting the clamp guards against: the bound
+	// must fall back to the input mass.
 	s.totalDelta = 3 * s.inputFrob2
 	if got := s.ErrorBound(); got != s.inputFrob2 {
 		t.Fatalf("clamped regime: ErrorBound %g, want InputFrob2 %g", got, s.inputFrob2)

@@ -10,17 +10,3 @@ import "repro/internal/matrix"
 func CovarianceError(a, b *matrix.Dense) (float64, error) {
 	return SpectralNormSymFast(a.Gram().Sub(b.Gram()))
 }
-
-// CovarianceErrorPower is CovarianceError computed by power iteration, for
-// dimensions where the exact eigendecomposition is too slow. The estimate is
-// a lower bound that converges to the true value.
-func CovarianceErrorPower(a, b *matrix.Dense, opts PowerOpts) (float64, error) {
-	diff := a.Gram().Sub(b.Gram())
-	v, err := SpectralNormSymPower(diff, opts)
-	if err == ErrNoConvergence {
-		// The final estimate is still a valid lower bound; callers treat it
-		// as the measurement.
-		return v, nil
-	}
-	return v, err
-}

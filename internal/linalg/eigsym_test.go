@@ -97,40 +97,6 @@ func TestSpectralNormSym(t *testing.T) {
 	}
 }
 
-func TestSpectralNormSymMatchesPower(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for i := 0; i < 5; i++ {
-		s := randSym(rng, 8)
-		exact, err := SpectralNormSym(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		approx, err := SpectralNormSymPower(s, PowerOpts{MaxIter: 5000, Tol: 1e-12})
-		if err != nil && approx == 0 {
-			t.Fatal(err)
-		}
-		if math.Abs(exact-approx) > 1e-6*math.Max(1, exact) {
-			t.Fatalf("exact %v vs power %v", exact, approx)
-		}
-	}
-}
-
-func TestSpectralNormGeneralMatchesSVD(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	a := randDense(rng, 15, 6)
-	sig, err := SingularValues(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := SpectralNorm(a, PowerOpts{MaxIter: 5000, Tol: 1e-12})
-	if err != nil && got == 0 {
-		t.Fatal(err)
-	}
-	if math.Abs(got-sig[0]) > 1e-6*sig[0] {
-		t.Fatalf("power σ₁ = %v, SVD σ₁ = %v", got, sig[0])
-	}
-}
-
 func TestEigSymVsSVDOnGram(t *testing.T) {
 	// λ_i(AᵀA) == σ_i(A)².
 	rng := rand.New(rand.NewSource(14))
@@ -147,29 +113,6 @@ func TestEigSymVsSVDOnGram(t *testing.T) {
 		if math.Abs(e.Values[i]-sig[i]*sig[i]) > 1e-8*math.Max(1, sig[i]*sig[i]) {
 			t.Fatalf("λ[%d] = %v, σ² = %v", i, e.Values[i], sig[i]*sig[i])
 		}
-	}
-}
-
-func TestTopKEigSymPower(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	// PSD matrix with well-separated top eigenvalues.
-	a := matrixWithSpectrum(rng, 30, 12, []float64{10, 6, 3, 1, 0.5, 0.2})
-	g := a.Gram()
-	exact, err := ComputeEigSym(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx, err := TopKEigSymPower(g, 3, PowerOpts{MaxIter: 3000, Tol: 1e-13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if math.Abs(approx.Values[i]-exact.Values[i]) > 1e-5*exact.Values[0] {
-			t.Fatalf("top-k eig %d: %v vs %v", i, approx.Values[i], exact.Values[i])
-		}
-	}
-	if !IsOrthonormalColumns(approx.V, 1e-8) {
-		t.Fatal("power eigenvectors not orthonormal")
 	}
 }
 

@@ -45,37 +45,3 @@ func PseudoInverse(a *matrix.Dense, tol float64) (*matrix.Dense, error) {
 	}
 	return out, nil
 }
-
-// RowSpaceProjector returns the d×d orthogonal projector onto the row space
-// of a (i.e. A⁺A for n×d A).
-func RowSpaceProjector(a *matrix.Dense, tol float64) (*matrix.Dense, error) {
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	s, err := ComputeSVD(a)
-	if err != nil {
-		return nil, err
-	}
-	_, d := a.Dims()
-	out := matrix.New(d, d)
-	thresh := 0.0
-	if len(s.Sigma) > 0 {
-		thresh = tol * s.Sigma[0]
-	}
-	for j, sj := range s.Sigma {
-		if sj <= thresh {
-			continue
-		}
-		for i := 0; i < d; i++ {
-			vij := s.V.At(i, j)
-			if vij == 0 {
-				continue
-			}
-			row := out.Row(i)
-			for l := 0; l < d; l++ {
-				row[l] += vij * s.V.At(l, j)
-			}
-		}
-	}
-	return out, nil
-}

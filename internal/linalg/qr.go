@@ -1,7 +1,6 @@
 package linalg
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/matrix"
@@ -26,71 +25,6 @@ func applyHouseholder(r *matrix.Dense, v []float64, j, cFrom, cTo int) {
 			}
 		}
 	})
-}
-
-// QR holds a thin QR factorization A = Q·R with Q m×k orthonormal columns
-// and R k×n upper-triangular (trapezoidal when m < n), k = min(m,n).
-type QR struct {
-	Q *matrix.Dense
-	R *matrix.Dense
-}
-
-// ComputeQR computes a thin Householder QR factorization of a.
-func ComputeQR(a *matrix.Dense) *QR {
-	m, n := a.Dims()
-	k := m
-	if n < k {
-		k = n
-	}
-	r := a.Clone()
-	// Store the Householder vectors to build thin Q afterwards.
-	vs := make([][]float64, 0, k)
-	for j := 0; j < k; j++ {
-		// Build the Householder vector for column j below the diagonal.
-		v := make([]float64, m-j)
-		for i := j; i < m; i++ {
-			v[i-j] = r.At(i, j)
-		}
-		alpha := matrix.Norm(v)
-		if alpha == 0 {
-			vs = append(vs, nil)
-			continue
-		}
-		if v[0] > 0 {
-			alpha = -alpha
-		}
-		v[0] -= alpha
-		vn := matrix.Norm(v)
-		if vn == 0 {
-			vs = append(vs, nil)
-			continue
-		}
-		matrix.ScaleVec(v, 1/vn)
-		// Apply H = I − 2vvᵀ to the trailing panel of R.
-		applyHouseholder(r, v, j, j, n)
-		vs = append(vs, v)
-	}
-	// Thin Q: apply the Householder reflections (in reverse) to the first k
-	// columns of the m×m identity.
-	q := matrix.New(m, k)
-	for j := 0; j < k; j++ {
-		q.Set(j, j, 1)
-	}
-	for j := k - 1; j >= 0; j-- {
-		v := vs[j]
-		if v == nil {
-			continue
-		}
-		applyHouseholder(q, v, j, 0, k)
-	}
-	// Zero R's subdiagonal explicitly and trim to k rows.
-	rOut := matrix.New(k, n)
-	for i := 0; i < k; i++ {
-		for j := i; j < n; j++ {
-			rOut.Set(i, j, r.At(i, j))
-		}
-	}
-	return &QR{Q: q, R: rOut}
 }
 
 // OrthonormalizeColumns returns a matrix with the same column span as a but
@@ -247,14 +181,6 @@ func swapCols(m *matrix.Dense, a, b int) {
 	}
 }
 
-// IndependentRows returns the indices of a maximal set of numerically
-// linearly independent rows of a (in selection order), via pivoted QR on aᵀ.
-// This implements the row-selection step of the paper's §3.3 Case-1 protocol.
-func IndependentRows(a *matrix.Dense, tol float64) []int {
-	pqr := ComputePivotedQR(a.T(), tol)
-	return append([]int(nil), pqr.Perm[:pqr.Rank]...)
-}
-
 // Rank returns the numerical rank of a.
 func Rank(a *matrix.Dense, tol float64) int {
 	m, n := a.Dims()
@@ -283,53 +209,4 @@ func IsOrthonormalColumns(q *matrix.Dense, tol float64) bool {
 		}
 	}
 	return true
-}
-
-// Inverse returns the inverse of a square matrix via Gauss–Jordan with
-// partial pivoting. Returns an error if the matrix is numerically singular.
-func Inverse(a *matrix.Dense) (*matrix.Dense, error) {
-	n, c := a.Dims()
-	if n != c {
-		panic(fmt.Sprintf("linalg: Inverse of non-square %d×%d", n, c))
-	}
-	work := a.Clone()
-	inv := matrix.Identity(n)
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		piv, pivVal := col, math.Abs(work.At(col, col))
-		for i := col + 1; i < n; i++ {
-			if v := math.Abs(work.At(i, col)); v > pivVal {
-				piv, pivVal = i, v
-			}
-		}
-		if pivVal < 1e-300 {
-			return nil, fmt.Errorf("linalg: matrix is singular at column %d", col)
-		}
-		if piv != col {
-			swapRows(work, piv, col)
-			swapRows(inv, piv, col)
-		}
-		d := work.At(col, col)
-		work.ScaleRow(col, 1/d)
-		inv.ScaleRow(col, 1/d)
-		for i := 0; i < n; i++ {
-			if i == col {
-				continue
-			}
-			f := work.At(i, col)
-			if f == 0 {
-				continue
-			}
-			matrix.AxpyVec(work.Row(i), -f, work.Row(col))
-			matrix.AxpyVec(inv.Row(i), -f, inv.Row(col))
-		}
-	}
-	return inv, nil
-}
-
-func swapRows(m *matrix.Dense, a, b int) {
-	ra, rb := m.Row(a), m.Row(b)
-	for i := range ra {
-		ra[i], rb[i] = rb[i], ra[i]
-	}
 }

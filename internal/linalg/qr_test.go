@@ -9,23 +9,37 @@ import (
 	"repro/internal/matrix"
 )
 
+// pivotedReconstructs reports whether Q·R equals a with its columns permuted
+// by Perm (A·P = Q·R).
+func pivotedReconstructs(a *matrix.Dense, pqr *PivotedQR, tol float64) bool {
+	qr := pqr.Q.Mul(pqr.R)
+	for j, orig := range pqr.Perm {
+		for i := 0; i < a.Rows(); i++ {
+			if math.Abs(qr.At(i, j)-a.At(i, orig)) > tol {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func TestQRReconstruct(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for _, dims := range [][2]int{{8, 5}, {5, 8}, {6, 6}, {1, 3}, {10, 1}} {
 		a := randDense(rng, dims[0], dims[1])
-		qr := ComputeQR(a)
-		if !qr.Q.Mul(qr.R).EqualApprox(a, 1e-9) {
-			t.Fatalf("%v: QR reconstruction failed", dims)
+		pqr := ComputePivotedQR(a, 0)
+		if !pivotedReconstructs(a, pqr, 1e-9) {
+			t.Fatalf("%v: A·P != Q·R", dims)
 		}
-		if !IsOrthonormalColumns(qr.Q, 1e-10) {
+		if !IsOrthonormalColumns(pqr.Q, 1e-10) {
 			t.Fatalf("%v: Q not orthonormal", dims)
 		}
 		// R upper triangular.
-		r, c := qr.R.Dims()
+		r, c := pqr.R.Dims()
 		for i := 0; i < r; i++ {
 			for j := 0; j < c && j < i; j++ {
-				if math.Abs(qr.R.At(i, j)) > 1e-12 {
-					t.Fatalf("%v: R(%d,%d) = %v below diagonal", dims, i, j, qr.R.At(i, j))
+				if math.Abs(pqr.R.At(i, j)) > 1e-12 {
+					t.Fatalf("%v: R(%d,%d) = %v below diagonal", dims, i, j, pqr.R.At(i, j))
 				}
 			}
 		}
@@ -35,8 +49,11 @@ func TestQRReconstruct(t *testing.T) {
 func TestQRRankDeficient(t *testing.T) {
 	// Two identical columns.
 	a := matrix.NewFromRows([][]float64{{1, 1, 2}, {2, 2, 0}, {3, 3, 1}})
-	qr := ComputeQR(a)
-	if !qr.Q.Mul(qr.R).EqualApprox(a, 1e-9) {
+	pqr := ComputePivotedQR(a, 1e-9)
+	if pqr.Rank != 2 {
+		t.Fatalf("Rank = %d, want 2", pqr.Rank)
+	}
+	if !pivotedReconstructs(a, pqr, 1e-9) {
 		t.Fatal("rank-deficient QR reconstruction failed")
 	}
 }
@@ -59,46 +76,8 @@ func TestPivotedQRRank(t *testing.T) {
 func TestPivotedQRReconstruct(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	a := randDense(rng, 7, 5)
-	pqr := ComputePivotedQR(a, 0)
-	// Q·R should equal A with columns permuted by Perm.
-	qr := pqr.Q.Mul(pqr.R)
-	for j, orig := range pqr.Perm {
-		for i := 0; i < 7; i++ {
-			if math.Abs(qr.At(i, j)-a.At(i, orig)) > 1e-9 {
-				t.Fatalf("A·P != Q·R at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-func TestIndependentRows(t *testing.T) {
-	// Row 2 = row 0 + row 1; rank 2.
-	a := matrix.NewFromRows([][]float64{
-		{1, 0, 0},
-		{0, 1, 0},
-		{1, 1, 0},
-		{0, 0, 0},
-	})
-	idx := IndependentRows(a, 1e-9)
-	if len(idx) != 2 {
-		t.Fatalf("IndependentRows = %v, want 2 rows", idx)
-	}
-	// The selected rows must span the row space: stacking them must give rank 2.
-	sel := matrix.New(0, 3)
-	for _, i := range idx {
-		sel = sel.AppendRow(a.Row(i))
-	}
-	if Rank(sel, 1e-9) != 2 {
-		t.Fatal("selected rows do not span row space")
-	}
-}
-
-func TestIndependentRowsFullRank(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	a := randDense(rng, 4, 6)
-	idx := IndependentRows(a, 1e-9)
-	if len(idx) != 4 {
-		t.Fatalf("IndependentRows on random 4×6 = %d rows, want 4", len(idx))
+	if !pivotedReconstructs(a, ComputePivotedQR(a, 0), 1e-9) {
+		t.Fatal("A·P != Q·R")
 	}
 }
 
@@ -124,28 +103,6 @@ func TestOrthonormalizeColumns(t *testing.T) {
 	// All-zero input.
 	if OrthonormalizeColumns(matrix.New(4, 2), 0).Cols() != 0 {
 		t.Fatal("zero input should give empty basis")
-	}
-}
-
-func TestInverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	a := randDense(rng, 5, 5)
-	inv, err := Inverse(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Mul(inv).EqualApprox(matrix.Identity(5), 1e-8) {
-		t.Fatal("A·A⁻¹ != I")
-	}
-	if !inv.Mul(a).EqualApprox(matrix.Identity(5), 1e-8) {
-		t.Fatal("A⁻¹·A != I")
-	}
-}
-
-func TestInverseSingular(t *testing.T) {
-	a := matrix.NewFromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := Inverse(a); err == nil {
-		t.Fatal("expected error for singular matrix")
 	}
 }
 
@@ -181,41 +138,13 @@ func TestPseudoInverseRankDeficient(t *testing.T) {
 	}
 }
 
-func TestRowSpaceProjector(t *testing.T) {
-	rng := rand.New(rand.NewSource(28))
-	a := matrixWithSpectrum(rng, 6, 5, []float64{3, 1})
-	p, err := RowSpaceProjector(a, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Projector: P² = P, symmetric, and A·P = A.
-	if !p.Mul(p).EqualApprox(p, 1e-8) {
-		t.Fatal("P² != P")
-	}
-	if !p.EqualApprox(p.T(), 1e-10) {
-		t.Fatal("P not symmetric")
-	}
-	if !a.Mul(p).EqualApprox(a, 1e-8) {
-		t.Fatal("A·P != A")
-	}
-	// §3.3 identity: P == Q⁺Q for Q spanning the row space.
-	pinv, err := PseudoInverse(a, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pinv.Mul(a).EqualApprox(p, 1e-7) {
-		t.Fatal("Q⁺Q != row-space projector")
-	}
-}
-
 // Property: QR factors reconstruct for random shapes.
 func TestPropQR(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m, n := 1+rng.Intn(10), 1+rng.Intn(10)
 		a := randDense(rng, m, n)
-		qr := ComputeQR(a)
-		return qr.Q.Mul(qr.R).EqualApprox(a, 1e-8)
+		return pivotedReconstructs(a, ComputePivotedQR(a, 0), 1e-8)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -278,19 +278,10 @@ func SingularValues(a *matrix.Dense) ([]float64, error) {
 
 // Reconstruct returns U·diag(Sigma)·Vᵀ.
 func (s *SVD) Reconstruct() *matrix.Dense {
-	return s.TruncateReconstruct(len(s.Sigma))
-}
-
-// TruncateReconstruct returns the rank-k reconstruction Σ_{j<k} σ_j u_j v_jᵀ.
-func (s *SVD) TruncateReconstruct(k int) *matrix.Dense {
 	n, _ := s.U.Dims()
 	d, _ := s.V.Dims()
-	if k > len(s.Sigma) {
-		k = len(s.Sigma)
-	}
 	out := matrix.New(n, d)
-	for j := 0; j < k; j++ {
-		sj := s.Sigma[j]
+	for j, sj := range s.Sigma {
 		if sj == 0 {
 			continue
 		}
@@ -340,21 +331,6 @@ func (s *SVD) Rank(tol float64) int {
 		}
 	}
 	return r
-}
-
-// RankK returns the best rank-k approximation [A]_k of a in Frobenius norm
-// (Eckart–Young), computed via the SVD. k <= 0 yields the zero matrix, as in
-// the paper's convention [A]_0 = 0.
-func RankK(a *matrix.Dense, k int) (*matrix.Dense, error) {
-	n, d := a.Dims()
-	if k <= 0 {
-		return matrix.New(n, d), nil
-	}
-	s, err := ComputeSVD(a)
-	if err != nil {
-		return nil, err
-	}
-	return s.TruncateReconstruct(k), nil
 }
 
 // TailEnergy returns ‖A − [A]_k‖F² = Σ_{j>k} σ_j², the quantity the paper's

@@ -160,34 +160,6 @@ func TestAggregatedPreservesGram(t *testing.T) {
 	}
 }
 
-func TestRankK(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	sigma := []float64{10, 5, 1, 0.1}
-	a := matrixWithSpectrum(rng, 8, 6, sigma)
-	ak, err := RankK(a, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Eckart–Young: ‖A − [A]_2‖F² = σ₃² + σ₄².
-	wantErr := 1.0 + 0.01
-	diff := a.Sub(ak).Frob2()
-	if math.Abs(diff-wantErr) > 1e-8 {
-		t.Fatalf("‖A−[A]₂‖F² = %v, want %v", diff, wantErr)
-	}
-	if r := Rank(ak, 1e-9); r != 2 {
-		t.Fatalf("rank([A]₂) = %d", r)
-	}
-	a0, err := RankK(a, 0)
-	if err != nil || a0.Frob2() != 0 {
-		t.Fatal("[A]₀ must be 0")
-	}
-	// k >= rank returns A itself.
-	afull, err := RankK(a, 10)
-	if err != nil || !afull.EqualApprox(a, 1e-8) {
-		t.Fatal("[A]_{≥rank} must equal A")
-	}
-}
-
 func TestTailEnergy(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	sigma := []float64{4, 3, 2, 1}
@@ -237,17 +209,5 @@ func TestPropSVD(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTruncateReconstructBeyondRank(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	a := randDense(rng, 4, 3)
-	s, err := ComputeSVD(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.TruncateReconstruct(99).EqualApprox(a, 1e-9) {
-		t.Fatal("TruncateReconstruct(k>rank) must equal A")
 	}
 }

@@ -147,9 +147,6 @@ func qlImplicit(diag, off []float64) error {
 				diag[i+1] = g + p
 				g = c*r - b
 			}
-			if p == 0 && m-1 >= l {
-				// r == 0 restart handled above.
-			}
 			diag[l] -= p
 			e[l] = g
 			e[m] = 0

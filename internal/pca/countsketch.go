@@ -2,8 +2,6 @@ package pca
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 
 	"repro/internal/matrix"
 )
@@ -90,46 +88,3 @@ func (c *CountSketch) ApplyColumns(a *matrix.Dense) *matrix.Dense {
 	}
 	return out
 }
-
-// GaussianSketch applies a dense m×n Gaussian projection G/√m to the local
-// row block (an alternative embedding for the ablation benchmarks; same
-// linearity property, denser but with tighter constants).
-type GaussianSketch struct {
-	seed int64
-	m    int
-}
-
-// NewGaussianSketch returns the Gaussian embedding with m rows.
-func NewGaussianSketch(seed int64, m int) *GaussianSketch {
-	if m <= 0 {
-		panic(fmt.Sprintf("pca: GaussianSketch with m=%d", m))
-	}
-	return &GaussianSketch{seed: seed, m: m}
-}
-
-// Rows returns the embedding dimension m.
-func (g *GaussianSketch) Rows() int { return g.m }
-
-// ApplyRows computes G·A for the local block at the given global offset.
-// Entry G[t][i] is generated pseudorandomly from (seed, t, i) so all servers
-// agree on G without communication.
-func (g *GaussianSketch) ApplyRows(a *matrix.Dense, globalRowOffset int) *matrix.Dense {
-	n, d := a.Dims()
-	out := matrix.New(g.m, d)
-	scale := 1 / math.Sqrt(float64(g.m))
-	for r := 0; r < n; r++ {
-		gi := globalRowOffset + r
-		rng := newRand(g.seed ^ int64(splitmix64(uint64(gi))))
-		row := a.Row(r)
-		for t := 0; t < g.m; t++ {
-			w := rng.NormFloat64() * scale
-			if w == 0 {
-				continue
-			}
-			matrix.AxpyVec(out.Row(t), w, row)
-		}
-	}
-	return out
-}
-
-func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

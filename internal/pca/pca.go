@@ -73,19 +73,3 @@ func QualityRatio(a, v *matrix.Dense, k int) (float64, error) {
 func SketchPCs(q *matrix.Dense, k int) (*matrix.Dense, error) {
 	return TopKRightSV(q, k)
 }
-
-// ApproxPCs computes (1+epsSolve)-approximate top-k PCs of q by block power
-// iteration, the cheap inexact solver whose output Lemma 8 still accepts:
-// any V with ‖Q−QVVᵀ‖F² ≤ (1+ε)‖Q−[Q]_k‖F² works. iterations <= 0 picks a
-// heuristic count.
-func ApproxPCs(q *matrix.Dense, k, iterations int, seed int64) (*matrix.Dense, error) {
-	if iterations <= 0 {
-		iterations = 30
-	}
-	g := q.Gram()
-	eig, err := linalg.TopKEigSymPower(g, k, linalg.PowerOpts{MaxIter: iterations, Tol: 1e-12, Rng: newRand(seed)})
-	if err != nil {
-		return nil, err
-	}
-	return eig.V, nil
-}

@@ -137,25 +137,6 @@ func TestSketchPCsLemma8(t *testing.T) {
 	}
 }
 
-func TestApproxPCs(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	a := workload.ClusteredGaussians(rng, 200, 12, 3, 15, 0.8)
-	v, err := ApproxPCs(a, 3, 200, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !linalg.IsOrthonormalColumns(v, 1e-7) {
-		t.Fatal("approx PCs not orthonormal")
-	}
-	ratio, err := QualityRatio(a, v, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ratio > 1.1 {
-		t.Fatalf("approx PCs ratio %v", ratio)
-	}
-}
-
 func TestCountSketchLinearity(t *testing.T) {
 	// S·A computed blockwise must equal S·A computed on the whole matrix —
 	// the property that makes the embedding communication-free to split.
@@ -246,25 +227,9 @@ func TestCountSketchColumns(t *testing.T) {
 	}
 }
 
-func TestGaussianSketch(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	a := workload.Gaussian(rng, 40, 6)
-	parts := workload.Split(a, 2, workload.Contiguous, nil)
-	g := NewGaussianSketch(13, 24)
-	whole := g.ApplyRows(a, 0)
-	sum := g.ApplyRows(parts[0], 0).Add(g.ApplyRows(parts[1], parts[0].Rows()))
-	if !sum.EqualApprox(whole, 1e-9) {
-		t.Fatal("Gaussian sketch not linear across row blocks")
-	}
-	if g.Rows() != 24 {
-		t.Fatal("Rows wrong")
-	}
-}
-
 func TestConstructorPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewCountSketch(1, 0) },
-		func() { NewGaussianSketch(1, -1) },
 		func() { TopKRightSV(matrix.New(2, 2), -1) },
 		func() { ProjectionCost(matrix.New(2, 3), matrix.New(2, 1)) },
 	} {

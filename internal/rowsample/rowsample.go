@@ -7,8 +7,7 @@
 // In the distributed model this costs O(s + d/ε²) words: one scalar round to
 // learn the per-server masses, then the coordinator assigns sample counts.
 // The paper uses it as the baseline whose quadratic 1/ε² dependence SVS
-// beats. A one-pass weighted reservoir variant is provided for the
-// streaming servers.
+// beats. Servers sample in one streaming pass (SampleStream).
 //
 // Floating-point edge cases in the estimator are handled explicitly
 // (MultinomialSplit): a cumulative-mass walk can end with run < total after
@@ -40,41 +39,6 @@ func SampleSize(eps float64) int {
 	return int(math.Ceil(1 / (eps * eps)))
 }
 
-// Sample draws m rows of a i.i.d. proportional to squared row norms, with
-// replacement, rescaled so E[BᵀB] = AᵀA.
-func Sample(a *matrix.Dense, m int, rng *rand.Rand) *matrix.Dense {
-	n, d := a.Dims()
-	if m <= 0 {
-		return matrix.New(0, d)
-	}
-	total := a.Frob2()
-	if total == 0 || n == 0 {
-		return matrix.New(0, d)
-	}
-	cum := make([]float64, n)
-	run := 0.0
-	for i := 0; i < n; i++ {
-		run += a.RowNorm2(i) / total
-		cum[i] = run
-	}
-	out := matrix.New(m, d)
-	for t := 0; t < m; t++ {
-		u := rng.Float64()
-		i := searchCum(cum, u)
-		p := a.RowNorm2(i) / total
-		if p == 0 {
-			t-- // zero row drawn by float edge case; redraw
-			continue
-		}
-		w := 1 / math.Sqrt(float64(m)*p)
-		row := out.Row(t)
-		for j, v := range a.Row(i) {
-			row[j] = w * v
-		}
-	}
-	return out
-}
-
 // RowIter delivers one stream row per call, returning false after the last
 // row — the minimal iteration contract, satisfied by the Next method of any
 // workload row source.
@@ -86,9 +50,9 @@ type RowIter func() ([]float64, bool)
 // distributed protocol learns it in the calibration round), and each sampled
 // row is rescaled by 1/√(m·p) against the global probability
 // p = ‖row‖²/globalMass, where m is the global draw count across all
-// servers. It consumes exactly count rng.Float64 draws in slot order — the
-// same sequence Sample consumes — so fixed-seed runs are stable, and it
-// never reads past the row that satisfies the last draw.
+// servers. It consumes exactly count rng.Float64 draws in slot order, so
+// fixed-seed runs are stable, and it never reads past the row that satisfies
+// the last draw.
 //
 // Zero-norm rows receive no probability mass, and a draw that floating-point
 // rounding pushes past the accumulated mass is clamped to the last
@@ -195,140 +159,4 @@ func splitMultinomial(masses []float64, m int, draw func() float64) []int {
 		counts[chosen]++
 	}
 	return counts
-}
-
-func searchCum(cum []float64, u float64) int {
-	lo, hi := 0, len(cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cum[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// Reservoir maintains a one-pass weighted sample of m rows with replacement
-// over a stream, using m independent A-Chao-style reservoirs: each of the m
-// slots independently holds a row chosen with probability proportional to
-// its squared norm among all rows seen. This is the streaming-server form
-// of the baseline.
-type Reservoir struct {
-	d     int
-	m     int
-	rng   *rand.Rand
-	total float64 // Σ ‖row‖² seen
-	rows  *matrix.Dense
-	norm2 []float64 // squared norm of the row currently held by each slot
-	seen  int
-}
-
-// NewReservoir creates a reservoir of m rows over dimension d.
-func NewReservoir(d, m int, rng *rand.Rand) *Reservoir {
-	if d <= 0 || m <= 0 {
-		panic(fmt.Sprintf("rowsample: invalid reservoir d=%d m=%d", d, m))
-	}
-	return &Reservoir{d: d, m: m, rng: rng, rows: matrix.New(m, d), norm2: make([]float64, m)}
-}
-
-// Update offers one row to every slot.
-func (r *Reservoir) Update(row []float64) {
-	if len(row) != r.d {
-		panic(fmt.Sprintf("rowsample: row length %d != d=%d", len(row), r.d))
-	}
-	n2 := matrix.Norm2(row)
-	r.total += n2
-	r.seen++
-	if n2 == 0 || r.total == 0 {
-		return
-	}
-	p := n2 / r.total
-	for t := 0; t < r.m; t++ {
-		if r.rng.Float64() < p {
-			r.rows.SetRow(t, row)
-			r.norm2[t] = n2
-		}
-	}
-}
-
-// Seen returns the number of rows offered.
-func (r *Reservoir) Seen() int { return r.seen }
-
-// TotalMass returns Σ‖row‖² over the stream so far.
-func (r *Reservoir) TotalMass() float64 { return r.total }
-
-// Matrix returns the current rescaled sample: slot t holds its row scaled by
-// 1/√(m·p_t) with p_t = ‖row_t‖²/Σ‖row‖². Empty slots (possible only when
-// the stream had zero mass) are dropped.
-func (r *Reservoir) Matrix() *matrix.Dense {
-	out := matrix.New(0, r.d)
-	if r.total == 0 {
-		return out
-	}
-	for t := 0; t < r.m; t++ {
-		if r.norm2[t] == 0 {
-			continue
-		}
-		p := r.norm2[t] / r.total
-		w := 1 / math.Sqrt(float64(r.m)*p)
-		row := matrix.CopyVec(r.rows.Row(t))
-		matrix.ScaleVec(row, w)
-		out = out.AppendRow(row)
-	}
-	return out
-}
-
-// DistributedSample runs the two-round distributed baseline: the coordinator
-// learns each server's mass ‖A_i‖F² (s words), splits the m global samples
-// multinomially across servers by mass, and each server returns its local
-// rows sampled by squared norm, rescaled against the global mass. The
-// concatenated output has the same distribution as Sample on the full
-// matrix. Returns one sample matrix per server.
-func DistributedSample(parts []*matrix.Dense, m int, rng *rand.Rand) []*matrix.Dense {
-	s := len(parts)
-	masses := make([]float64, s)
-	total := 0.0
-	for i, p := range parts {
-		masses[i] = p.Frob2()
-		total += masses[i]
-	}
-	out := make([]*matrix.Dense, s)
-	if total == 0 {
-		for i := range out {
-			out[i] = matrix.New(0, parts[i].Cols())
-		}
-		return out
-	}
-	counts := MultinomialSplit(masses, m, rng)
-	for i, p := range parts {
-		d := p.Cols()
-		mi := counts[i]
-		local := matrix.New(mi, d)
-		if mi > 0 && masses[i] > 0 {
-			n := p.Rows()
-			cum := make([]float64, n)
-			run := 0.0
-			for r := 0; r < n; r++ {
-				run += p.RowNorm2(r) / masses[i]
-				cum[r] = run
-			}
-			for t := 0; t < mi; t++ {
-				r := searchCum(cum, rng.Float64())
-				pGlobal := p.RowNorm2(r) / total
-				if pGlobal == 0 {
-					t--
-					continue
-				}
-				w := 1 / math.Sqrt(float64(m)*pGlobal)
-				row := local.Row(t)
-				for j, v := range p.Row(r) {
-					row[j] = w * v
-				}
-			}
-		}
-		out[i] = local
-	}
-	return out
 }

@@ -25,13 +25,31 @@ func TestSampleSize(t *testing.T) {
 	SampleSize(0)
 }
 
+// rowsOf iterates over the rows of a.
+func rowsOf(a *matrix.Dense) RowIter {
+	i := 0
+	return func() ([]float64, bool) {
+		if i == a.Rows() {
+			return nil, false
+		}
+		i++
+		return a.Row(i - 1), true
+	}
+}
+
+// sampleAll draws m rows from the whole of a through SampleStream, the way a
+// single server holding all of A would: local mass = global mass, count = m.
+func sampleAll(a *matrix.Dense, m int, rng *rand.Rand) *matrix.Dense {
+	return SampleStream(rowsOf(a), a.Cols(), m, m, a.Frob2(), a.Frob2(), rng)
+}
+
 func TestSampleUnbiased(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := workload.LowRankPlusNoise(rng, 60, 8, 3, 10, 0.8, 0.3)
 	trials, m := 500, 25
 	sum := matrix.New(8, 8)
 	for i := 0; i < trials; i++ {
-		b := Sample(a, m, rng)
+		b := sampleAll(a, m, rng)
 		if b.Rows() != m {
 			t.Fatalf("rows = %d, want %d", b.Rows(), m)
 		}
@@ -56,7 +74,7 @@ func TestSampleErrorBound(t *testing.T) {
 	const trials = 20
 	for i := 0; i < trials; i++ {
 		a := workload.Gaussian(rng, 100, 10)
-		b := Sample(a, m, rng)
+		b := sampleAll(a, m, rng)
 		ce, err := linalg.CovarianceError(a, b)
 		if err != nil {
 			t.Fatal(err)
@@ -72,14 +90,14 @@ func TestSampleErrorBound(t *testing.T) {
 
 func TestSampleDegenerate(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	if b := Sample(matrix.New(5, 4), 3, rng); b.Rows() != 0 {
+	if b := sampleAll(matrix.New(5, 4), 3, rng); b.Rows() != 0 {
 		t.Fatal("zero matrix should yield empty sample")
 	}
-	if b := Sample(matrix.New(0, 4), 3, rng); b.Rows() != 0 {
+	if b := sampleAll(matrix.New(0, 4), 3, rng); b.Rows() != 0 {
 		t.Fatal("empty matrix should yield empty sample")
 	}
 	a := workload.Gaussian(rng, 5, 4)
-	if b := Sample(a, 0, rng); b.Rows() != 0 {
+	if b := sampleAll(a, 0, rng); b.Rows() != 0 {
 		t.Fatal("m=0 should yield empty sample")
 	}
 }
@@ -88,7 +106,7 @@ func TestSampleSkipsZeroRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := matrix.New(4, 3)
 	a.SetRow(1, []float64{1, 2, 3}) // only nonzero row
-	b := Sample(a, 10, rng)
+	b := sampleAll(a, 10, rng)
 	if b.Rows() != 10 {
 		t.Fatalf("rows = %d", b.Rows())
 	}
@@ -101,133 +119,34 @@ func TestSampleSkipsZeroRows(t *testing.T) {
 	}
 }
 
-func TestReservoirMatchesBatchDistribution(t *testing.T) {
-	// The streaming reservoir must give the same error guarantee as batch
-	// sampling: check measured coverr over trials.
+func TestSampleStreamEndsBeforeLastTarget(t *testing.T) {
+	// The caller's localMass is larger than what the stream delivers (mass
+	// rounding between the two passes, or a stream cut short), so the
+	// cumulative walk ends below the largest targets. Those slots are clamped
+	// to the last positive-norm row: every slot is filled, none with zeros.
 	rng := rand.New(rand.NewSource(5))
-	a := workload.Gaussian(rng, 150, 8)
-	m := 30
-	okBatch, okStream := 0, 0
-	const trials = 15
-	for i := 0; i < trials; i++ {
-		batch := Sample(a, m, rng)
-		res := NewReservoir(8, m, rng)
-		for r := 0; r < a.Rows(); r++ {
-			res.Update(a.Row(r))
-		}
-		stream := res.Matrix()
-		ceB, err := linalg.CovarianceError(a, batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ceS, err := linalg.CovarianceError(a, stream)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bound := a.Frob2() / math.Sqrt(float64(m)) * 2.5
-		if ceB <= bound {
-			okBatch++
-		}
-		if ceS <= bound {
-			okStream++
+	a := matrix.NewFromRows([][]float64{{3, 0}, {0, 0}, {0, 4}, {0, 0}}) // mass 25, trailing zero row
+	const count, m = 40, 40
+	b := SampleStream(rowsOf(a), 2, count, m, 100, 100, rng) // walk stops at run = 0.25
+	if b.Rows() != count {
+		t.Fatalf("rows = %d, want %d", b.Rows(), count)
+	}
+	clamped := 0
+	for r := 0; r < count; r++ {
+		switch row := b.Row(r); {
+		case matrix.Norm2(row) == 0:
+			t.Fatalf("slot %d left all-zero", r)
+		case row[0] == 0:
+			// A copy of {0,4}: p = 16/100, so w = 1/√(m·p).
+			if want := 4 / math.Sqrt(m*0.16); math.Abs(row[1]-want) > 1e-12 {
+				t.Fatalf("slot %d = %v, want {0,%v}", r, row, want)
+			}
+			clamped++
 		}
 	}
-	if okBatch < 10 || okStream < 10 {
-		t.Fatalf("batch %d/%d, stream %d/%d within bound", okBatch, trials, okStream, trials)
-	}
-}
-
-func TestReservoirBookkeeping(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	res := NewReservoir(3, 5, rng)
-	res.Update([]float64{1, 0, 0})
-	res.Update([]float64{0, 2, 0})
-	res.Update(make([]float64, 3)) // zero row: counted, not sampled
-	if res.Seen() != 3 {
-		t.Fatalf("Seen = %d", res.Seen())
-	}
-	if res.TotalMass() != 5 {
-		t.Fatalf("TotalMass = %v", res.TotalMass())
-	}
-	if got := res.Matrix(); got.Rows() == 0 || got.Rows() > 5 {
-		t.Fatalf("Matrix rows = %d", got.Rows())
-	}
-}
-
-func TestReservoirEmpty(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	res := NewReservoir(3, 4, rng)
-	if res.Matrix().Rows() != 0 {
-		t.Fatal("empty reservoir must return empty matrix")
-	}
-	res.Update(make([]float64, 3))
-	if res.Matrix().Rows() != 0 {
-		t.Fatal("zero-mass reservoir must return empty matrix")
-	}
-}
-
-func TestReservoirPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewReservoir(0, 3, nil) },
-		func() { NewReservoir(3, 0, nil) },
-		func() { NewReservoir(3, 2, rand.New(rand.NewSource(0))).Update([]float64{1}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestDistributedSampleMatchesGlobal(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	a := workload.Gaussian(rng, 120, 8)
-	parts := workload.Split(a, 4, workload.Skewed, nil)
-	m := 40
-	// Unbiasedness of the concatenated distributed sample.
-	trials := 300
-	sum := matrix.New(8, 8)
-	for i := 0; i < trials; i++ {
-		locals := DistributedSample(parts, m, rng)
-		b := matrix.Stack(locals...)
-		sum = sum.Add(b.Gram())
-	}
-	avg := sum.Scale(1 / float64(trials))
-	norm, err := linalg.SpectralNormSym(avg.Sub(a.Gram()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if norm > 0.15*a.Frob2() {
-		t.Fatalf("distributed sample biased by %v", norm)
-	}
-}
-
-func TestDistributedSampleCounts(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	a := workload.Gaussian(rng, 60, 5)
-	parts := workload.Split(a, 3, workload.Contiguous, nil)
-	locals := DistributedSample(parts, 20, rng)
-	total := 0
-	for _, l := range locals {
-		total += l.Rows()
-	}
-	if total != 20 {
-		t.Fatalf("total sampled rows = %d, want 20", total)
-	}
-}
-
-func TestDistributedSampleZeroMass(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	parts := []*matrix.Dense{matrix.New(4, 3), matrix.New(2, 3)}
-	locals := DistributedSample(parts, 10, rng)
-	for _, l := range locals {
-		if l.Rows() != 0 {
-			t.Fatal("zero-mass input must produce empty samples")
-		}
+	// Targets above 0.25 (about three quarters of them) all land on the clamp row.
+	if clamped < count/2 {
+		t.Fatalf("only %d of %d slots clamped to the last positive row", clamped, count)
 	}
 }
 
@@ -292,34 +211,6 @@ func TestMultinomialSplitDegenerate(t *testing.T) {
 			if c != 0 {
 				t.Fatalf("degenerate input %v m=%d: counts = %v", tc.masses, tc.m, counts)
 			}
-		}
-	}
-}
-
-func TestDistributedSampleNoZeroRows(t *testing.T) {
-	// A server holding only zero mass must contribute no rows, and every
-	// emitted row must carry positive norm — the old split could assign
-	// samples to zero-mass servers, whose output rows stayed all-zero.
-	rng := rand.New(rand.NewSource(13))
-	a := workload.Gaussian(rng, 50, 6)
-	parts := workload.Split(a, 2, workload.Contiguous, nil)
-	parts = append([]*matrix.Dense{matrix.New(5, 6)}, parts...) // zero-mass server first
-	for trial := 0; trial < 30; trial++ {
-		locals := DistributedSample(parts, 25, rng)
-		if locals[0].Rows() != 0 {
-			t.Fatalf("trial %d: zero-mass server sampled %d rows", trial, locals[0].Rows())
-		}
-		total := 0
-		for si, l := range locals {
-			total += l.Rows()
-			for r := 0; r < l.Rows(); r++ {
-				if matrix.Norm2(l.Row(r)) == 0 {
-					t.Fatalf("trial %d: server %d emitted all-zero sampled row %d", trial, si, r)
-				}
-			}
-		}
-		if total != 25 {
-			t.Fatalf("trial %d: %d of 25 samples returned", trial, total)
 		}
 	}
 }

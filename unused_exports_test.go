@@ -1,0 +1,196 @@
+package repro
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// unusedExportsAllowed lists the exported package-level identifiers of
+// internal/* that no non-test file references and that stay anyway.
+var unusedExportsAllowed = []string{
+	// Helpers the tests of live code lean on.
+	"bench.DefaultConfig",
+	"core.ExpectedRows",
+	"core.KeepAll",
+	"linalg.IsOrthonormalColumns",
+	"linalg.Rank",
+	"matrix.Diag",
+	"matrix.SparseFromDenseMatrix",
+	// Reference kernels the blocked kernels are checked against.
+	"matrix.RefMul",
+	"matrix.RefMulT",
+	"matrix.RefMulVec",
+	"matrix.RefTMulVec",
+	// §2.1 lower-bound constructions: their own tests are their only
+	// drivers so far; no experiment runs them.
+	"lowerbound.CheckRectanglePartition",
+	"lowerbound.ColumnSumProtocol",
+	"lowerbound.EnumerateSignMatrices",
+	"lowerbound.ExactGramProtocol",
+	"lowerbound.GlobalParityNonProtocol",
+	"lowerbound.HardInstance",
+	"lowerbound.HardInstanceRows",
+	"lowerbound.HeadlineCosts",
+	"lowerbound.SVSLinearWords",
+	"lowerbound.SketchSizeWords",
+}
+
+// TestNoUnusedInternalExports keeps superseded code from piling up again:
+// every exported package-level identifier of an internal/ package must be
+// referenced by some non-test file outside its own declaration (method
+// receivers do not count), or be named in unusedExportsAllowed.
+func TestNoUnusedInternalExports(t *testing.T) {
+	type decl struct{ from, to token.Pos } // positions are unique across files of one FileSet
+	fset := token.NewFileSet()
+	byDir := map[string][]*ast.File{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != "." {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		byDir[dir] = append(byDir[dir], f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Exported package-level declarations of internal/<pkg>, keyed "pkg.Name".
+	decls := map[string]decl{}
+	for dir, files := range byDir {
+		if filepath.Dir(dir) != "internal" {
+			continue
+		}
+		pkg := filepath.Base(dir)
+		add := func(id *ast.Ident, n ast.Node) {
+			if id.IsExported() {
+				decls[pkg+"."+id.Name] = decl{n.Pos(), n.End()}
+			}
+		}
+		for _, f := range files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						add(d.Name, d)
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							add(s.Name, s)
+						case *ast.ValueSpec:
+							for _, id := range s.Names {
+								add(id, s)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	used := map[string]bool{}
+	for dir, files := range byDir {
+		own := ""
+		if filepath.Dir(dir) == "internal" {
+			own = filepath.Base(dir)
+		}
+		for _, f := range files {
+			// Local import name → internal package it stands for.
+			imports := map[string]string{}
+			for _, im := range f.Imports {
+				p, _ := strconv.Unquote(im.Path.Value)
+				if !strings.HasPrefix(p, "repro/internal/") {
+					continue
+				}
+				pkg := strings.TrimPrefix(p, "repro/internal/")
+				name := pkg
+				if im.Name != nil {
+					name = im.Name.Name
+				}
+				imports[name] = pkg
+			}
+			// Identifiers that never name a package-level declaration of this
+			// package: method receivers and names, field and parameter names,
+			// composite-literal keys, the right side of a selector.
+			skip := map[*ast.Ident]bool{}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					if n.Recv != nil {
+						skip[n.Name] = true
+						ast.Inspect(n.Recv, func(r ast.Node) bool {
+							if id, ok := r.(*ast.Ident); ok {
+								skip[id] = true
+							}
+							return true
+						})
+					}
+				case *ast.Field:
+					for _, id := range n.Names {
+						skip[id] = true
+					}
+				case *ast.CompositeLit:
+					for _, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								skip[id] = true
+							}
+						}
+					}
+				case *ast.SelectorExpr:
+					skip[n.Sel] = true
+					if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+						used[imports[x.Name]+"."+n.Sel.Name] = true
+					}
+				case *ast.Ident:
+					// Inside the declaring package a bare identifier is a use,
+					// unless it sits in the declaration itself.
+					key := own + "." + n.Name
+					if d, ok := decls[key]; ok && !skip[n] && !(d.from <= n.Pos() && n.Pos() < d.to) {
+						used[key] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	allowed := map[string]bool{}
+	for _, name := range unusedExportsAllowed {
+		allowed[name] = true
+	}
+	var diff []string
+	for name := range decls {
+		if !used[name] && !allowed[name] {
+			diff = append(diff, "+ "+name+"   (exported, referenced by no non-test file: delete it, unexport it, or allow it)")
+		}
+	}
+	for name := range allowed {
+		if _, ok := decls[name]; !ok || used[name] {
+			diff = append(diff, "- "+name+"   (allowed as unused, but it is gone or has a caller now: drop it from the list)")
+		}
+	}
+	if len(diff) > 0 {
+		sort.Strings(diff)
+		t.Fatalf("unused exported identifiers under internal/ differ from unusedExportsAllowed:\n%s", strings.Join(diff, "\n"))
+	}
+}
