@@ -27,10 +27,12 @@
 //   - monitoring        — continuous tracking in the [17] model (§1.5
 //     open question), with SVS-compressed deltas
 //   - workload          — synthetic matrix generators and partitioners
-//   - bench             — the experiment harness behind bench_test.go and
-//     cmd/sketchbench
+//   - bench             — the paper-reproduction harness: one table of
+//     experiments (bench.Experiments) recording words, error and
+//     certificates, never time; cmd/sketchbench prints it and
+//     BenchmarkExperiments in bench_test.go runs it
 //
-// The benchmarks in bench_test.go regenerate every table and figure of the
-// paper's evaluation; see DESIGN.md for the experiment index and
-// EXPERIMENTS.md for paper-vs-measured results.
+// See DESIGN.md for the experiment index and EXPERIMENTS.md for
+// paper-vs-measured results; the reference benchmark in benchmark/ is the
+// one place that measures how fast anything runs.
 package repro

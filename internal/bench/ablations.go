@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/distributed"
@@ -114,7 +113,7 @@ func FinalCompressAblation(cfg Config) ([]Row, error) {
 }
 
 // BufferFactorAblation is ablation A3: FD shrink-schedule buffer size vs
-// wall-clock, at identical guarantees.
+// the number of shrinks (one SVD each), at identical guarantees.
 func BufferFactorAblation(cfg Config) ([]Row, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	a := workload.LowRankPlusNoise(rng, cfg.N, cfg.D, cfg.K, 100, 0.8, 0.2)
@@ -129,7 +128,6 @@ func BufferFactorAblation(cfg Config) ([]Row, error) {
 		{"2ℓ (default)", 2 * ell},
 		{"4ℓ", 4 * ell},
 	} {
-		start := time.Now()
 		s := fd.New(cfg.D, ell, fd.Options{BufferRows: factor.rows})
 		if err := s.UpdateMatrix(a); err != nil {
 			return nil, err
@@ -138,12 +136,11 @@ func BufferFactorAblation(cfg Config) ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		elapsed := time.Since(start)
 		r, err := covRow("A3", "FD buffer "+factor.name, cfg, a, b, 0, 0, cfg.Eps, cfg.K)
 		if err != nil {
 			return nil, err
 		}
-		r.Note = fmt.Sprintf("%v, %d shrinks", elapsed.Round(time.Millisecond), s.Shrinks())
+		r.Note = fmt.Sprintf("%d shrinks", s.Shrinks())
 		rows = append(rows, r)
 	}
 	return rows, nil
@@ -151,15 +148,15 @@ func BufferFactorAblation(cfg Config) ([]Row, error) {
 
 // SparseInputAblation is ablation A5: the FD update path on sparse streams
 // of varying density — dense Update vs nnz-proportional UpdateSparse into
-// the same sketch. Reports wall-clock and measured error for each.
+// the same sketch, which must land on the same measured error.
 func SparseInputAblation(cfg Config, density float64) ([]Row, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	sp := workload.SparseRandom(rng, cfg.N, cfg.D, density)
 	dense := sp.ToDense()
 	ell := fd.SketchSize(cfg.Eps, 0)
+	note := fmt.Sprintf("density %.2f, nnz %d", density, sp.NNZ())
 	var rows []Row
 	for _, sparse := range []bool{false, true} {
-		start := time.Now()
 		s := fd.New(cfg.D, ell, fd.Options{})
 		name := "dense"
 		var err error
@@ -176,12 +173,11 @@ func SparseInputAblation(cfg Config, density float64) ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		elapsed := time.Since(start)
 		r, err := covRow("A5", "FD "+name+"+jacobi", cfg, dense, b, 0, 0, cfg.Eps, 0)
 		if err != nil {
 			return nil, err
 		}
-		r.Note = fmt.Sprintf("%v, density %.2f, nnz %d", elapsed.Round(time.Millisecond), density, sp.NNZ())
+		r.Note = note
 		rows = append(rows, r)
 	}
 	// The same regime through the distributed protocol: each server streams
@@ -192,17 +188,15 @@ func SparseInputAblation(cfg Config, density float64) ([]Row, error) {
 	for i, p := range spParts {
 		sources[i] = workload.NewSparseSource(p)
 	}
-	start := time.Now()
 	res, err := distributed.RunSources(context.Background(),
 		distributed.FDMerge{Eps: cfg.Eps}, sources, distributed.WithSeed(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}
-	elapsed := time.Since(start)
 	r, err := covRow("A5", "FD sparse distributed", cfg, dense, res.Sketch, res.Words, 0, cfg.Eps, 0)
 	if err != nil {
 		return nil, err
 	}
-	r.Note = fmt.Sprintf("%v, density %.2f, nnz %d", elapsed.Round(time.Millisecond), density, sp.NNZ())
+	r.Note = note
 	return append(rows, r), nil
 }

@@ -1,8 +1,14 @@
-// Package bench implements the experiment harness that regenerates every
-// table and figure of the paper (see DESIGN.md's experiment index). Each
-// experiment returns structured rows; cmd/sketchbench prints them and the
-// root-level bench_test.go wraps them in testing.B benchmarks so
-// `go test -bench=.` reproduces the whole evaluation.
+// Package bench is the paper-reproduction harness: it regenerates every
+// table and figure of the paper (see DESIGN.md's experiment index).
+// Experiments, in table.go, is the one list of experiments; cmd/sketchbench
+// prints it through Write, the root-level BenchmarkExperiments runs it entry
+// by entry, and the committed outputs (results_default.txt, testdata/
+// golden_small.txt) are Write's output at two configurations.
+//
+// The harness answers the paper's question — how many words, at what
+// error — and records words, errors, certificates and shrink/upload counts.
+// It reads no clock (a test enforces it), so its output is a function of the
+// Config alone. How fast anything runs is measured by benchmark/.
 //
 // "Theory" columns are the paper's formulas with unit constants
 // (internal/lowerbound); "measured" columns are words counted at the
@@ -15,21 +21,18 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/distributed"
-	"repro/internal/fd"
 	"repro/internal/linalg"
 	"repro/internal/lowerbound"
 	"repro/internal/matrix"
-	"repro/internal/parallel"
 	"repro/internal/pca"
 	"repro/internal/workload"
 )
 
-// Config fixes the workload for a table run.
+// Config fixes the workload for a run of the harness.
 type Config struct {
 	Seed int64
 	N    int     // global rows
@@ -37,46 +40,27 @@ type Config struct {
 	S    int     // servers
 	K    int     // rank parameter
 	Eps  float64 // accuracy
-	// Parallel sets the compute worker pool width for the run's kernels
-	// (0 leaves the process-wide pool untouched, i.e. GOMAXPROCS).
-	// Parallelism never changes measured communication words.
-	Parallel int
-	// Shrink names the FD shrink strategy the FD-based experiments run
-	// under ("" = fast-fd, the default; see fd.ParseStrategy for the
-	// accepted names). Strategy choice never changes measured words.
-	Shrink string `json:",omitempty"`
-	// Alpha parameterizes the alpha-fd strategy (0 = the 0.5 default).
-	Alpha float64 `json:",omitempty"`
-}
-
-// shrinkStrategy resolves the config's strategy name (nil when the default
-// is in effect, so downstream Options/Config values stay zero).
-func (c Config) shrinkStrategy() (fd.ShrinkStrategy, error) {
-	if c.Shrink == "" {
-		return nil, nil
-	}
-	return fd.ParseStrategy(c.Shrink, c.alphaOrDefault())
-}
-
-// alphaOrDefault is the α used when the config selects alpha-fd.
-func (c Config) alphaOrDefault() float64 {
-	if c.Alpha > 0 {
-		return c.Alpha
-	}
-	return 0.5
-}
-
-// applyParallel installs the config's pool width, if any; every experiment
-// entry point calls it so the knob threads uniformly through the harness.
-func (c Config) applyParallel() {
-	if c.Parallel > 0 {
-		parallel.SetWorkers(c.Parallel)
-	}
 }
 
 // DefaultConfig returns the workload used by the headline tables.
 func DefaultConfig() Config {
 	return Config{Seed: 1, N: 1 << 13, D: 64, S: 16, K: 5, Eps: 0.1}
+}
+
+// validate rejects the configs the experiments cannot run, so a bad flag
+// comes back as one error instead of a panic deep inside a protocol.
+func (c Config) validate() error {
+	switch {
+	case !(c.Eps > 0 && c.Eps < 1):
+		return fmt.Errorf("bench: eps %g out of (0,1)", c.Eps)
+	case c.N < 1 || c.D < 1:
+		return fmt.Errorf("bench: need n >= 1 and d >= 1, got n=%d d=%d", c.N, c.D)
+	case c.S < 1 || c.S > c.N:
+		return fmt.Errorf("bench: s=%d out of [1, n=%d]", c.S, c.N)
+	case c.K < 0:
+		return fmt.Errorf("bench: k=%d is negative", c.K)
+	}
+	return nil
 }
 
 // Row is one algorithm's measured outcome on one configuration.
@@ -91,26 +75,6 @@ type Row struct {
 	Budget     float64 // error budget the guarantee promises
 	OK         bool    // guarantee satisfied
 	Note       string
-	// ElapsedMS and Throughput carry the timing axis of the experiments
-	// whose point is an error-vs-time frontier (S1); zero elsewhere.
-	ElapsedMS  float64 `json:",omitempty"` // wall-clock of the measured stage
-	Throughput float64 `json:",omitempty"` // ingested rows per second
-}
-
-// FormatRows renders rows as an aligned text table.
-func FormatRows(rows []Row) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-26s %5s %5s %3s %6s %14s %14s %12s %12s %3s %s\n",
-		"algorithm", "s", "d", "k", "eps", "words", "theory", "error", "budget", "ok", "note")
-	for _, r := range rows {
-		ok := "no"
-		if r.OK {
-			ok = "yes"
-		}
-		fmt.Fprintf(&b, "%-26s %5d %5d %3d %6.3f %14.1f %14.1f %12.4g %12.4g %3s %s\n",
-			r.Algorithm, r.S, r.D, r.K, r.Eps, r.Words, r.TheoryW, r.CovErr, r.Budget, ok, r.Note)
-	}
-	return b.String()
 }
 
 func makeLowRank(cfg Config) (*matrix.Dense, []*matrix.Dense) {
@@ -142,11 +106,6 @@ func covRow(exp, algo string, cfg Config, a, sketch *matrix.Dense, words, theory
 // guarantee checks for both error regimes, all four algorithm rows plus the
 // deterministic lower bound.
 func Table1(cfg Config) ([]Row, error) {
-	cfg.applyParallel()
-	st, err := cfg.shrinkStrategy()
-	if err != nil {
-		return nil, err
-	}
 	a, parts := makeLowRank(cfg)
 	p := lowerbound.Params{S: cfg.S, D: cfg.D, K: 0, Eps: cfg.Eps, Delta: 0.1}
 	pk := lowerbound.Params{S: cfg.S, D: cfg.D, K: cfg.K, Eps: cfg.Eps, Delta: 0.1}
@@ -154,7 +113,7 @@ func Table1(cfg Config) ([]Row, error) {
 
 	// --- (ε,0) column: error budget ε‖A‖F². ---
 	ctx := context.Background()
-	det, err := distributed.Run(ctx, distributed.FDMerge{Eps: cfg.Eps}, parts, distributed.WithSeed(cfg.Seed), distributed.WithShrink(st))
+	det, err := distributed.Run(ctx, distributed.FDMerge{Eps: cfg.Eps}, parts, distributed.WithSeed(cfg.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("T1.1: %w", err)
 	}
@@ -187,7 +146,7 @@ func Table1(cfg Config) ([]Row, error) {
 	rows = append(rows, r)
 
 	// --- (ε,k) column: error budget ε‖A−[A]_k‖F²/k. ---
-	detK, err := distributed.Run(ctx, distributed.FDMerge{Eps: cfg.Eps, K: cfg.K}, parts, distributed.WithSeed(cfg.Seed), distributed.WithShrink(st))
+	detK, err := distributed.Run(ctx, distributed.FDMerge{Eps: cfg.Eps, K: cfg.K}, parts, distributed.WithSeed(cfg.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("T1.1k: %w", err)
 	}
@@ -221,7 +180,9 @@ func Table1(cfg Config) ([]Row, error) {
 // quality ratio for the [5]-substitute baseline, the Theorem 9 algorithms,
 // and the FD-merge PCA baseline.
 func Table2(cfg Config) ([]Row, error) {
-	cfg.applyParallel()
+	if cfg.K < 1 {
+		return nil, fmt.Errorf("T2: PCA needs k >= 1, got %d", cfg.K)
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	a := workload.ClusteredGaussians(rng, cfg.N, cfg.D, cfg.K, 40, 1.0)
 	parts := workload.Split(a, cfg.S, workload.Contiguous, nil)

@@ -159,7 +159,7 @@ func TestBitComplexityRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
+	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {
@@ -167,19 +167,27 @@ func TestBitComplexityRows(t *testing.T) {
 			t.Errorf("%s: guarantee violated (err %v, budget %v)", r.Algorithm, r.CovErr, r.Budget)
 		}
 	}
+	plain, f32, quant, exact := rows[0], rows[1], rows[2], rows[3]
+	// The float32 wire halves the words exactly and says what it charged.
+	if f32.Words != plain.Words/2 {
+		t.Fatalf("float32 words %v, want exactly half of %v", f32.Words, plain.Words)
+	}
+	if f32.Budget <= plain.Budget || !strings.Contains(f32.Note, "certificate charge") {
+		t.Errorf("float32 budget %v over %v, note %q: the explicit charge is missing", f32.Budget, plain.Budget, f32.Note)
+	}
 	// Quantized must be cheaper than plain in words.
-	if rows[1].Words >= rows[0].Words {
-		t.Fatalf("quantized %v not below plain %v", rows[1].Words, rows[0].Words)
+	if quant.Words >= plain.Words {
+		t.Fatalf("quantized %v not below plain %v", quant.Words, plain.Words)
 	}
 	// Case-1 protocol: exact answer (error ≈ 0, far below the ε budget)
 	// within its O(s·(2kd + 4k²)) word budget.
 	cfg := smallConfig()
 	exactBudget := float64(cfg.S * (2*cfg.K*cfg.D + 4*cfg.K*cfg.K))
-	if rows[2].Words > exactBudget {
-		t.Fatalf("case-1 exact %v above its word budget %v", rows[2].Words, exactBudget)
+	if exact.Words > exactBudget {
+		t.Fatalf("case-1 exact %v above its word budget %v", exact.Words, exactBudget)
 	}
-	if rows[2].CovErr > 1e-6*rows[2].Budget {
-		t.Fatalf("case-1 exact error %v not ≈ 0", rows[2].CovErr)
+	if exact.CovErr > 1e-6*exact.Budget {
+		t.Fatalf("case-1 exact error %v not ≈ 0", exact.CovErr)
 	}
 }
 

@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 
@@ -242,10 +243,14 @@ func SamplingFunctionAblation(ds []int, s int, eps float64, seed int64) ([]Serie
 	return []Series{lin, quad, errLin, errQuad}, nil
 }
 
-// BitComplexity is experiment F6: bits shipped with and without the §3.3
-// quantization, plus the Case-1 exact protocol on a rank-bounded integer
-// input.
+// BitComplexity is experiment F6: bits shipped on the float64 wire, on the
+// float32 wire (exactly half the words, paid for by an explicit certificate
+// charge) and under the §3.3 quantization, plus the Case-1 exact protocol on
+// a rank-bounded integer input.
 func BitComplexity(cfg Config) ([]Row, error) {
+	if 2*cfg.K > min(cfg.N, cfg.D) {
+		return nil, fmt.Errorf("F6: the rank-2k input needs 2k <= min(n, d), got k=%d n=%d d=%d", cfg.K, cfg.N, cfg.D)
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	a := workload.ExactRank(rng, cfg.N, cfg.D, 2*cfg.K, 8)
 	parts := workload.Split(a, cfg.S, workload.Contiguous, nil)
@@ -261,6 +266,23 @@ func BitComplexity(cfg Config) ([]Row, error) {
 	}
 	r.Note = fmt.Sprintf("%d bits", plain.Bits)
 	rows = append(rows, r)
+
+	f32, err := distributed.Run(context.Background(), distributed.FDMerge{Eps: cfg.Eps, K: cfg.K}, parts, distributed.WithSeed(cfg.Seed), distributed.WithWirePrecision(comm.Float32))
+	if err != nil {
+		return nil, err
+	}
+	r32, err := covRow("F6", "FD-merge float32", cfg, a, f32.Sketch, f32.Words, 0, cfg.Eps, cfg.K)
+	if err != nil {
+		return nil, err
+	}
+	// The certificate delta charged for s float32-rounded uplink sketches of
+	// ℓ rows each: the §3.3 round-trip bound at the float32 relative step.
+	ell := f32.Sketch.Rows()
+	charge := float64(cfg.S) * comm.Float32RoundTripError(ell, cfg.D, math.Sqrt(a.Frob2()))
+	r32.Budget += charge
+	r32.OK = f32.Words == plain.Words/2 && r32.CovErr <= r.CovErr+charge && r32.CovErr <= r32.Budget
+	r32.Note = fmt.Sprintf("%d bits; certificate charge +%.3g = s·Float32RoundTripError(%d,%d,‖A‖F)", f32.Bits, charge, ell, cfg.D)
+	rows = append(rows, r32)
 
 	step := comm.StepFor(cfg.N, cfg.D, cfg.Eps)
 	quant, err := distributed.Run(context.Background(), distributed.FDMerge{Eps: cfg.Eps, K: cfg.K}, parts, distributed.WithSeed(cfg.Seed), distributed.WithQuantization(step))
@@ -423,6 +445,9 @@ func Mergeability(cfg Config, partitions int) ([]Series, error) {
 // as a function of the number of rounds, against the one-shot solvers'
 // fixed costs.
 func PowerIterationCurve(cfg Config, roundCounts []int) ([]Series, error) {
+	if cfg.K < 1 || cfg.K > cfg.D {
+		return nil, fmt.Errorf("P1: PCA needs 1 <= k <= d, got k=%d d=%d", cfg.K, cfg.D)
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	a := workload.ClusteredGaussians(rng, cfg.N, cfg.D, cfg.K, 40, 1.0)
 	parts := workload.Split(a, cfg.S, workload.Contiguous, nil)

@@ -2,91 +2,37 @@ package bench
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
-	"time"
-
-	"repro/internal/obs"
-	"repro/internal/parallel"
+	"unicode/utf8"
 )
 
-// Baseline captures one harness run for committing as a regression baseline
-// (e.g. BENCH_PR2.json): the workload config, the compute pool width, and
-// per-experiment wall-clock plus measured rows. Words are exact and must not
-// move across parallelism changes; wall-clock is machine-dependent context.
-type Baseline struct {
-	Config      Config               `json:"config"`
-	GoMaxProcs  int                  `json:"gomaxprocs"`
-	PoolWorkers int                  `json:"pool_workers"`
-	Experiments []BaselineExperiment `json:"experiments"`
-}
-
-// BaselineExperiment is one experiment's timing and rows inside a Baseline.
-type BaselineExperiment struct {
-	Name      string       `json:"name"`
-	ElapsedMS float64      `json:"elapsed_ms"`
-	Rows      []Row        `json:"rows"`
-	Comm      BaselineComm `json:"comm"`
-}
-
-// BaselineComm is the observability layer's view of one experiment: exact
-// communication totals plus kernel activity, captured by an observer scoped
-// to the experiment. Bits/messages/rounds are deterministic for a fixed
-// config and must not move across parallelism changes.
-type BaselineComm struct {
-	Bits           int64 `json:"bits"`
-	Messages       int64 `json:"messages"`
-	Rounds         int64 `json:"rounds"`
-	FDShrinks      int64 `json:"fd_shrinks"`
-	SVSSampledRows int64 `json:"svs_sampled_rows"`
-	PoolForCalls   int64 `json:"pool_for_calls"`
-}
-
-// CollectBaseline runs the named experiments under cfg — run(i) produces the
-// rows of names[i] — timing each and scoping a fresh observer to it, so the
-// baseline records each experiment's exact communication and kernel
-// activity; the caller's default observer is restored afterwards.
-func CollectBaseline(cfg Config, names []string, run func(i int) ([]Row, error)) (*Baseline, error) {
-	cfg.applyParallel()
-	b := &Baseline{Config: cfg, GoMaxProcs: runtime.GOMAXPROCS(0), PoolWorkers: parallel.Workers()}
-	prev := obs.Default()
-	defer obs.SetDefault(prev)
-	for i, name := range names {
-		reg := obs.NewRegistry()
-		obs.SetDefault(obs.NewObserver(reg, nil))
-		start := time.Now()
-		rows, err := run(i)
-		if err != nil {
-			return nil, fmt.Errorf("baseline %s: %w", name, err)
+// FormatRows renders rows as an aligned text table. The algorithm and k
+// columns are as wide as their longest entry, so one long name or a
+// four-digit k cannot push the later columns of its row out of line.
+func FormatRows(rows []Row) string {
+	wAlgo, wK := len("algorithm"), len("k")
+	for _, r := range rows {
+		wAlgo = max(wAlgo, utf8.RuneCountInString(r.Algorithm))
+		wK = max(wK, len(strconv.Itoa(r.K)))
+	}
+	var b strings.Builder
+	line := func(format string, args ...any) {
+		b.WriteString(strings.TrimRight(fmt.Sprintf(format, args...), " "))
+		b.WriteByte('\n')
+	}
+	line("%-*s %5s %5s %*s %6s %14s %14s %12s %12s %3s %s",
+		wAlgo, "algorithm", "s", "d", wK, "k", "eps", "words", "theory", "error", "budget", "ok", "note")
+	for _, r := range rows {
+		ok := "no"
+		if r.OK {
+			ok = "yes"
 		}
-		snap := reg.Snapshot()
-		b.Experiments = append(b.Experiments, BaselineExperiment{
-			Name:      name,
-			ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
-			Rows:      rows,
-			Comm: BaselineComm{
-				Bits:           snap.Counters["comm.bits_total"],
-				Messages:       snap.Counters["comm.messages_total"],
-				Rounds:         snap.Counters["comm.rounds_total"],
-				FDShrinks:      snap.Counters["fd.shrinks"],
-				SVSSampledRows: snap.Counters["svs.sampled_rows"],
-				PoolForCalls:   snap.Counters["pool.for_calls"],
-			},
-		})
+		line("%-*s %5d %5d %*d %6.3f %14.1f %14.1f %12.4g %12.4g %3s %s",
+			wAlgo, r.Algorithm, r.S, r.D, wK, r.K, r.Eps, r.Words, r.TheoryW, r.CovErr, r.Budget, ok, r.Note)
 	}
-	return b, nil
-}
-
-// JSON renders the baseline with stable indentation for committing.
-func (b *Baseline) JSON() ([]byte, error) {
-	out, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
+	return b.String()
 }
 
 // RowsCSV renders rows as CSV with a header, for piping into plotting

@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/distributed"
 	"repro/internal/fd"
@@ -11,25 +10,24 @@ import (
 	"repro/internal/lowerbound"
 )
 
-// ShrinkFrontier is the S1 experiment: the error-vs-throughput frontier of
-// the pluggable FD shrink strategies. Every shipped strategy — vanilla fd,
-// fast-fd, isvd, alpha-fd(α), compensative — ingests the same low-rank
-// workload single-node at three sketch sizes (ε·2, ε, ε/2), producing one
-// curve per strategy: measured covariance error against ingest throughput,
-// with the sketch's own a-posteriori certificate (ErrorBound) as the budget
-// column and OK recording that the certificate held. The headline point of
-// the frontier is the vanilla-vs-fast-fd pair: same certificate family,
-// one SVD per row versus one SVD per ℓ rows.
+// ShrinkFrontier is the S1 experiment: the error frontier of the pluggable
+// FD shrink strategies. Every shipped strategy — vanilla fd, fast-fd, isvd,
+// alpha-fd(0.5), compensative — ingests the same low-rank workload
+// single-node at three sketch sizes (ε·2, ε, ε/2), producing one curve per
+// strategy: measured covariance error against the work the schedule costs
+// (buffer rows held, shrinks = SVDs performed), with the sketch's own
+// a-posteriori certificate (ErrorBound) as the budget column and OK
+// recording that the certificate held. The headline point of the frontier
+// is the vanilla-vs-fast-fd pair: same certificate family, one SVD per row
+// versus one SVD per ℓ rows. A sweep point whose ε reaches 1 has no sketch
+// size and is recorded as a note row.
 //
 // The three mergeable strategies additionally run a distributed fd-merge leg
 // at the config's ε (nonzero Words; certificate from the a-priori (ε,k)
 // budget, as in Table 1). The non-mergeable strategies have no distributed
 // leg by construction — fd-merge rejects them — which the frontier records
 // as a note row rather than silently omitting.
-//
-// cfg.Shrink is ignored: S1's point is to sweep every strategy.
 func ShrinkFrontier(cfg Config) ([]Row, error) {
-	cfg.applyParallel()
 	a, parts := makeLowRank(cfg)
 	frob2 := a.Frob2()
 
@@ -37,7 +35,7 @@ func ShrinkFrontier(cfg Config) ([]Row, error) {
 		fd.Vanilla,
 		fd.FastFD,
 		fd.ISVD,
-		fd.AlphaFD(cfg.alphaOrDefault()),
+		fd.AlphaFD(0.5),
 		fd.Compensative,
 	}
 
@@ -46,9 +44,17 @@ func ShrinkFrontier(cfg Config) ([]Row, error) {
 	for _, st := range strategies {
 		for _, mult := range []float64{2, 1, 0.5} {
 			eps := cfg.Eps * mult
+			row := Row{
+				Experiment: "S1", Algorithm: "shrink=" + st.Name(),
+				S: 1, D: cfg.D, K: cfg.K, Eps: eps,
+			}
+			if eps >= 1 {
+				row.OK, row.Note = true, "skipped: eps out of (0,1)"
+				rows = append(rows, row)
+				continue
+			}
 			ell := fd.SketchSize(eps, cfg.K)
 			sk := fd.New(cfg.D, ell, fd.Options{Strategy: st})
-			start := time.Now()
 			if err := sk.UpdateMatrix(a); err != nil {
 				return nil, fmt.Errorf("S1 %s eps=%g: %w", st.Name(), eps, err)
 			}
@@ -56,29 +62,19 @@ func ShrinkFrontier(cfg Config) ([]Row, error) {
 			if err != nil {
 				return nil, fmt.Errorf("S1 %s eps=%g: %w", st.Name(), eps, err)
 			}
-			elapsed := time.Since(start)
-			ce, err := linalg.CovarianceError(a, b)
+			row.CovErr, err = linalg.CovarianceError(a, b)
 			if err != nil {
 				return nil, fmt.Errorf("S1 %s eps=%g: %w", st.Name(), eps, err)
 			}
-			cert := sk.ErrorBound()
-			secs := elapsed.Seconds()
-			thr := float64(cfg.N) / secs
-			rows = append(rows, Row{
-				Experiment: "S1", Algorithm: "shrink=" + st.Name(),
-				S: 1, D: cfg.D, K: cfg.K, Eps: eps,
-				CovErr: ce,
-				Budget: cert,
-				// The certificate holds in exact arithmetic; the floor absorbs
-				// SVD roundoff accumulated over the shrink schedule (observed
-				// ~1e-12·‖A‖F² per thousand shrinks), which matters only in
-				// the rank-deficient regime where the certificate is 0.
-				OK:         ce <= cert*(1+1e-9)+1e-10*frob2,
-				ElapsedMS:  float64(elapsed.Microseconds()) / 1000,
-				Throughput: thr,
-				Note: fmt.Sprintf("ell=%d buffer=%d shrinks=%d elapsed=%.1fms thr=%.0frows/s cert=a-posteriori",
-					ell, sk.WorkingSpaceRows(), sk.Shrinks(), float64(elapsed.Microseconds())/1000, thr),
-			})
+			row.Budget = sk.ErrorBound()
+			// The certificate holds in exact arithmetic; the floor absorbs
+			// SVD roundoff accumulated over the shrink schedule (observed
+			// ~1e-12·‖A‖F² per thousand shrinks), which matters only in
+			// the rank-deficient regime where the certificate is 0.
+			row.OK = row.CovErr <= row.Budget*(1+1e-9)+1e-10*frob2
+			row.Note = fmt.Sprintf("ell=%d buffer=%d shrinks=%d cert=a-posteriori",
+				ell, sk.WorkingSpaceRows(), sk.Shrinks())
+			rows = append(rows, row)
 		}
 	}
 
@@ -97,18 +93,14 @@ func ShrinkFrontier(cfg Config) ([]Row, error) {
 			})
 			continue
 		}
-		start := time.Now()
 		res, err := distributed.Run(ctx, distributed.FDMerge{Eps: cfg.Eps, K: cfg.K}, parts, distributed.WithSeed(cfg.Seed), distributed.WithShrink(st))
 		if err != nil {
 			return nil, fmt.Errorf("S1 fd-merge %s: %w", st.Name(), err)
 		}
-		elapsed := time.Since(start)
 		r, err := covRow("S1", "fd-merge shrink="+st.Name(), cfg, a, res.Sketch, res.Words, lowerbound.FDMergeWords(p), cfg.Eps, cfg.K)
 		if err != nil {
 			return nil, err
 		}
-		r.ElapsedMS = float64(elapsed.Microseconds()) / 1000
-		r.Throughput = float64(cfg.N) / elapsed.Seconds()
 		r.Note = "cert=a-priori (ε,k)"
 		rows = append(rows, r)
 	}

@@ -35,7 +35,6 @@ import (
 // cfg.D is d_A; d_B = max(2, d_A/2) keeps the product rectangular so block
 // extraction bugs cannot hide. cfg.Eps parameterizes the SVS sweep.
 func ProductFrontier(cfg Config) ([]Row, error) {
-	cfg.applyParallel()
 	ctx := context.Background()
 	n, dA, s := cfg.N, cfg.D, cfg.S
 	dB := dA / 2
@@ -202,15 +201,17 @@ func (c *labelSource) Err() error {
 }
 
 // productSampleSweep picks the coord-product sample sizes for n global rows:
-// four points spanning the decades up to the regime where the sample covers
-// every nonzero row (at low density most rows are all-zero, so the largest
-// point goes exact while its words stay nnz-proportional), capped below n.
+// up to four points spanning the decades up to the regime where the sample
+// covers every nonzero row (at low density most rows are all-zero, so the
+// largest point goes exact while its words stay nnz-proportional), the last
+// one capped below n.
 func productSampleSweep(n int) []int {
-	sw := []int{64, 256, 1024, 4096}
-	for i, v := range sw {
+	var sw []int
+	for _, v := range []int{64, 256, 1024, 4096} {
 		if v >= n {
-			sw[i] = n - 1
+			return append(sw, n-1)
 		}
+		sw = append(sw, v)
 	}
 	return sw
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/comm"
 	"repro/internal/distributed"
@@ -11,29 +10,22 @@ import (
 	"repro/internal/matrix"
 )
 
-// FanoutSweep measures FD merge under increasing tree fan-outs against the
-// star baseline at the same (s, d, ε, k): exact words versus the tree-edge
-// formula Edges·ℓ·d, the coordinator's inbound message count (O(fan-out) in
-// a tree versus s in the star), depth, wall-clock, and whether the tree's
-// sketch is bit-identical to the star's. Fan-outs that are powers of two
-// group leaves exactly as the canonical pairwise merge does, so their
-// sketches must match the star bit for bit; other fan-outs keep the (ε,k)
-// guarantee but may differ in low-order bits (noted per row).
-func FanoutSweep(cfg Config, fanouts []int) ([]Row, error) {
-	cfg.applyParallel()
-	st, err := cfg.shrinkStrategy()
-	if err != nil {
-		return nil, err
-	}
+// FanoutSweep is experiment T1: FD merge under increasing tree fan-outs
+// against the star baseline at the same (s, d, ε, k) — exact words versus
+// the tree-edge formula Edges·ℓ·d, the coordinator's inbound message count
+// (O(fan-out) in a tree versus s in the star), depth, and whether the tree's
+// sketch is bit-identical to the star's. The fan-outs swept are powers of
+// two, which group leaves exactly as the canonical pairwise merge does, so
+// their sketches must match the star bit for bit (OK records it).
+func FanoutSweep(cfg Config) ([]Row, error) {
 	_, parts := makeLowRank(cfg)
 	ell := fd.SketchSize(cfg.Eps, cfg.K)
 	ctx := context.Background()
 
 	type outcome struct {
-		res     *distributed.Result
-		meter   *comm.Meter
-		plan    *distributed.Plan
-		elapsed time.Duration
+		res   *distributed.Result
+		meter *comm.Meter
+		plan  *distributed.Plan
 	}
 	run := func(topo distributed.Topology) (outcome, error) {
 		plan, err := topo.Plan(cfg.S)
@@ -41,16 +33,14 @@ func FanoutSweep(cfg Config, fanouts []int) ([]Row, error) {
 			return outcome{}, err
 		}
 		meter := comm.NewMeter()
-		start := time.Now()
 		res, err := distributed.Run(ctx, distributed.FDMerge{Eps: cfg.Eps, K: cfg.K}, parts,
 			distributed.WithSeed(cfg.Seed),
-			distributed.WithShrink(st),
 			distributed.WithTopology(topo),
 			distributed.WithMeter(meter))
 		if err != nil {
 			return outcome{}, err
 		}
-		return outcome{res: res, meter: meter, plan: plan, elapsed: time.Since(start)}, nil
+		return outcome{res: res, meter: meter, plan: plan}, nil
 	}
 
 	star, err := run(distributed.Star())
@@ -65,14 +55,13 @@ func FanoutSweep(cfg Config, fanouts []int) ([]Row, error) {
 			S: cfg.S, D: cfg.D, K: cfg.K, Eps: cfg.Eps,
 			Words: o.res.Words, TheoryW: theory,
 			OK: bitwise,
-			Note: fmt.Sprintf("depth=%d aggs=%d msgs=%d root_in=%d rounds=%d elapsed=%.1fms bitwise=%v",
+			Note: fmt.Sprintf("depth=%d aggs=%d msgs=%d root_in=%d rounds=%d bitwise=%v",
 				o.plan.Depth(), len(o.plan.Aggregators()), o.res.Messages,
-				o.meter.InboundMessages(comm.CoordinatorID), o.res.Rounds,
-				float64(o.elapsed.Microseconds())/1000, bitwise),
+				o.meter.InboundMessages(comm.CoordinatorID), o.res.Rounds, bitwise),
 		}
 	}
 	rows := []Row{row("fd-merge star", star)}
-	for _, f := range fanouts {
+	for _, f := range sweepFanouts(cfg.S) {
 		o, err := run(distributed.Tree(f))
 		if err != nil {
 			return nil, fmt.Errorf("fanout sweep: fanout %d: %w", f, err)
@@ -80,6 +69,20 @@ func FanoutSweep(cfg Config, fanouts []int) ([]Row, error) {
 		rows = append(rows, row(fmt.Sprintf("fd-merge tree f=%d", f), o))
 	}
 	return rows, nil
+}
+
+// sweepFanouts picks the fan-outs T1 sweeps at s servers: powers of two up
+// to s/2 (bit-identical to the star by the canonical-merge grouping
+// invariance), capped so the table stays readable at large s.
+func sweepFanouts(s int) []int {
+	var fs []int
+	for f := 2; f <= s/2 && len(fs) < 6; f *= 2 {
+		fs = append(fs, f)
+	}
+	if len(fs) == 0 {
+		fs = []int{2}
+	}
+	return fs
 }
 
 func matrixEqual(a, b *matrix.Dense) bool {

@@ -3,10 +3,9 @@ package matrix
 import "fmt"
 
 // Reference kernels: the straightforward serial triple loops that the
-// blocked kernels in kernels.go replaced. They are kept (not dead code) as
-// the ground truth for correctness cross-checks in tests and as the naive
-// leg of the K1 kernel benchmark (internal/bench), which measures the
-// blocked kernels' speedup against them on the Gram/shrink hot path.
+// blocked kernels in kernels.go replaced. They are test-only code: the
+// ground truth the kernel correctness tests compare against and the naive
+// legs of this package's benchmarks.
 
 // RefMul returns m · b computed with the serial ikj reference loop.
 func RefMul(m, b *Dense) *Dense {

@@ -16,18 +16,12 @@ import (
 // internal/* that no non-test file references and that stay anyway.
 var unusedExportsAllowed = []string{
 	// Helpers the tests of live code lean on.
-	"bench.DefaultConfig",
 	"core.ExpectedRows",
 	"core.KeepAll",
 	"linalg.IsOrthonormalColumns",
 	"linalg.Rank",
 	"matrix.Diag",
 	"matrix.SparseFromDenseMatrix",
-	// Reference kernels the blocked kernels are checked against.
-	"matrix.RefMul",
-	"matrix.RefMulT",
-	"matrix.RefMulVec",
-	"matrix.RefTMulVec",
 	// §2.1 lower-bound constructions: their own tests are their only
 	// drivers so far; no experiment runs them.
 	"lowerbound.CheckRectanglePartition",
@@ -192,5 +186,32 @@ func TestNoUnusedInternalExports(t *testing.T) {
 	if len(diff) > 0 {
 		sort.Strings(diff)
 		t.Fatalf("unused exported identifiers under internal/ differ from unusedExportsAllowed:\n%s", strings.Join(diff, "\n"))
+	}
+}
+
+// TestPaperHarnessReadsNoClock keeps the paper harness deterministic: no
+// non-test file of internal/bench or cmd/sketchbench may import time or
+// runtime. A question about how fast something runs is a workload or metric
+// of benchmark/, in a benchmark-only PR.
+func TestPaperHarnessReadsNoClock(t *testing.T) {
+	for _, dir := range []string{"internal/bench", "cmd/sketchbench"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("%s: no Go files (%v)", dir, err)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, im := range f.Imports {
+				if p, _ := strconv.Unquote(im.Path.Value); p == "time" || p == "runtime" {
+					t.Errorf("%s imports %q: the paper harness records words and error only", path, p)
+				}
+			}
+		}
 	}
 }
