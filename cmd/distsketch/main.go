@@ -20,9 +20,11 @@
 // ([10] baseline), lowrank (§3.3 Case 1), pca (Theorem 9 sketch+solve),
 // coord-product (coordinated priority-sampling AᵀB estimation).
 // -sampling picks the SVS sampling function (quadratic or linear);
-// -shrink/-alpha pick the fd protocol's FD shrink strategy (fd, fast-fd,
-// alpha-fd; strategies without a mergeability proof are rejected);
-// -timeout bounds the whole run and the coordinator's per-server waits.
+// -alpha sets the fd protocol's FD shrink rule α ∈ (0,1] (default 1, the
+// classic FD shrink; only the bottom ⌈αℓ⌉ retained directions absorb each
+// shrink); -timeout bounds the whole run and the coordinator's per-server
+// waits. Out-of-range parameters (-eps, -k, -alpha, …) fail with one error
+// line before any socket opens.
 //
 // coord-product estimates the product AᵀB of a row-aligned matrix pair
 // instead of a covariance: each server additionally loads -input-b (same
@@ -106,7 +108,6 @@ type options struct {
 	fanout   int
 	protocol string
 	sampling string
-	shrink   string
 	alpha    float64
 	wirePrec string
 	input    string
@@ -142,49 +143,7 @@ type options struct {
 }
 
 func main() {
-	var o options
-	flag.StringVar(&o.role, "role", "", "one of "+roleNames())
-	flag.StringVar(&o.addr, "addr", "127.0.0.1:9009", "parent address (the coordinator in a star; this node's parent in a tree)")
-	flag.StringVar(&o.listen, "listen", "", "listen address for the aggregator role's children")
-	flag.IntVar(&o.servers, "servers", 2, "number of servers s")
-	flag.IntVar(&o.id, "id", 0, "node id: servers 0..s-1, aggregators s.. (tree topology)")
-	flag.StringVar(&o.topology, "topology", "star", "aggregation topology: star or tree")
-	flag.IntVar(&o.fanout, "fanout", 2, "tree fan-out (children per interior node; tree topology)")
-	flag.StringVar(&o.protocol, "protocol", "fd", "one of "+protocolNames())
-	flag.StringVar(&o.sampling, "sampling", "quadratic", "SVS sampling function: quadratic or linear")
-	flag.StringVar(&o.shrink, "shrink", "", "FD shrink strategy: fd, fast-fd (default), alpha-fd (merge-legal; isvd and compensative are rejected by fd-merge)")
-	flag.Float64Var(&o.alpha, "alpha", 0.5, "alpha for -shrink alpha-fd, in (0,1]")
-	flag.StringVar(&o.wirePrec, "wire-precision", "", "matrix payload wire width: float64 (default, exact) or float32 (half the metered words; every role must agree)")
-	flag.StringVar(&o.input, "input", "", "matrix file, .dskm or .csv (server role)")
-	flag.StringVar(&o.inputB, "input-b", "", "row-aligned second matrix file for -protocol coord-product (server role)")
-	flag.BoolVar(&o.part, "part", false, "input file is already this server's partition")
-	flag.IntVar(&o.offset, "offset", -1, "global index of this server's first row (-part mode, coord-product; derived from the contiguous partition otherwise)")
-	flag.IntVar(&o.d, "d", 0, "column dimension (coordinator role)")
-	flag.IntVar(&o.dB, "d-b", 0, "column dimension of B (coordinator role, coord-product; defaults to -d)")
-	flag.IntVar(&o.sample, "sample-size", 64, "coordinated-sampling target sample size s (coord-product)")
-	flag.Float64Var(&o.eps, "eps", 0.1, "accuracy epsilon")
-	flag.IntVar(&o.k, "k", 5, "rank parameter")
-	flag.Int64Var(&o.seed, "seed", 1, "random seed")
-	flag.DurationVar(&o.timeout, "timeout", 0, "overall run deadline and per-server straggler timeout (0 = none)")
-	flag.StringVar(&o.verify, "verify", "", "optional: matrix file to verify the sketch against (coordinator)")
-	flag.IntVar(&o.parallel, "parallel", 0, "compute worker pool width for local kernels (0 = GOMAXPROCS)")
-	flag.StringVar(&o.trace, "trace", "", "write a JSONL protocol trace to this file (check-trace: file to validate)")
-	flag.StringVar(&o.metrics, "metrics", "", "write a metrics registry snapshot (JSON) to this file on exit, - for stdout")
-	flag.StringVar(&o.debug, "debug", "", "serve expvar and pprof on this address (e.g. 127.0.0.1:0)")
-	flag.BoolVar(&o.serve, "serve", false, "long-lived service mode: daemon servers + HTTP query coordinator")
-	flag.StringVar(&o.policy, "policy", "fd-delta", "service tracking policy: full-sketch, fd-delta, or svs-delta")
-	flag.IntVar(&o.window, "window", 0, "sliding-window size W in rows (0 = windowing off; service mode)")
-	flag.IntVar(&o.windowBuckets, "window-buckets", 4, "sub-sketch buckets per window (service mode)")
-	flag.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint file (.dskm) for the server's sketch state (service mode)")
-	flag.DurationVar(&o.checkpointEvery, "checkpoint-every", 0, "checkpoint on this timer (service mode; 0 = off)")
-	flag.IntVar(&o.checkpointRows, "checkpoint-rows", 0, "checkpoint every N ingested rows (service mode; 0 = off)")
-	flag.IntVar(&o.maxRows, "max-rows", 0, "stop ingesting after N rows total (service mode; 0 = unbounded)")
-	flag.BoolVar(&o.loop, "loop", false, "loop the input stream when it drains (service mode)")
-	flag.IntVar(&o.gen, "gen", 0, "generate an N-row synthetic low-rank stream instead of -input (service mode)")
-	flag.DurationVar(&o.throttle, "throttle", 0, "pause between ingested rows (service mode; 0 = full speed)")
-	flag.BoolVar(&o.drainExit, "exit-when-drained", false, "exit once the input drains instead of idling (service mode)")
-	flag.Parse()
-
+	o, _ := parseFlags(flag.CommandLine, os.Args[1:]) // CommandLine exits on a bad flag
 	run, err := o.roleFunc()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "distsketch:", err)
@@ -229,6 +188,52 @@ func main() {
 		fmt.Fprintln(os.Stderr, "distsketch:", err)
 		os.Exit(1)
 	}
+}
+
+// parseFlags defines every flag on fs and parses args into options.
+func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
+	var o options
+	fs.StringVar(&o.role, "role", "", "one of "+roleNames())
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:9009", "parent address (the coordinator in a star; this node's parent in a tree)")
+	fs.StringVar(&o.listen, "listen", "", "listen address for the aggregator role's children")
+	fs.IntVar(&o.servers, "servers", 2, "number of servers s")
+	fs.IntVar(&o.id, "id", 0, "node id: servers 0..s-1, aggregators s.. (tree topology)")
+	fs.StringVar(&o.topology, "topology", "star", "aggregation topology: star or tree")
+	fs.IntVar(&o.fanout, "fanout", 2, "tree fan-out (children per interior node; tree topology)")
+	fs.StringVar(&o.protocol, "protocol", "fd", "one of "+protocolNames())
+	fs.StringVar(&o.sampling, "sampling", "quadratic", "SVS sampling function: quadratic or linear")
+	fs.Float64Var(&o.alpha, "alpha", 1, "FD shrink rule α in (0,1] for -protocol fd: the bottom ⌈αℓ⌉ retained directions absorb each shrink (1 = classic FD)")
+	fs.StringVar(&o.wirePrec, "wire-precision", "", "matrix payload wire width: float64 (default, exact) or float32 (half the metered words; every role must agree)")
+	fs.StringVar(&o.input, "input", "", "matrix file, .dskm or .csv (server role)")
+	fs.StringVar(&o.inputB, "input-b", "", "row-aligned second matrix file for -protocol coord-product (server role)")
+	fs.BoolVar(&o.part, "part", false, "input file is already this server's partition")
+	fs.IntVar(&o.offset, "offset", -1, "global index of this server's first row (-part mode, coord-product; derived from the contiguous partition otherwise)")
+	fs.IntVar(&o.d, "d", 0, "column dimension (coordinator role)")
+	fs.IntVar(&o.dB, "d-b", 0, "column dimension of B (coordinator role, coord-product; defaults to -d)")
+	fs.IntVar(&o.sample, "sample-size", 64, "coordinated-sampling target sample size s (coord-product)")
+	fs.Float64Var(&o.eps, "eps", 0.1, "accuracy epsilon")
+	fs.IntVar(&o.k, "k", 5, "rank parameter")
+	fs.Int64Var(&o.seed, "seed", 1, "random seed")
+	fs.DurationVar(&o.timeout, "timeout", 0, "overall run deadline and per-server straggler timeout (0 = none)")
+	fs.StringVar(&o.verify, "verify", "", "optional: matrix file to verify the sketch against (coordinator)")
+	fs.IntVar(&o.parallel, "parallel", 0, "compute worker pool width for local kernels (0 = GOMAXPROCS)")
+	fs.StringVar(&o.trace, "trace", "", "write a JSONL protocol trace to this file (check-trace: file to validate)")
+	fs.StringVar(&o.metrics, "metrics", "", "write a metrics registry snapshot (JSON) to this file on exit, - for stdout")
+	fs.StringVar(&o.debug, "debug", "", "serve expvar and pprof on this address (e.g. 127.0.0.1:0)")
+	fs.BoolVar(&o.serve, "serve", false, "long-lived service mode: daemon servers + HTTP query coordinator")
+	fs.StringVar(&o.policy, "policy", "fd-delta", "service tracking policy: full-sketch, fd-delta, or svs-delta")
+	fs.IntVar(&o.window, "window", 0, "sliding-window size W in rows (0 = windowing off; service mode)")
+	fs.IntVar(&o.windowBuckets, "window-buckets", 4, "sub-sketch buckets per window (service mode)")
+	fs.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint file (.dskm) for the server's sketch state (service mode)")
+	fs.DurationVar(&o.checkpointEvery, "checkpoint-every", 0, "checkpoint on this timer (service mode; 0 = off)")
+	fs.IntVar(&o.checkpointRows, "checkpoint-rows", 0, "checkpoint every N ingested rows (service mode; 0 = off)")
+	fs.IntVar(&o.maxRows, "max-rows", 0, "stop ingesting after N rows total (service mode; 0 = unbounded)")
+	fs.BoolVar(&o.loop, "loop", false, "loop the input stream when it drains (service mode)")
+	fs.IntVar(&o.gen, "gen", 0, "generate an N-row synthetic low-rank stream instead of -input (service mode)")
+	fs.DurationVar(&o.throttle, "throttle", 0, "pause between ingested rows (service mode; 0 = full speed)")
+	fs.BoolVar(&o.drainExit, "exit-when-drained", false, "exit once the input drains instead of idling (service mode)")
+	err := fs.Parse(args)
+	return o, err
 }
 
 const roleCheckTrace = "check-trace"
@@ -344,25 +349,19 @@ func (o options) plan() (*distsketch.Plan, error) {
 }
 
 // buildProtocol turns the flags into a Protocol value with its Env filled
-// in; the same value serves every role.
+// in; the same value serves every role. It validates the value, so every
+// role fails on a bad parameter before it opens a socket.
 func (o options) buildProtocol(plan *distsketch.Plan) (distsketch.Protocol, error) {
 	if !plan.IsStar() && o.protocol != "fd" {
 		return nil, fmt.Errorf("protocol %q does not support -topology tree (only fd merges at interior nodes)", o.protocol)
 	}
-	cfg := distsketch.Config{Seed: o.seed, Parallelism: o.parallel}
+	cfg := distsketch.Config{Seed: o.seed, Parallelism: o.parallel, Alpha: o.alpha}
 	if o.wirePrec != "" {
 		p, err := distsketch.ParseWirePrecision(o.wirePrec)
 		if err != nil {
 			return nil, err
 		}
 		cfg.WirePrecision = p
-	}
-	if o.shrink != "" {
-		st, err := distsketch.ParseShrinkStrategy(o.shrink, o.alpha)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Shrink = st
 	}
 	if o.timeout > 0 {
 		cfg.Stragglers.Timeout = o.timeout
@@ -378,7 +377,11 @@ func (o options) buildProtocol(plan *distsketch.Plan) (distsketch.Protocol, erro
 	}
 	for _, p := range protocols {
 		if p.name == o.protocol {
-			return p.build(o, env, sampling), nil
+			proto := p.build(o, env, sampling)
+			if err := distsketch.Validate(proto); err != nil {
+				return nil, err
+			}
+			return proto, nil
 		}
 	}
 	return nil, fmt.Errorf("unknown protocol %q (want one of %s)", o.protocol, protocolNames())

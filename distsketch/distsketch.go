@@ -14,14 +14,18 @@
 //	)
 //
 // Protocol values are plain structs; the same value also drives the two
-// real-TCP roles (see TCPCoordinator/TCPServer and cmd/distsketch).
+// real-TCP roles (see TCPCoordinator/TCPServer and cmd/distsketch), where
+// Validate checks it before a socket opens. Each protocol is a row of the
+// paper's Tables 1–2, Theorem 7 or 9, the §3.3 Case-1 exact protocol, or the
+// AᵀB product estimand. The FD shrink rule the fd-merge protocols run has
+// one parameter, Config.Alpha (WithAlpha): α-FD with α ∈ (0,1], 1 by
+// default, mergeable at every α.
 package distsketch
 
 import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/distributed"
-	"repro/internal/fd"
 	"repro/internal/matrix"
 	"repro/internal/parallel"
 	"repro/internal/pca"
@@ -97,8 +101,15 @@ type Env = distributed.Env
 type Result = distributed.Result
 
 // Config is the cross-cutting per-run configuration shared by every
-// protocol (seed, quantization, straggler policy).
+// protocol (seed, quantization, straggler policy, and the fd-merge shrink
+// rule's Alpha ∈ (0,1]: only the bottom ⌈αℓ⌉ retained directions absorb
+// each shrink, 0 meaning 1, the classic FD shrink).
 type Config = distributed.Config
+
+// Validate returns a protocol's first out-of-range parameter, its Env.Config
+// included, as an error. Run checks it before any party starts; callers
+// driving the TCP roles directly should call it before opening a socket.
+var Validate = distributed.Validate
 
 // Estimand is what a protocol estimates — AᵀA of one matrix
 // (EstimandCovariance) or AᵀB of a row-aligned pair (EstimandProduct).
@@ -138,8 +149,6 @@ type (
 	Adaptive = distributed.Adaptive
 	// LowRankExact is the §3.3 Case-1 exact protocol (rank ≤ 2k inputs).
 	LowRankExact = distributed.LowRankExact
-	// FullTransfer ships every row — the trivial exact baseline.
-	FullTransfer = distributed.FullTransfer
 )
 
 // Product protocols (EstimandProduct — the output approximates AᵀB):
@@ -159,23 +168,16 @@ type (
 	PCASketchSolve = distributed.PCASketchSolve
 	// BWZ is the subspace-embedding batch solve on the raw partition.
 	BWZ = distributed.BWZ
-	// BWZArbitrary is the batch solve in the arbitrary-partition model.
-	BWZArbitrary = distributed.BWZArbitrary
 	// PCACombined is the full Theorem 9 pipeline (local sketches + solve).
 	PCACombined = distributed.PCACombined
 	// PCAFDMerge is the FD-merge PCA baseline [22].
 	PCAFDMerge = distributed.PCAFDMerge
-	// PowerIteration is the distributed block power-iteration solver.
-	PowerIteration = distributed.PowerIteration
-	// PCACombinedPowerIter is Theorem 9 with the iterative solver.
-	PCACombinedPowerIter = distributed.PCACombinedPowerIter
 )
 
 // Parameter structs.
 type (
-	AdaptiveParams  = distributed.AdaptiveParams
-	PCAParams       = distributed.PCAParams
-	PowerIterParams = distributed.PowerIterParams
+	AdaptiveParams = distributed.AdaptiveParams
+	PCAParams      = distributed.PCAParams
 )
 
 // Topology selects the run's aggregation shape: Star() (every server
@@ -201,34 +203,6 @@ const (
 	RoleAggregator = distributed.RoleAggregator
 	RoleRoot       = distributed.RoleRoot
 )
-
-// ShrinkStrategy is the pluggable FD shrink rule — the error-vs-time dial
-// of the fd-merge protocol's hot path. Vanilla is Liberty's ℓ+1 one-SVD-
-// per-row schedule, FastFD the 2ℓ doubling buffer (the default), ISVD pure
-// truncation, Compensative the query-time-compensated variant; AlphaFD(α)
-// subtracts only from the bottom ⌈αℓ⌉ retained directions. Pass one via
-// Config.Shrink or WithShrink. Merge paths (and therefore every fd-merge
-// run) accept only the mergeable strategies — Vanilla, FastFD, AlphaFD —
-// and reject ISVD/Compensative with a descriptive error.
-type ShrinkStrategy = fd.ShrinkStrategy
-
-var (
-	// Vanilla is the original ℓ+1-buffer FD schedule.
-	Vanilla = fd.Vanilla
-	// FastFD is the amortized 2ℓ-buffer schedule (the default).
-	FastFD = fd.FastFD
-	// ISVD is truncation-only incremental SVD (not mergeable).
-	ISVD = fd.ISVD
-	// Compensative is CompensativeFD (not mergeable).
-	Compensative = fd.Compensative
-	// AlphaFD builds the parameterized α-FD strategy, α ∈ (0,1].
-	AlphaFD = fd.AlphaFD
-)
-
-// ParseShrinkStrategy converts a -shrink flag string ("fd", "fast-fd",
-// "alpha-fd", "isvd", "compensative"; "" = fast-fd) plus the -alpha value
-// to a ShrinkStrategy.
-var ParseShrinkStrategy = fd.ParseStrategy
 
 // SamplingFn selects the SVS sampling function (SampleQuadratic or
 // SampleLinear) — the typed replacement for the old `useLinear bool`.
@@ -269,7 +243,7 @@ var (
 	WithSeed            = distributed.WithSeed
 	WithQuantization    = distributed.WithQuantization
 	WithWirePrecision   = distributed.WithWirePrecision
-	WithShrink          = distributed.WithShrink
+	WithAlpha           = distributed.WithAlpha
 	WithStragglers      = distributed.WithStragglers
 	WithTopology        = distributed.WithTopology
 	WithFaults          = distributed.WithFaults

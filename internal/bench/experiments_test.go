@@ -286,18 +286,3 @@ func TestMonitoringComparison(t *testing.T) {
 		t.Fatalf("delta policies (%v, %v) not below naive %v", rows[1].Words, rows[2].Words, naive)
 	}
 }
-
-func TestPowerIterationCurve(t *testing.T) {
-	cfg := smallConfig()
-	series, err := PowerIterationCurve(cfg, []int{1, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratios, words := series[0], series[1]
-	if ratios.Y[1] > ratios.Y[0]+1e-9 {
-		t.Fatalf("quality not improving with rounds: %v", ratios.Y)
-	}
-	if words.Y[1] != 8*words.Y[0] {
-		t.Fatalf("words not linear in rounds: %v", words.Y)
-	}
-}

@@ -439,29 +439,3 @@ func Mergeability(cfg Config, partitions int) ([]Series, error) {
 	}
 	return []Series{merged, directS, budgetS}, nil
 }
-
-// PowerIterationCurve is experiment P1: the distributed orthogonal-
-// iteration solver's convergence — PCA quality ratio and cumulative words
-// as a function of the number of rounds, against the one-shot solvers'
-// fixed costs.
-func PowerIterationCurve(cfg Config, roundCounts []int) ([]Series, error) {
-	if cfg.K < 1 || cfg.K > cfg.D {
-		return nil, fmt.Errorf("P1: PCA needs 1 <= k <= d, got k=%d d=%d", cfg.K, cfg.D)
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	a := workload.ClusteredGaussians(rng, cfg.N, cfg.D, cfg.K, 40, 1.0)
-	parts := workload.Split(a, cfg.S, workload.Contiguous, nil)
-	ratios, words, err := distributed.QualityAfterRounds(context.Background(), parts, a, cfg.K, roundCounts, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	ratioS := Series{Name: "quality-ratio", XLabel: "rounds"}
-	wordS := Series{Name: "words", XLabel: "rounds"}
-	for i, r := range roundCounts {
-		ratioS.X = append(ratioS.X, float64(r))
-		ratioS.Y = append(ratioS.Y, ratios[i])
-		wordS.X = append(wordS.X, float64(r))
-		wordS.Y = append(wordS.Y, words[i])
-	}
-	return []Series{ratioS, wordS}, nil
-}

@@ -63,8 +63,6 @@ var Experiments = []Experiment{
 			}
 			return rows, nil
 		}},
-	{Name: "p1", Title: "P1: distributed power iteration — quality and words vs rounds", XLabel: "rounds",
-		series: func(c Config) ([]Series, error) { return PowerIterationCurve(c, []int{1, 2, 4, 8, 16}) }},
 	{Name: "m1", Title: "M1: continuous tracking ([17] model) — policies incl. the §1.5 SVS question",
 		rows: func(c Config) ([]Row, error) { return MonitoringComparison(c, 256) }},
 	{Name: "t1", Title: "T1: tree aggregation — words, root fan-in, and bit-identity vs fan-out", rows: FanoutSweep},

@@ -125,8 +125,8 @@ func TestShrinkFrontierSkipsEpsOutOfRange(t *testing.T) {
 			t.Errorf("%s eps=%v: certificate violated", r.Algorithm, r.Eps)
 		}
 	}
-	if skipped != 5 {
-		t.Fatalf("%d skipped points, want one per strategy", skipped)
+	if skipped != 2 {
+		t.Fatalf("%d skipped points, want one per α", skipped)
 	}
 }
 

@@ -113,13 +113,3 @@ func IIDRowSampleAggregated(a *matrix.Dense, m int, rng *rand.Rand) (*matrix.Den
 	}
 	return out, nil
 }
-
-// Aggregated returns agg(A) = ΣVᵀ, the "aggregated form" whose rows SVS
-// samples. It satisfies agg(A)ᵀ·agg(A) = AᵀA with orthogonal rows.
-func Aggregated(a *matrix.Dense) (*matrix.Dense, error) {
-	svd, err := linalg.ComputeSVD(a)
-	if err != nil {
-		return nil, err
-	}
-	return svd.Aggregated(), nil
-}

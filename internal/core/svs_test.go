@@ -13,10 +13,11 @@ import (
 func TestAggregatedPreservesGram(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := workload.Gaussian(rng, 40, 10)
-	agg, err := Aggregated(a)
+	svd, err := linalg.ComputeSVD(a)
 	if err != nil {
 		t.Fatal(err)
 	}
+	agg := svd.Aggregated()
 	if !agg.Gram().EqualApprox(a.Gram(), 1e-8) {
 		t.Fatal("agg(A)ᵀagg(A) != AᵀA")
 	}

@@ -69,7 +69,7 @@ func (p Adaptive) validate() error { return p.AdaptiveParams.check(p.Name()) }
 // This is the "distributed covariance sketch" of §1.4/§4: computing it
 // costs only the two calibration words per server, and the caller decides
 // whether to ship Q_i (the Adaptive protocol) or to keep it local and run a
-// distributed solve on it (PCACombined, PCACombinedPowerIter — Theorem 9).
+// distributed solve on it (PCACombined — Theorem 9).
 func serverAdaptiveLocal(ctx context.Context, node Node, local workload.RowSource, s int, p AdaptiveParams, cfg Config) (*matrix.Dense, error) {
 	p = p.withDefaults()
 	_, d := local.Dims()

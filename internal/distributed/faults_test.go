@@ -460,11 +460,13 @@ func TestEmptyServerInputs(t *testing.T) {
 	if _, err := Run(ctx, RowSampling{Eps: 0.3}, parts); err != nil {
 		t.Fatalf("sampling: %v", err)
 	}
-	res, err := Run(ctx, FullTransfer{}, parts)
+	// ℓ = ⌈1/0.1⌉ = 10 ≥ d = 8: no shrink ever charges anything, so the
+	// merged sketch is exact and its Gram must be the union's.
+	res, err := Run(ctx, FDMerge{Eps: 0.1}, parts)
 	if err != nil {
-		t.Fatalf("full transfer: %v", err)
+		t.Fatalf("fd-merge with ℓ ≥ d: %v", err)
 	}
-	if !res.Gram.EqualApprox(a.Gram(), 1e-7) {
+	if !res.Sketch.Gram().EqualApprox(a.Gram(), 1e-7) {
 		t.Fatal("empty parts changed the union")
 	}
 }

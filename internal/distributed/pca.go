@@ -158,12 +158,7 @@ func serverBWZSolve(ctx context.Context, node Node, local *matrix.Dense, p PCAPa
 	if err != nil {
 		return err
 	}
-	return serverBWZBody(ctx, node, local, int(off.Ints[0]), p, cfg)
-}
-
-// serverBWZBody is rounds 2–3 of the solve for a server whose first row has
-// global index offset (BWZArbitrary enters here with offset 0).
-func serverBWZBody(ctx context.Context, node Node, local *matrix.Dense, offset int, p PCAParams, cfg Config) error {
+	offset := int(off.Ints[0])
 	d := local.Cols()
 	m := p.EmbeddingRows
 	sk := pca.NewCountSketch(cfg.Seed^0x5ca1ab1e, m)
@@ -366,56 +361,6 @@ func (p BWZ) Coordinator(ctx context.Context, node Node) (*Result, error) {
 	return &Result{PCs: v}, nil
 }
 
-// BWZArbitrary is the batch solve in the arbitrary-partition model:
-// summands[i] are full-shape matrices with A = Σ summands[i]. This is the
-// setting the paper's §1.4 notes its own algorithm does NOT handle ("our
-// algorithm only works for row-partition models") and whose complexity the
-// conclusion leaves open; the subspace-embedding solve covers it directly.
-type BWZArbitrary struct {
-	PCAParams
-	Env Env
-}
-
-// Name implements Protocol.
-func (p BWZArbitrary) Name() string { return "bwz-arbitrary" }
-
-func (p BWZArbitrary) withEnv(e Env) Protocol { p.Env = e; return p }
-
-func (p BWZArbitrary) rounds() int { return 1 }
-
-func (p BWZArbitrary) validate() error { return p.PCAParams.check(p.Name()) }
-
-// Estimand implements Protocol.
-func (p BWZArbitrary) Estimand() Estimand { return EstimandCovariance }
-
-// Server implements Protocol. Because the shared CountSketch is linear,
-// S·A = Σ_i S·A_i, so the BWZ solve runs with every server using row offset
-// 0 and no offset round at all.
-func (p BWZArbitrary) Server(ctx context.Context, node Node, in Input) error {
-	local, err := materializeLocal(node, in, p.Name(), p.Env.Config)
-	if err != nil {
-		return err
-	}
-	pp := p.PCAParams.withDefaults()
-	if err := serverBWZBody(ctx, node, local, 0, pp, p.Env.Config); err != nil {
-		return err
-	}
-	return serverMaybeRecvPCs(ctx, node, pp)
-}
-
-// Coordinator implements Protocol.
-func (p BWZArbitrary) Coordinator(ctx context.Context, node Node) (*Result, error) {
-	pp := p.PCAParams.withDefaults()
-	v, err := coordBWZBody(ctx, node, p.Env.Servers, p.Env.Dim, pp, p.Env.Config)
-	if err != nil {
-		return nil, err
-	}
-	if err := coordBroadcastPCs(ctx, node, p.Env.Servers, pp, v, p.Env.Config); err != nil {
-		return nil, err
-	}
-	return &Result{PCs: v}, nil
-}
-
 // ---------------------------------------------------------------------------
 // Theorem 9, combined form: local sketches + distributed batch solve.
 // ---------------------------------------------------------------------------
@@ -484,7 +429,12 @@ func (p PCAFDMerge) withEnv(e Env) Protocol { p.Env = e; return p }
 
 func (p PCAFDMerge) rounds() int { return 1 }
 
-func (p PCAFDMerge) validate() error { return p.PCAParams.check(p.Name()) }
+func (p PCAFDMerge) validate() error {
+	if err := p.PCAParams.check(p.Name()); err != nil {
+		return err
+	}
+	return p.Env.Config.checkAlpha(p.Name())
+}
 
 // Estimand implements Protocol.
 func (p PCAFDMerge) Estimand() Estimand { return EstimandCovariance }

@@ -213,44 +213,3 @@ func TestPCACombinedCheaperThanBWZOnRawData(t *testing.T) {
 		t.Fatalf("combined %v words vs raw %v", combined.Words, raw.Words)
 	}
 }
-
-func TestRunBWZArbitraryPartition(t *testing.T) {
-	// Arbitrary partition: A = Σ A_i with full-shape random summands. Built
-	// so the sum has planted top components: A = clustered + Σ(noise_i) with
-	// the noise split into canceling-ish summands.
-	rng := rand.New(rand.NewSource(11))
-	n, d, k, s := 400, 16, 3, 4
-	a := workload.ClusteredGaussians(rng, n, d, k, 25, 1.0)
-	// Random full-shape summands that sum to A: A_i = R_i − R_{i-1} chains
-	// plus A in the last one.
-	summands := make([]*matrix.Dense, s)
-	prev := matrix.New(n, d)
-	for i := 0; i < s-1; i++ {
-		r := workload.Gaussian(rng, n, d)
-		summands[i] = r.Sub(prev)
-		prev = r
-	}
-	summands[s-1] = a.Sub(prev)
-	// Σ summands = A exactly.
-	sum := matrix.New(n, d)
-	for _, m := range summands {
-		sum = sum.Add(m)
-	}
-	if !sum.EqualApprox(a, 1e-9) {
-		t.Fatal("summands do not add to A")
-	}
-	res, err := Run(context.Background(), BWZArbitrary{PCAParams: PCAParams{K: k, Eps: 0.3, EmbeddingRows: 200}}, summands, WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio, err := pca.QualityRatio(a, res.PCs, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ratio > 1.6 {
-		t.Fatalf("arbitrary-partition PCA ratio %v", ratio)
-	}
-	if res.Rounds != 1 {
-		t.Fatalf("rounds = %d, want 1 (no offset round)", res.Rounds)
-	}
-}

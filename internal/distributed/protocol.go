@@ -33,9 +33,9 @@ type Protocol interface {
 	// input — one row shard for covariance protocols (unwrap it with
 	// in.Covariance), an aligned (A, B) shard pair for product protocols
 	// (in.Product). Streaming protocols (FD merge, streaming SVS,
-	// adaptive, low-rank exact, full transfer, coordinated product) read
-	// their sources in one or two bounded-memory passes; batch protocols
-	// materialize them (documented O(n_i·d) memory). Wrap an in-memory
+	// adaptive, low-rank exact, coordinated product) read their sources in
+	// one or two bounded-memory passes; batch protocols materialize them
+	// (documented O(n_i·d) memory). Wrap an in-memory
 	// partition with workload.NewDenseSource — or use the []*matrix.Dense
 	// Run entry points, which do it for you.
 	Server(ctx context.Context, node Node, in Input) error
@@ -54,12 +54,20 @@ type Protocol interface {
 	// rounds is the protocol's synchronous round count on a star, which the
 	// driver adds to the meter.
 	rounds() int
-	// validate rejects out-of-range parameters. The driver calls it in the
-	// caller's goroutine before any party goroutine is spawned: a panic
-	// inside a spawned server would crash the process instead of reaching
-	// the caller.
+	// validate rejects out-of-range parameters, including the Env.Config
+	// fields the protocol reads. The driver calls it in the caller's
+	// goroutine before any party goroutine is spawned: a panic inside a
+	// spawned server would crash the process instead of reaching the
+	// caller.
 	validate() error
 }
+
+// Validate returns the first out-of-range parameter of p — its own fields
+// and the Env.Config options it reads — as an error. RunWorkload calls it
+// before any party goroutine exists; a caller that drives the roles
+// directly over TCP calls it before opening a socket, so a bad parameter is
+// one error line instead of a panic in a half-connected process.
+func Validate(p Protocol) error { return p.validate() }
 
 // Env is the runtime environment a protocol executes in: the cluster shape
 // plus the cross-cutting Config every protocol shares. The Run driver

@@ -42,24 +42,29 @@ type Config struct {
 	// GOMAXPROCS). It only affects local kernel speed — communication word
 	// counts and protocol transcripts are identical at every width.
 	Parallelism int
-	// Shrink selects the FD shrink strategy for the fd-merge protocol: the
-	// rule every leaf's streaming sketch and every merge node applies (nil
-	// = fd.FastFD; see fd.ShrinkStrategy). Only mergeable strategies are
-	// legal here — fd.Vanilla, fd.FastFD, fd.AlphaFD(α) — and a variant
-	// without a mergeability proof (fd.ISVD, fd.Compensative) fails the
-	// run loudly at the first merge path rather than silently degrading
-	// the certificate. Protocols that use FD internally as a fixed
-	// analysis step (adaptive, streaming SVS) deliberately ignore this
-	// knob: their guarantees are proven against the default FD rule.
-	// Strategy choice never changes metered communication — every summary
+	// Alpha is the FD shrink rule's α ∈ (0,1] for the fd-merge protocols:
+	// the rule every leaf's streaming sketch and every merge node applies
+	// (0 = 1, the classic FD shrink; see fd.Options.Alpha). Every α keeps
+	// FD mergeability, with the a-priori bound ‖A‖F²/(⌈αℓ⌉+1). Protocols
+	// that use FD internally as a fixed analysis step (adaptive, streaming
+	// SVS) deliberately ignore it: their guarantees are proven against the
+	// default rule. α never changes metered communication — every summary
 	// is still at most ℓ rows.
-	Shrink fd.ShrinkStrategy
+	Alpha float64
 	// Obs is the observability sink for this run's protocol events (nil
 	// falls back to the process-wide obs.Default(), which is itself nil —
 	// the no-op observer — unless installed). Observation never changes
 	// metered communication: word counts and transcripts are identical
 	// with and without it.
 	Obs *obs.Observer
+}
+
+// checkAlpha rejects an Alpha the fd-merge protocols cannot run with.
+func (c Config) checkAlpha(proto string) error {
+	if err := fd.CheckAlpha(c.Alpha); err != nil {
+		return fmt.Errorf("distributed: %s: %w", proto, err)
+	}
+	return nil
 }
 
 // observer resolves the config's observability sink: the explicit Obs, or
@@ -154,7 +159,12 @@ func (p FDMerge) withEnv(e Env) Protocol { p.Env = e; return p }
 
 func (p FDMerge) rounds() int { return 1 }
 
-func (p FDMerge) validate() error { return checkEpsK(p.Name(), p.Eps, p.K, 0) }
+func (p FDMerge) validate() error {
+	if err := checkEpsK(p.Name(), p.Eps, p.K, 0); err != nil {
+		return err
+	}
+	return p.Env.Config.checkAlpha(p.Name())
+}
 
 // Server implements Protocol: stream the local rows through FD — one pass,
 // O(d·ℓ) working space regardless of the source's size — and send the ℓ-row
@@ -173,11 +183,8 @@ func (p FDMerge) Server(ctx context.Context, node Node, in Input) error {
 // destination — the coordinator in the star, the leaf's aggregator in a
 // tree. FDMerge and PCAFDMerge share it.
 func serverFDMergeTo(ctx context.Context, node Node, dest int, local workload.RowSource, eps float64, k int, cfg Config) error {
-	if err := fd.CheckMergeable(cfg.Shrink); err != nil {
-		return fmt.Errorf("server %d: %w", node.ID(), err)
-	}
 	_, d := local.Dims()
-	sk := fd.New(d, fd.SketchSize(eps, k), fd.Options{Obs: cfg.Obs, Strategy: cfg.Shrink})
+	sk := fd.New(d, fd.SketchSize(eps, k), fd.Options{Obs: cfg.Obs, Alpha: cfg.Alpha})
 	rows, sparse, err := streamRows(local, sk.Update, sk.UpdateSparse)
 	if err != nil {
 		return fmt.Errorf("server %d: %w", node.ID(), err)
@@ -493,138 +500,4 @@ func (p RowSampling) Coordinator(ctx context.Context, node Node) (*Result, error
 		msg.Release() // Stack copied every part
 	}
 	return &Result{Sketch: stacked}, nil
-}
-
-// ---------------------------------------------------------------------------
-// Trivial baseline: ship everything.
-// ---------------------------------------------------------------------------
-
-// fullTransferChunk is the number of rows per "raw" message: large enough
-// that framing is negligible, small enough that a server streaming a
-// file-backed source holds O(fullTransferChunk·d) rows at a time instead of
-// its whole block.
-const fullTransferChunk = 512
-
-// FullTransfer ships every row to the coordinator — the trivial exact
-// algorithm whose O(n·d) (= O(d³) in the paper's headline setting with
-// n = s/ε = d²) cost anchors the comparisons. Exact cost: n·d + s words
-// (one chunk-count header word per server). The coordinator returns the
-// exact aggregated form (≤ d rows), so downstream error is zero.
-type FullTransfer struct {
-	Env Env
-}
-
-// Name implements Protocol.
-func (p FullTransfer) Name() string { return "full-transfer" }
-
-// Estimand implements Protocol.
-func (p FullTransfer) Estimand() Estimand { return EstimandCovariance }
-
-func (p FullTransfer) withEnv(e Env) Protocol { p.Env = e; return p }
-
-func (p FullTransfer) rounds() int { return 1 }
-
-// validate has nothing to reject: the protocol takes no parameters.
-func (p FullTransfer) validate() error { return nil }
-
-// Server implements Protocol: stream the local rows to the coordinator in
-// chunks of fullTransferChunk — one "raw-dims" header (the chunk count, one
-// word) followed by the "raw" chunk messages. Exact cost: n_i·d + 1 words.
-func (p FullTransfer) Server(ctx context.Context, node Node, in Input) error {
-	local, err := in.Covariance(p.Name())
-	if err != nil {
-		return err
-	}
-	cfg := p.Env.Config
-	n, d := local.Dims()
-	chunks := (n + fullTransferChunk - 1) / fullTransferChunk
-	if err := node.Send(ctx, comm.CoordinatorID, &comm.Message{Kind: "raw-dims", Ints: []int64{int64(chunks)}}); err != nil {
-		return err
-	}
-	sent := 0
-	for c := 0; c < chunks; c++ {
-		rows := fullTransferChunk
-		if n-sent < rows {
-			rows = n - sent
-		}
-		// A fresh matrix per chunk: the in-memory transport shares the
-		// message payload by pointer, so a reused buffer would alias rows
-		// still in flight.
-		chunk := matrix.New(rows, d)
-		for i := 0; i < rows; i++ {
-			row, ok := local.Next()
-			if !ok {
-				if err := local.Err(); err != nil {
-					return fmt.Errorf("server %d: %w", node.ID(), err)
-				}
-				return fmt.Errorf("server %d: source delivered %d of its declared %d rows", node.ID(), sent+i, n)
-			}
-			copy(chunk.Row(i), row)
-		}
-		sent += rows
-		if err := cfg.sendMatrix(ctx, node, comm.CoordinatorID, "raw", chunk); err != nil {
-			return err
-		}
-	}
-	cfg.observer().RowsIngested(int64(sent), false)
-	return nil
-}
-
-// Coordinator implements Protocol: collect every server's chunked rows,
-// reassemble them in server order, and return the exact aggregated form
-// plus the Gram matrix.
-func (p FullTransfer) Coordinator(ctx context.Context, node Node) (*Result, error) {
-	s, cfg := p.Env.Servers, p.Env.Config
-	// Exactness needs every row, so a partial-participation quorum is a
-	// configuration error here, same as in every strict gather.
-	if err := rejectQuorum(cfg, "full-transfer"); err != nil {
-		return nil, err
-	}
-	// Headers and chunks interleave freely across servers (a fast server's
-	// chunks can arrive before a slow server's header), so one loop accepts
-	// both kinds and reconciles the declared chunk counts at the end.
-	declared := make([]int, s)
-	headers := 0
-	wantChunks, gotChunks := 0, 0
-	chunks := make([][]*matrix.Dense, s)
-	for headers < s || gotChunks < wantChunks {
-		msg, err := recvPolicy(ctx, node, cfg.Stragglers.Timeout)
-		if err != nil {
-			return nil, err
-		}
-		if msg.From < 0 || msg.From >= s {
-			return nil, fmt.Errorf("distributed: %q message from unknown server %d", msg.Kind, msg.From)
-		}
-		switch msg.Kind {
-		case "raw-dims":
-			if len(msg.Ints) != 1 || msg.Ints[0] < 0 {
-				return nil, fmt.Errorf("distributed: malformed raw-dims from server %d", msg.From)
-			}
-			declared[msg.From] = int(msg.Ints[0])
-			headers++
-			wantChunks += declared[msg.From]
-		case "raw":
-			m, err := recvMatrix(msg)
-			if err != nil {
-				return nil, err
-			}
-			chunks[msg.From] = append(chunks[msg.From], m)
-			gotChunks++
-		default:
-			return nil, fmt.Errorf("distributed: unexpected %q message (want raw-dims or raw)", msg.Kind)
-		}
-	}
-	all := make([]*matrix.Dense, 0, gotChunks)
-	for i := 0; i < s; i++ {
-		if len(chunks[i]) != declared[i] {
-			return nil, fmt.Errorf("distributed: server %d sent %d raw chunks, declared %d", i, len(chunks[i]), declared[i])
-		}
-		all = append(all, chunks[i]...)
-	}
-	a := matrix.Stack(all...)
-	agg, err := core.Aggregated(a)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Sketch: agg, Gram: a.Gram()}, nil
 }

@@ -249,28 +249,6 @@ func TestRunAdaptiveFinalCompress(t *testing.T) {
 	}
 }
 
-func TestRunFullTransferExact(t *testing.T) {
-	a, parts := split(t, 11, 120, 10, 4)
-	res, err := Run(context.Background(), FullTransfer{}, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Gram.EqualApprox(a.Gram(), 1e-7) {
-		t.Fatal("full transfer Gram inexact")
-	}
-	ce, err := core.CovErr(a, res.Sketch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ce > 1e-6 {
-		t.Fatalf("full transfer sketch coverr = %v", ce)
-	}
-	// n·d row words plus one chunk-count header word per server.
-	if res.Words != float64(120*10+4) {
-		t.Fatalf("words = %v, want %v", res.Words, 120*10+4)
-	}
-}
-
 func TestRunLowRankExact(t *testing.T) {
 	// §3.3 Case 1: integer inputs with rank ≤ 2k reconstruct AᵀA exactly.
 	rng := rand.New(rand.NewSource(12))

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/fd"
 	"repro/internal/matrix"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -51,13 +50,12 @@ func WithWirePrecision(p comm.Precision) RunOption {
 	return func(o *runOpts) { o.cfg.WirePrecision = p }
 }
 
-// WithShrink selects the FD shrink strategy for fd-merge runs (nil keeps
-// the FastFD default). Only mergeable strategies are legal — fd.Vanilla,
-// fd.FastFD, fd.AlphaFD(α); fd.ISVD and fd.Compensative fail the run with
-// a descriptive error (see Config.Shrink). The choice never changes
-// metered communication.
-func WithShrink(st fd.ShrinkStrategy) RunOption {
-	return func(o *runOpts) { o.cfg.Shrink = st }
+// WithAlpha sets the FD shrink rule's α ∈ (0,1] for fd-merge runs (see
+// Config.Alpha; 0 keeps the default α = 1). An α outside (0,1] fails the
+// run before any party starts. The choice never changes metered
+// communication.
+func WithAlpha(alpha float64) RunOption {
+	return func(o *runOpts) { o.cfg.Alpha = alpha }
 }
 
 // WithStragglers installs the coordinator's straggler policy: a per-server
@@ -159,19 +157,8 @@ func RunWorkload(ctx context.Context, proto Protocol, inputs []Input, opts ...Ru
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if err := proto.validate(); err != nil {
-		return nil, err
-	}
 	if o.cfg.Quantize && o.cfg.WirePrecision == comm.Float32 {
 		return nil, fmt.Errorf("distributed: Run(%s): quantization and float32 wire precision are mutually exclusive (the quantizer's step accounting already covers the payload)", proto.Name())
-	}
-	if o.cfg.Parallelism > 0 {
-		parallel.SetWorkers(o.cfg.Parallelism)
-	}
-	if o.deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, o.deadline)
-		defer cancel()
 	}
 	s := len(inputs)
 	d, dB, err := checkInputs(proto, inputs)
@@ -184,6 +171,18 @@ func RunWorkload(ctx context.Context, proto Protocol, inputs []Input, opts ...Ru
 	}
 	ob := o.cfg.observer()
 	o.cfg.Obs = ob // resolve the fallback once so protocol code reads cfg.Obs directly
+	proto = proto.withEnv(Env{Servers: s, Dim: d, DimB: dB, Config: o.cfg, Topology: plan})
+	if err := Validate(proto); err != nil {
+		return nil, err
+	}
+	if o.cfg.Parallelism > 0 {
+		parallel.SetWorkers(o.cfg.Parallelism)
+	}
+	if o.deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, o.deadline)
+		defer cancel()
+	}
 	var memOpts []MemOption
 	if o.mailbox > 0 {
 		memOpts = append(memOpts, Mailbox(o.mailbox))
@@ -210,7 +209,6 @@ func RunWorkload(ctx context.Context, proto Protocol, inputs []Input, opts ...Ru
 		fn.SetObserver(ob)
 		net = fn
 	}
-	proto = proto.withEnv(Env{Servers: s, Dim: d, DimB: dB, Config: o.cfg, Topology: plan})
 	serverFns := make([]func() error, s, s+len(plan.Aggregators()))
 	for i := range inputs {
 		i := i

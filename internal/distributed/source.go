@@ -49,7 +49,7 @@ func streamRows(src workload.RowSource, update func([]float64) error, sparseUpda
 // materializeLocal collects a server's covariance shard into a dense matrix
 // and reports its rows as ingested, for the protocols that need random
 // access to their local rows (the batch SVS path, the subspace-embedding PCA
-// solves, power iteration). These paths are documented as requiring
+// solve). These paths are documented as requiring
 // O(n_i·d) server memory; in-memory sources pass through without copying.
 func materializeLocal(node Node, in Input, proto string, cfg Config) (*matrix.Dense, error) {
 	src, err := in.Covariance(proto)

@@ -112,32 +112,6 @@ func TestSparseSourceEquivalence(t *testing.T) {
 	requireIdentical(t, "fd-merge sparse", mem, spRes)
 }
 
-// TestFullTransferChunking exercises the chunked raw-row path: shards larger
-// than the 512-row chunk produce multiple "raw" messages per server, the
-// coordinator reassembles them in server order, and the exact word cost is
-// n·d + s (one header word per server).
-func TestFullTransferChunking(t *testing.T) {
-	a, parts := split(t, 13, 2600, 8, 2) // 1300 rows/server → 3 chunks each
-	res, err := Run(context.Background(), FullTransfer{}, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Gram.EqualApprox(a.Gram(), 1e-7) {
-		t.Fatal("chunked full transfer Gram inexact")
-	}
-	if want := float64(2600*8 + 2); res.Words != want {
-		t.Fatalf("words = %v, want %v", res.Words, want)
-	}
-	// And through file-backed sources, identically.
-	file, err := RunSources(context.Background(), FullTransfer{}, fileSources(t, parts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !file.Gram.Equal(res.Gram) {
-		t.Fatal("file-backed full transfer differs")
-	}
-}
-
 // TestFDMergeBoundedMemory is the PR's bounded-memory proof: FD merge over
 // file-backed sources must complete with peak heap growth a small constant —
 // far below the dataset size — because no layer ever materializes a shard.

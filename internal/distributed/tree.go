@@ -102,22 +102,17 @@ func fdSubtreeGather(ctx context.Context, node Node, plan *Plan, cfg Config) (pa
 
 // coordFDGather is one node's side of the FD merge — the root's for any plan
 // (the star is the depth-1 case) and every aggregator's: gather the
-// children's summaries and reduce them with the canonical merge. Because the canonical reduction is grouping-invariant
-// over consecutive power-of-two groups (see fd.MergeCanonical), the result
-// is bit-identical across star and every power-of-two fan-out.
+// children's summaries and reduce them with the canonical merge. Because
+// the canonical reduction is grouping-invariant over consecutive
+// power-of-two groups (see fd.MergeCanonical), the result is bit-identical
+// across star and every power-of-two fan-out.
 func coordFDGather(ctx context.Context, node Node, plan *Plan, d, ell int, cfg Config) (*matrix.Dense, []int, error) {
-	// Fail before gathering: a non-mergeable shrink strategy is a
-	// configuration error, not a data error, and must surface even when no
-	// summary ever arrives.
-	if err := fd.CheckMergeable(cfg.Shrink); err != nil {
-		return nil, nil, err
-	}
 	parts, missing, release, err := fdSubtreeGather(ctx, node, plan, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
 	cfg.observer().TreeMerge(plan.Height(node.ID()), len(parts), len(missing))
-	sk, err := fd.MergeCanonical(d, ell, parts, fd.Options{Obs: cfg.Obs, Strategy: cfg.Shrink})
+	sk, err := fd.MergeCanonical(d, ell, parts, fd.Options{Obs: cfg.Obs, Alpha: cfg.Alpha})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -203,7 +203,6 @@ func TestStrictGatherRejectsQuorum(t *testing.T) {
 	}{
 		{"svs", SVS{Alpha: 0.3, Delta: 0.1}},
 		{"pca-fd-merge", PCAFDMerge{PCAParams: PCAParams{K: 2, Eps: 0.3}}},
-		{"full-transfer", FullTransfer{}},
 	} {
 		_, err := Run(ctx, tc.proto, parts, pol)
 		if err == nil || !strings.Contains(err.Error(), "not supported") {

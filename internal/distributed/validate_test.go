@@ -30,8 +30,8 @@ func (s touchedSource) Reset() error {
 // goroutine, as an error, and before any party exists: a bad parameter that
 // first panics inside a spawned server goroutine (fd.SketchSize did, for
 // FDMerge{Eps: 1.5}, while validation was optional) kills the process, which
-// no caller can recover from. FullTransfer is absent because it takes no
-// parameters.
+// no caller can recover from. The second fd-merge row's bad parameter is a
+// run option, the shrink rule's α.
 func TestIllegalParamsFailInCaller(t *testing.T) {
 	a, parts := split(t, 71, 60, 8, 3)
 	var touched atomic.Bool
@@ -49,21 +49,20 @@ func TestIllegalParamsFailInCaller(t *testing.T) {
 	cases := []struct {
 		proto  Protocol
 		inputs []Input
+		opts   []RunOption
 	}{
-		{FDMerge{Eps: 1.5, K: 1}, cov},
-		{SVS{Alpha: 0.2, Delta: 1}, cov},
-		{SVS{Alpha: 0, Delta: 0.1, Streaming: true}, cov},
-		{RowSampling{Eps: -0.1}, cov},
-		{Adaptive{AdaptiveParams: AdaptiveParams{Eps: 0.2, K: 0}}, cov},
-		{LowRankExact{KBound: 0}, cov},
-		{PCASketchSolve{PCAParams: PCAParams{K: 2, Eps: 1}}, cov},
-		{BWZ{PCAParams: PCAParams{K: 0, Eps: 0.2}}, cov},
-		{BWZArbitrary{PCAParams: PCAParams{K: 2, Eps: 0}}, cov},
-		{PCACombined{PCAParams: PCAParams{K: -1, Eps: 0.2}}, cov},
-		{PCAFDMerge{PCAParams: PCAParams{K: 2, Eps: 2}}, cov},
-		{PowerIteration{PowerIterParams: PowerIterParams{K: 0}}, cov},
-		{PCACombinedPowerIter{Eps: 1, PowerIterParams: PowerIterParams{K: 2}}, cov},
-		{CoordinatedProduct{SampleSize: 1}, prod},
+		{FDMerge{Eps: 1.5, K: 1}, cov, nil},
+		{FDMerge{Eps: 0.2, K: 1}, cov, []RunOption{WithAlpha(1.5)}},
+		{SVS{Alpha: 0.2, Delta: 1}, cov, nil},
+		{SVS{Alpha: 0, Delta: 0.1, Streaming: true}, cov, nil},
+		{RowSampling{Eps: -0.1}, cov, nil},
+		{Adaptive{AdaptiveParams: AdaptiveParams{Eps: 0.2, K: 0}}, cov, nil},
+		{LowRankExact{KBound: 0}, cov, nil},
+		{PCASketchSolve{PCAParams: PCAParams{K: 2, Eps: 1}}, cov, nil},
+		{BWZ{PCAParams: PCAParams{K: 0, Eps: 0.2}}, cov, nil},
+		{PCACombined{PCAParams: PCAParams{K: -1, Eps: 0.2}}, cov, nil},
+		{PCAFDMerge{PCAParams: PCAParams{K: 2, Eps: 2}}, cov, nil},
+		{CoordinatedProduct{SampleSize: 1}, prod, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.proto.Name(), func(t *testing.T) {
@@ -75,7 +74,7 @@ func TestIllegalParamsFailInCaller(t *testing.T) {
 						t.Errorf("panicked instead of returning an error: %v", r)
 					}
 				}()
-				if _, err := RunWorkload(context.Background(), tc.proto, tc.inputs); err == nil {
+				if _, err := RunWorkload(context.Background(), tc.proto, tc.inputs, tc.opts...); err == nil {
 					t.Errorf("%+v: expected an error", tc.proto)
 				}
 			}()

@@ -18,13 +18,12 @@
 // ℓ rows. Each shrink adds at most δ to the covariance error and removes at
 // least (ℓ+1)·δ of Frobenius mass, which gives the bound above.
 //
-// The shrink rule itself is pluggable (Options.Strategy): besides the
-// default FastFD (the 2ℓ doubling buffer above), the package ships
-// Liberty's original ℓ+1 schedule (Vanilla), truncation-only iSVD,
-// parameterized α-FD, and CompensativeFD — the practical frontier of
-// Desai–Ghashami–Phillips, each with its own per-shrink error charge so
-// TotalShrinkage/ErrorBound stay valid certificates per variant. See
-// ShrinkStrategy.
+// The shrink rule is α-FD with a single parameter Options.Alpha ∈ (0,1]
+// (Desai–Ghashami–Phillips): only the bottom ⌈αℓ⌉ retained directions absorb
+// δ, and the a-priori bound becomes ‖A‖F²/(⌈αℓ⌉+1). The default α = 1 is the
+// rule above. Every α keeps the mass-drain argument, so every sketch this
+// package builds is mergeable, and TotalShrinkage/ErrorBound stay valid
+// certificates at any α.
 package fd
 
 import (
@@ -42,7 +41,7 @@ type Sketch struct {
 	d          int
 	ell        int
 	bufferRows int
-	strategy   ShrinkStrategy
+	alpha      float64 // resolved shrink parameter, in (0,1]
 	buf        *matrix.Dense
 	ws         linalg.SVDWorkspace // reused across shrinks (no per-shrink allocs)
 	sig2       []float64           // reused squared-spectrum scratch (no per-shrink allocs)
@@ -58,19 +57,19 @@ type Sketch struct {
 
 // Options configures a Sketch beyond the required (d, ℓ).
 type Options struct {
-	// BufferRows sets the in-memory buffer size. 0 selects the strategy's
-	// schedule (2ℓ for FastFD/α-FD/Compensative, ℓ+1 for Vanilla/iSVD, and
-	// at least ℓ+1 always); any other value must be at least ℓ+1 — a
-	// smaller positive value is a configuration error and panics, since a
-	// buffer below ℓ+1 cannot hold even one row beyond the sketch and
-	// would have to be silently reinterpreted. Larger buffers mean fewer,
+	// BufferRows sets the in-memory buffer size. 0 selects the 2ℓ doubling
+	// buffer; any other value must be at least ℓ+1 — a smaller positive
+	// value is a configuration error and panics, since a buffer below ℓ+1
+	// cannot hold even one row beyond the sketch and would have to be
+	// silently reinterpreted. Larger buffers mean fewer,
 	// larger SVDs with identical guarantees; ℓ+1 reproduces Liberty's
 	// original one-row-at-a-time shrink schedule.
 	BufferRows int
-	// Strategy selects the shrink rule applied when the buffer fills (nil
-	// selects FastFD, the package's historical hard-coded behavior). See
-	// ShrinkStrategy and the package-level variants.
-	Strategy ShrinkStrategy
+	// Alpha is the shrink rule's α ∈ (0,1]: the fraction of the ℓ retained
+	// directions that absorb each shrink's δ (see CheckAlpha and Rule). 0
+	// means 1, the classic FD shrink; New panics on any other value outside
+	// (0,1].
+	Alpha float64
 	// Obs records each shrink (count, δ, rows shrunk) on the observability
 	// layer; nil falls back to the process-wide obs.Default(). The shrink
 	// hot path stays allocation-free either way.
@@ -78,23 +77,26 @@ type Options struct {
 }
 
 // New returns a sketch of dimension d producing at most ell rows. It panics
-// on non-positive dimensions and on a BufferRows that is positive but below
-// ℓ+1 (see Options.BufferRows).
+// on non-positive dimensions, on a BufferRows that is positive but below
+// ℓ+1 (see Options.BufferRows), and on an Alpha outside (0,1].
 func New(d, ell int, opts Options) *Sketch {
 	if d <= 0 || ell <= 0 {
 		panic(fmt.Sprintf("fd: invalid dimensions d=%d ell=%d", d, ell))
 	}
-	st := resolveStrategy(opts.Strategy)
+	if err := CheckAlpha(opts.Alpha); err != nil {
+		panic(err.Error())
+	}
+	alpha := opts.Alpha
+	if alpha == 0 {
+		alpha = 1
+	}
 	br := opts.BufferRows
 	if br == 0 {
-		br = st.DefaultBufferRows(ell)
-		if br < ell+1 {
-			br = ell + 1
-		}
+		br = 2 * ell
 	} else if br < ell+1 {
 		panic(fmt.Sprintf("fd: BufferRows=%d below minimum ℓ+1=%d", br, ell+1))
 	}
-	return &Sketch{d: d, ell: ell, bufferRows: br, strategy: st, buf: matrix.New(br, d), obs: opts.Obs}
+	return &Sketch{d: d, ell: ell, bufferRows: br, alpha: alpha, buf: matrix.New(br, d), obs: opts.Obs}
 }
 
 // SketchSize returns the number of rows ℓ for an (ε,k)-sketch:
@@ -133,14 +135,10 @@ func (s *Sketch) WorkingSpaceRows() int { return s.bufferRows }
 // Shrinks returns how many SVD shrink steps have run.
 func (s *Sketch) Shrinks() int { return s.shrinks }
 
-// Strategy returns the sketch's shrink strategy (never nil; the default is
-// FastFD).
-func (s *Sketch) Strategy() ShrinkStrategy { return s.strategy }
-
 // TotalShrinkage returns the accumulated per-shrink error charges Σ δ_i, a
 // deterministic upper bound on the covariance error of the current sketch
-// with respect to everything fed in — valid for every shrink strategy,
-// since each charge bounds that shrink's spectral-norm change.
+// with respect to everything fed in — valid at every α, since each charge
+// bounds that shrink's spectral-norm change.
 func (s *Sketch) TotalShrinkage() float64 { return s.totalDelta }
 
 // InputRows returns the number of rows fed in so far.
@@ -237,7 +235,7 @@ func (s *Sketch) UpdateMatrix(m *matrix.Dense) error {
 }
 
 // shrink runs one shrink step, reducing the buffer to at most ℓ rows under
-// the sketch's strategy. The SVD factorizes through a workspace held by the
+// the sketch's α. The SVD factorizes through a workspace held by the
 // sketch and the squared spectrum lives in a reused scratch slice, so
 // steady-state shrinking allocates nothing.
 func (s *Sketch) shrink() error {
@@ -254,7 +252,7 @@ func (s *Sketch) shrink() error {
 	for j, sig := range svd.Sigma {
 		sig2[j] = sig * sig
 	}
-	charge := s.strategy.Apply(sig2, s.ell)
+	charge := shrinkSpectrum(sig2, s.ell, s.alpha)
 	out := 0
 	for j := 0; j < ns; j++ {
 		if sig2[j] <= 0 {
@@ -266,10 +264,6 @@ func (s *Sketch) shrink() error {
 			row[l] = w * svd.V.At(l, j)
 		}
 		out++
-	}
-	if out > s.ell {
-		s.err = fmt.Errorf("fd: shrink strategy %s left %d positive directions (ℓ=%d)", s.strategy.Name(), out, s.ell)
-		return s.err
 	}
 	for i := out; i < s.used; i++ {
 		zero(s.buf.Row(i))
@@ -294,10 +288,7 @@ func zero(v []float64) {
 
 // Matrix returns the current sketch B with at most ℓ non-zero rows,
 // shrinking first if the buffer holds more than ℓ rows. The result is a
-// copy; the sketch remains usable for further updates. Under the
-// Compensative strategy the returned matrix carries the query-time
-// compensation (σ² + Δ on every retained direction); the internal state
-// stays uncompensated so streaming continues correctly.
+// copy; the sketch remains usable for further updates.
 func (s *Sketch) Matrix() (*matrix.Dense, error) {
 	if s.err != nil {
 		return nil, s.err
@@ -307,45 +298,7 @@ func (s *Sketch) Matrix() (*matrix.Dense, error) {
 			return nil, err
 		}
 	}
-	return s.finish(s.buf.CopyRows(0, s.used))
-}
-
-// finish applies the strategy's query-time transform, if any, to an
-// at-most-ℓ-row sketch matrix about to be handed out.
-func (s *Sketch) finish(b *matrix.Dense) (*matrix.Dense, error) {
-	if !compensates(s.strategy) {
-		return b, nil
-	}
-	return s.compensate(b)
-}
-
-// compensate is CompensativeFD's query-time transform: factor the ≤ℓ-row
-// sketch and rebuild each retained direction with σ² + Δ, Δ = Σδ. FD
-// guarantees 0 ≼ AᵀA − BᵀB ≼ Δ·I, so adding Δ on the retained subspace
-// keeps ‖AᵀA − B̂ᵀB̂‖₂ ≤ Δ while roughly centering the error — the
-// certificate (ErrorBound) is unchanged.
-func (s *Sketch) compensate(b *matrix.Dense) (*matrix.Dense, error) {
-	if s.totalDelta <= 0 || b.Rows() == 0 {
-		return b, nil
-	}
-	svd, err := linalg.ComputeSVD(b)
-	if err != nil {
-		return nil, fmt.Errorf("fd: compensation SVD: %w", err)
-	}
-	out := matrix.New(b.Rows(), s.d)
-	n := 0
-	for j, sig := range svd.Sigma {
-		if sig <= 0 {
-			break
-		}
-		w := math.Sqrt(sig*sig + s.totalDelta)
-		row := out.Row(n)
-		for l := 0; l < s.d; l++ {
-			row[l] = w * svd.V.At(l, j)
-		}
-		n++
-	}
-	return out.CopyRows(0, n), nil
+	return s.buf.CopyRows(0, s.used), nil
 }
 
 // Snapshot returns the current sketch matrix (at most ℓ non-zero rows)
@@ -357,42 +310,32 @@ func (s *Sketch) Snapshot() (*matrix.Dense, error) {
 		return nil, s.err
 	}
 	if s.used <= s.ell {
-		return s.finish(s.buf.CopyRows(0, s.used))
+		return s.buf.CopyRows(0, s.used), nil
 	}
-	// The private copy carries the strategy and the accumulated charge so a
-	// compensated snapshot matches what Matrix would return after the same
-	// shrink, bit for bit.
 	tmp := &Sketch{
-		d: s.d, ell: s.ell, bufferRows: s.bufferRows, strategy: s.strategy,
+		d: s.d, ell: s.ell, bufferRows: s.bufferRows, alpha: s.alpha,
 		buf: s.buf.CopyRows(0, s.bufferRows), used: s.used,
-		totalDelta: s.totalDelta,
-		obs:        s.obs,
+		obs: s.obs,
 	}
 	if err := tmp.shrink(); err != nil {
 		return nil, err
 	}
-	return tmp.finish(tmp.buf.CopyRows(0, tmp.used))
+	return tmp.buf.CopyRows(0, tmp.used), nil
 }
 
 // Merge feeds the rows of other's current sketch into s (FD mergeability).
 // Both sketches must share the same dimension d. other is never mutated (a
 // pending shrink of its buffer runs on a private copy — see Snapshot), and
 // on error s's input accounting is rolled back to its pre-merge values, so
-// a failed merge never leaves the certificate counters corrupted. Both
-// sketches must use mergeable shrink strategies (CheckMergeable): a
-// variant without a mergeability proof fails here loudly.
+// a failed merge never leaves the certificate counters corrupted. The two
+// sketches may use different α: each shrink still drains its own share of
+// the one mass budget, so the merge keeps the bound of the smaller α.
 func (s *Sketch) Merge(other *Sketch) error {
 	if other.d != s.d {
 		panic(fmt.Sprintf("fd: merge dimension mismatch %d vs %d", s.d, other.d))
 	}
 	if s.err != nil {
 		return s.err
-	}
-	if err := CheckMergeable(s.strategy); err != nil {
-		return err
-	}
-	if err := CheckMergeable(other.strategy); err != nil {
-		return err
 	}
 	m, err := other.Snapshot()
 	if err != nil {
@@ -429,11 +372,9 @@ func SketchEpsK(a *matrix.Dense, eps float64, k int) (*matrix.Dense, error) {
 // the sum of per-shrink charges, each bounding that shrink's spectral-norm
 // change, so their sum bounds ‖AᵀA − BᵀB‖₂ by the triangle inequality. On
 // adversarial streams Σδ can exceed the total input mass ‖A‖F², which is
-// itself always an upper bound for the shrink-only strategies (shrinks
-// never grow the covariance, so 0 ≼ AᵀA − BᵀB ≼ AᵀA ≼ ‖A‖F²·I); hence the
-// minimum of the two is the certificate. (Compensative's mass-drain
-// accounting keeps Σδ ≤ ‖A‖F²/(ℓ+1), so the clamp never mis-tightens its
-// query-time bound.) The a-priori bound ‖A−[A]_k‖F²/(ℓ−k) requires knowing
+// itself always an upper bound (shrinks never grow the covariance, so
+// 0 ≼ AᵀA − BᵀB ≼ AᵀA ≼ ‖A‖F²·I); hence the minimum of the two is the
+// certificate. The a-priori bound ‖A−[A]_k‖F²/(ℓ−k) requires knowing
 // the input's tail energy; this helper exposes what the sketch can prove
 // about itself from the stream alone.
 func (s *Sketch) ErrorBound() float64 {

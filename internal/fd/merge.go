@@ -22,18 +22,12 @@ import (
 // (ε,k) merge guarantee (mergeability holds for arbitrary merge trees) but
 // are not bitwise equal to the star.
 //
-// The reduction is strategy-aware: pair merges shrink under opts.Strategy,
-// and since every shrink anywhere in the tree still drains
-// MassDivisor·charge of the one global Frobenius budget, the merged sketch
-// satisfies ‖AᵀA − BᵀB‖₂ ≤ ‖A‖F²/MassDivisor(ℓ) for every mergeable
-// strategy (FD, FastFD, α-FD), A being the union of all leaves' input.
-// Both grouping-invariance statements above hold per strategy. Strategies
-// without a mergeability proof (iSVD, Compensative) are rejected with an
-// error before any work happens — see CheckMergeable.
+// Pair merges shrink under opts.Alpha, and since every shrink anywhere in
+// the tree still drains (⌈αℓ⌉+1)·charge of the one global Frobenius budget,
+// the merged sketch satisfies ‖AᵀA − BᵀB‖₂ ≤ ‖A‖F²/(⌈αℓ⌉+1), A being the
+// union of all leaves' input. Both grouping-invariance statements above hold
+// at every α.
 func MergeCanonical(d, ell int, parts []*matrix.Dense, opts Options) (*matrix.Dense, error) {
-	if err := CheckMergeable(opts.Strategy); err != nil {
-		return nil, err
-	}
 	if len(parts) == 0 {
 		return matrix.New(0, d), nil
 	}

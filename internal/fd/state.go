@@ -18,7 +18,7 @@ type State struct {
 	D          int
 	Ell        int
 	BufferRows int
-	Strategy   string // strategy name; FromState validates it against Options
+	Strategy   string // shrink rule name (Options.Rule); FromState validates it against Options
 	Buffer     *matrix.Dense
 	Shrinks    int
 	TotalDelta float64
@@ -36,7 +36,7 @@ func (s *Sketch) State() (*State, error) {
 		D:          s.d,
 		Ell:        s.ell,
 		BufferRows: s.bufferRows,
-		Strategy:   s.strategy.Name(),
+		Strategy:   Options{Alpha: s.alpha}.Rule(),
 		Buffer:     s.buf.CopyRows(0, s.used),
 		Shrinks:    s.shrinks,
 		TotalDelta: s.totalDelta,
@@ -45,11 +45,11 @@ func (s *Sketch) State() (*State, error) {
 	}, nil
 }
 
-// FromState reconstructs a sketch from a State snapshot. The strategy and
+// FromState reconstructs a sketch from a State snapshot. The shrink rule and
 // observer come from opts (they are runtime wiring, not stream state); the
-// resolved strategy's name must match the name recorded in the snapshot — a
-// restore under a different shrink rule would silently invalidate the
-// certificate, so it fails loudly instead.
+// rule's name must match the name recorded in the snapshot — a restore
+// under a different α would silently invalidate the certificate, so it
+// fails loudly instead.
 func FromState(st *State, opts Options) (*Sketch, error) {
 	if st == nil {
 		return nil, fmt.Errorf("fd: nil state")
@@ -57,9 +57,11 @@ func FromState(st *State, opts Options) (*Sketch, error) {
 	if st.D <= 0 || st.Ell <= 0 || st.BufferRows < st.Ell+1 {
 		return nil, fmt.Errorf("fd: state has invalid shape d=%d ell=%d bufferRows=%d", st.D, st.Ell, st.BufferRows)
 	}
-	strat := resolveStrategy(opts.Strategy)
-	if st.Strategy != "" && strat.Name() != st.Strategy {
-		return nil, fmt.Errorf("fd: state was written under strategy %q, restore requested %q", st.Strategy, strat.Name())
+	if err := CheckAlpha(opts.Alpha); err != nil {
+		return nil, err
+	}
+	if rule := opts.Rule(); st.Strategy != "" && rule != st.Strategy {
+		return nil, fmt.Errorf("fd: state was written under shrink rule %q, restore requested %q", st.Strategy, rule)
 	}
 	used, cols := 0, st.D
 	if st.Buffer != nil {

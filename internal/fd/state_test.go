@@ -74,7 +74,7 @@ func sketchesIdentical(t *testing.T, got, want *Sketch) {
 func TestStateRestoreBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := workload.Gaussian(rng, 157, 12)
-	for _, opts := range []Options{{}, {Strategy: Vanilla}, {Strategy: AlphaFD(0.5)}} {
+	for _, opts := range []Options{{}, {BufferRows: 7}, {Alpha: 0.5}} {
 		for _, mid := range []int{0, 1, 19, 64, 100, 156, 157} {
 			restored, full := feedHalves(t, a, 6, mid, opts)
 			sketchesIdentical(t, restored, full)
@@ -83,13 +83,37 @@ func TestStateRestoreBitExact(t *testing.T) {
 }
 
 func TestStateRejectsStrategyMismatch(t *testing.T) {
-	s := New(4, 3, Options{Strategy: Vanilla})
+	s := New(4, 3, Options{Alpha: 0.5})
 	st, err := s.State()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FromState(st, Options{}); err == nil {
-		t.Fatal("restore under fast-fd of a vanilla snapshot must fail")
+	if st.Strategy != "alpha-fd(0.5)" {
+		t.Fatalf("state records rule %q, want alpha-fd(0.5)", st.Strategy)
+	}
+	if _, err := FromState(st, Options{Alpha: 1}); err == nil {
+		t.Fatal("restore at α = 1 of an α = 0.5 snapshot must fail")
+	}
+	if _, err := FromState(st, Options{Alpha: 0.5}); err != nil {
+		t.Fatalf("restore at the snapshot's own α: %v", err)
+	}
+}
+
+// TestStateDefaultRuleNameIsFastFD pins the checkpoint format: the default
+// rule (α = 0 or 1) records "fast-fd", the name every earlier checkpoint
+// carries, so those checkpoints still restore.
+func TestStateDefaultRuleNameIsFastFD(t *testing.T) {
+	for _, alpha := range []float64{0, 1} {
+		st, err := New(4, 3, Options{Alpha: alpha}).State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Strategy != "fast-fd" {
+			t.Fatalf("α = %v records rule %q, want fast-fd", alpha, st.Strategy)
+		}
+		if _, err := FromState(st, Options{}); err != nil {
+			t.Fatalf("α = %v: default restore: %v", alpha, err)
+		}
 	}
 }
 

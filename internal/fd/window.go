@@ -41,9 +41,9 @@ type winBucket struct {
 
 // NewWindow returns a sliding-window sketch over the last window rows,
 // split into numBuckets bucketed sub-sketches (numBuckets <= 0 selects 8,
-// clamped so buckets hold at least one row). The shrink strategy resolved
-// from opts must be mergeable — query-time bucket merging is the whole
-// mechanism — otherwise NewWindow fails loudly.
+// clamped so buckets hold at least one row). opts.Alpha may be any legal
+// α: query-time bucket merging rests on FD mergeability, which holds at
+// every α.
 func NewWindow(d, ell, window, numBuckets int, opts Options) (*WindowSketch, error) {
 	if d <= 0 || ell <= 0 {
 		return nil, fmt.Errorf("fd: invalid window dimensions d=%d ell=%d", d, ell)
@@ -51,7 +51,7 @@ func NewWindow(d, ell, window, numBuckets int, opts Options) (*WindowSketch, err
 	if window <= 0 {
 		return nil, fmt.Errorf("fd: invalid window size %d", window)
 	}
-	if err := CheckMergeable(resolveStrategy(opts.Strategy)); err != nil {
+	if err := CheckAlpha(opts.Alpha); err != nil {
 		return nil, fmt.Errorf("fd: window sketch: %w", err)
 	}
 	if numBuckets <= 0 {

@@ -117,9 +117,9 @@ func TestWindowForgets(t *testing.T) {
 	}
 }
 
-func TestWindowRejectsNonMergeable(t *testing.T) {
-	if _, err := NewWindow(4, 3, 10, 2, Options{Strategy: ISVD}); err == nil {
-		t.Fatal("iSVD is not mergeable; NewWindow must reject it")
+func TestWindowRejectsBadParams(t *testing.T) {
+	if _, err := NewWindow(4, 3, 10, 2, Options{Alpha: 1.5}); err == nil {
+		t.Fatal("alpha outside (0,1] must be rejected")
 	}
 	if _, err := NewWindow(4, 3, 0, 2, Options{}); err == nil {
 		t.Fatal("non-positive window must be rejected")

@@ -27,44 +27,6 @@ func applyHouseholder(r *matrix.Dense, v []float64, j, cFrom, cTo int) {
 	})
 }
 
-// OrthonormalizeColumns returns a matrix with the same column span as a but
-// orthonormal columns, dropping numerically dependent columns
-// (tol relative to the largest column norm; tol <= 0 uses 1e-10).
-func OrthonormalizeColumns(a *matrix.Dense, tol float64) *matrix.Dense {
-	m, n := a.Dims()
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	maxNorm := 0.0
-	for j := 0; j < n; j++ {
-		if v := matrix.Norm(a.Col(j)); v > maxNorm {
-			maxNorm = v
-		}
-	}
-	if maxNorm == 0 {
-		return matrix.New(m, 0)
-	}
-	basis := make([][]float64, 0, n)
-	for j := 0; j < n; j++ {
-		v := a.Col(j)
-		// Two rounds of modified Gram–Schmidt for numerical stability.
-		for pass := 0; pass < 2; pass++ {
-			for _, b := range basis {
-				matrix.AxpyVec(v, -matrix.Dot(b, v), b)
-			}
-		}
-		if matrix.Norm(v) > tol*maxNorm {
-			matrix.Normalize(v)
-			basis = append(basis, v)
-		}
-	}
-	out := matrix.New(m, len(basis))
-	for j, b := range basis {
-		out.SetCol(j, b)
-	}
-	return out
-}
-
 // PivotedQR holds a column-pivoted QR factorization A·P = Q·R. Perm[j] gives
 // the original column index moved to position j; Rank is the numerical rank
 // detected during elimination.

@@ -1,13 +1,13 @@
 // Package linalg implements the dense numerical routines the sketching
 // algorithms are built on: singular value decomposition (one-sided Jacobi),
 // symmetric eigendecomposition (cyclic Jacobi), Householder QR (plain and
-// column-pivoted), power iteration, orthonormalization, pseudoinverse, best
-// rank-k approximation and spectral norms.
+// column-pivoted), pseudoinverse, best rank-k approximation and spectral
+// norms.
 //
 // Everything is written from scratch against the stdlib. Jacobi methods are
 // chosen for robustness and near machine-precision accuracy at the
-// dimensions this repository works with; the power-iteration routines cover
-// the larger benchmark sizes where only the top of the spectrum is needed.
+// dimensions this repository works with; the tridiagonal eigenvalue routine
+// covers the larger sizes where only the spectrum is needed.
 package linalg
 
 import (

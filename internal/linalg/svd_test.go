@@ -22,8 +22,8 @@ func randDense(rng *rand.Rand, r, c int) *matrix.Dense {
 
 // matrixWithSpectrum builds an n×d matrix with the prescribed singular values.
 func matrixWithSpectrum(rng *rand.Rand, n, d int, sigma []float64) *matrix.Dense {
-	u := OrthonormalizeColumns(randDense(rng, n, len(sigma)), 0)
-	v := OrthonormalizeColumns(randDense(rng, d, len(sigma)), 0)
+	u := orthonormalizeColumns(randDense(rng, n, len(sigma)), 0)
+	v := orthonormalizeColumns(randDense(rng, d, len(sigma)), 0)
 	s := &SVD{U: u, Sigma: sigma, V: v}
 	return s.Reconstruct()
 }

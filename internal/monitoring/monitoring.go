@@ -99,12 +99,23 @@ func (c Config) observer() *obs.Observer {
 	return obs.Default()
 }
 
-func (c Config) validate() {
-	if c.Eps <= 0 || c.Eps >= 1 {
-		panic(fmt.Sprintf("monitoring: eps %v out of (0,1)", c.Eps))
+// Validate returns an error when c cannot run: ε outside (0,1) (NaN
+// included) or a non-positive server count or dimension.
+func (c Config) Validate() error {
+	if !(c.Eps > 0 && c.Eps < 1) {
+		return fmt.Errorf("monitoring: eps %v out of (0,1)", c.Eps)
 	}
 	if c.S <= 0 || c.D <= 0 {
-		panic(fmt.Sprintf("monitoring: invalid s=%d d=%d", c.S, c.D))
+		return fmt.Errorf("monitoring: invalid s=%d d=%d", c.S, c.D)
+	}
+	return nil
+}
+
+// validate panics with Validate's error: the constructors that call it
+// return no error, so a bad Config is a programming error there.
+func (c Config) validate() {
+	if err := c.Validate(); err != nil {
+		panic(err.Error())
 	}
 }
 

@@ -110,6 +110,9 @@ func (c Config) queryTimeout() time.Duration {
 }
 
 func (c Config) validate() error {
+	if err := c.Monitoring.Validate(); err != nil {
+		return err
+	}
 	if c.Window < 0 || c.WindowBuckets < 0 || c.MaxRows < 0 {
 		return fmt.Errorf("service: negative window/buckets/max-rows")
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/distributed"
+	"repro/internal/fd"
 	"repro/internal/linalg"
 	"repro/internal/matrix"
 	"repro/internal/monitoring"
@@ -64,30 +65,40 @@ func runServer(t *testing.T, ctx context.Context, cfg Config, id int, path, addr
 	return srv
 }
 
-// waitQuiesced polls the coordinator until its words meter stops moving —
-// the servers have drained and every in-flight message is absorbed.
-func waitQuiesced(t *testing.T, ctx context.Context, coord *Coordinator) *Status {
+// waitMass polls the coordinator until its reported mass equals want, the
+// sum of the servers' final local masses. Every server's last upload (its
+// drain flush, or the threshold upload that consumed its last row) carries
+// its exact final mass, so equality is an exact barrier: the servers have
+// drained and the coordinator has absorbed every upload. The wait is
+// bounded by a deadline on ctx.
+func waitMass(t *testing.T, ctx context.Context, coord *Coordinator, want float64) *Status {
 	t.Helper()
-	var last *Status
-	stable := 0
-	for i := 0; i < 200; i++ {
+	ctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+	defer cancel()
+	for {
 		st, err := coord.Status(ctx)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("waiting for reported mass %v: %v", want, err)
 		}
-		if last != nil && st.Words == last.Words && st.Uploads == last.Uploads {
-			stable++
-			if stable >= 3 {
-				return st
-			}
-		} else {
-			stable = 0
+		if st.ReportedMass == want {
+			return st
 		}
-		last = st
-		time.Sleep(50 * time.Millisecond)
+		select {
+		case <-ctx.Done():
+			t.Fatalf("coordinator reports mass %v, want %v", st.ReportedMass, want)
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
-	t.Fatal("coordinator never quiesced")
-	return nil
+}
+
+// streamMass is the local mass a server reaches after ingesting every row
+// of m, accumulated in the tracker's order so it compares exactly.
+func streamMass(m *matrix.Dense) float64 {
+	mass := 0.0
+	for i := 0; i < m.Rows(); i++ {
+		mass += matrix.Norm2(m.Row(i))
+	}
+	return mass
 }
 
 // TestKillRestoreBitExact is the tentpole's acceptance test: a server
@@ -125,7 +136,7 @@ func TestKillRestoreBitExact(t *testing.T) {
 	// Server 1 streams its whole shard uninterrupted.
 	cfg1 := cfg
 	cfg1.ExitWhenDrained = true
-	runServer(t, ctx, cfg1, 1, p1, hub.Addr())
+	srv1 := runServer(t, ctx, cfg1, 1, p1, hub.Addr())
 
 	// Server 0, first incarnation: checkpoint every 40 rows, die after 130
 	// without a final checkpoint — the durable state is the row-120
@@ -149,6 +160,11 @@ func TestKillRestoreBitExact(t *testing.T) {
 	}
 	if meta.Consumed != 120 {
 		t.Fatalf("checkpoint at row %d, want 120", meta.Consumed)
+	}
+	// The sidecar names the default shrink rule "fast-fd", as every earlier
+	// checkpoint does (TestRestoresPreviousFormatCheckpoint restores one).
+	if meta.Full.Strategy != "fast-fd" || meta.Pending.Strategy != "fast-fd" {
+		t.Fatalf("sidecar rule names %q / %q, want fast-fd", meta.Full.Strategy, meta.Pending.Strategy)
 	}
 
 	// Second incarnation: restore and finish the shard.
@@ -204,7 +220,7 @@ func TestKillRestoreBitExact(t *testing.T) {
 
 	// The coordinator's certificate must hold over the true union even
 	// though it saw replayed (deduplicated) uploads.
-	st := waitQuiesced(t, ctx, coord)
+	st := waitMass(t, ctx, coord, second.Tracker().LocalMass()+srv1.Tracker().LocalMass())
 	if st.Heard != 2 {
 		t.Fatalf("coordinator heard %d servers, want 2", st.Heard)
 	}
@@ -222,6 +238,71 @@ func TestKillRestoreBitExact(t *testing.T) {
 	}
 	if rel := ce / union.Frob2(); rel > cfg.Monitoring.Eps {
 		t.Fatalf("relative error %v exceeded ε=%v", rel, cfg.Monitoring.Eps)
+	}
+}
+
+// TestRestoresPreviousFormatCheckpoint pins the checkpoint format across
+// the shrink-rule collapse: testdata/checkpoint_v1.dskm (+ .json sidecar)
+// was written by the code that still had five pluggable shrink strategies —
+// server 0's fd-delta state after 170 of 240 rows, shrinks charged in both
+// sketches. It must restore under the default rule and then track the rest
+// of the stream bit-identically to a tracker that never stopped.
+func TestRestoresPreviousFormatCheckpoint(t *testing.T) {
+	const n, d, consumed = 240, 24, 170
+	cfg := testConfig(2, d)
+	cfg.CheckpointPath = filepath.Join(t.TempDir(), "ck.dskm")
+	for _, ext := range []string{"", ".json"} {
+		raw, err := os.ReadFile("testdata/checkpoint_v1.dskm" + ext)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(cfg.CheckpointPath+ext, raw, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := workload.LowRankPlusNoise(rand.New(rand.NewSource(8)), n, d, 3, 10, 0.8, 0.3)
+	srv, err := NewServer(cfg, 0, workload.NewDenseSource(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !srv.Restored() || srv.Consumed() != consumed {
+		t.Fatalf("restored=%v consumed=%d, want a restore at row %d", srv.Restored(), srv.Consumed(), consumed)
+	}
+	ref := monitoring.NewServer(cfg.Monitoring, 0)
+	ref.SetThreshold(200) // the threshold the checkpointed server held
+	got := srv.Tracker()
+	for i := 0; i < n; i++ {
+		if i >= consumed {
+			if _, err := got.Offer(m.Row(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := ref.Offer(m.Row(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gotSt, err := got.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	refSt, err := ref.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range [][2]*fd.State{{gotSt.Full, refSt.Full}, {gotSt.Pending, refSt.Pending}} {
+		g, w := pair[0], pair[1]
+		if g.Strategy != "fast-fd" || w.Strategy != "fast-fd" {
+			t.Fatalf("rule names %q / %q, want fast-fd", g.Strategy, w.Strategy)
+		}
+		if g.Shrinks != w.Shrinks || g.TotalDelta != w.TotalDelta || g.InputRows != w.InputRows || g.InputFrob2 != w.InputFrob2 {
+			t.Fatalf("counters diverge: %+v vs %+v", g, w)
+		}
+		if !g.Buffer.Equal(w.Buffer) {
+			t.Fatal("sketch buffer differs from the uninterrupted tracker")
+		}
+	}
+	if refSt.Full.Shrinks == 0 || refSt.Full.TotalDelta == 0 {
+		t.Fatal("workload too small: no charged shrink exercised")
 	}
 }
 
@@ -299,9 +380,9 @@ func TestHTTPEndpoints(t *testing.T) {
 
 	cfgSrv := cfg
 	cfgSrv.ExitWhenDrained = true
-	runServer(t, ctx, cfgSrv, 0, p0, hub.Addr())
-	runServer(t, ctx, cfgSrv, 1, p1, hub.Addr())
-	waitQuiesced(t, ctx, coord)
+	srv0 := runServer(t, ctx, cfgSrv, 0, p0, hub.Addr())
+	srv1 := runServer(t, ctx, cfgSrv, 1, p1, hub.Addr())
+	waitMass(t, ctx, coord, srv0.Tracker().LocalMass()+srv1.Tracker().LocalMass())
 
 	base := "http://" + hub.Debug().Addr()
 	getJSON := func(path string, into any) {
@@ -441,7 +522,9 @@ func TestWindowQueryService(t *testing.T) {
 			done <- srv.Run(ctx, up)
 		}(id, path)
 	}
-	waitQuiesced(t, ctx, coord)
+	// The servers are still running (idle), so their trackers are not read
+	// here; their final masses follow from the streams.
+	waitMass(t, ctx, coord, streamMass(m0)+streamMass(m1))
 
 	res, err := coord.WindowQuery(ctx)
 	if err != nil {
@@ -518,5 +601,15 @@ func TestConfigValidationService(t *testing.T) {
 	cfg.Window = -1
 	if err := cfg.validate(); err == nil {
 		t.Fatal("negative window accepted")
+	}
+	// A bad tracking parameter is an error from both constructors, never a
+	// panic from the monitoring layer underneath.
+	cfg = testConfig(1, 4)
+	cfg.Monitoring.Eps = 1.5
+	if _, err := NewCoordinator(cfg); err == nil {
+		t.Fatal("coordinator accepted eps 1.5")
+	}
+	if _, err := NewServer(cfg, 0, workload.NewDenseSource(matrix.New(3, 4))); err == nil {
+		t.Fatal("server accepted eps 1.5")
 	}
 }
