@@ -32,9 +32,9 @@ type Protocol interface {
 	// Server runs the server role over node, streaming the local workload
 	// input — one row shard for covariance protocols (unwrap it with
 	// in.Covariance), an aligned (A, B) shard pair for product protocols
-	// (in.Product). Streaming protocols (FD merge, streaming SVS,
+	// (in.Product). Streaming protocols (FD merge, SVS in both forms,
 	// adaptive, low-rank exact, coordinated product) read their sources in
-	// one or two bounded-memory passes; batch protocols materialize them
+	// one or two bounded-memory passes; BWZ materializes its shard
 	// (documented O(n_i·d) memory). Wrap an in-memory
 	// partition with workload.NewDenseSource — or use the []*matrix.Dense
 	// Run entry points, which do it for you.

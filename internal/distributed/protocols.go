@@ -219,9 +219,10 @@ func (p FDMerge) Coordinator(ctx context.Context, node Node) (*Result, error) {
 // ---------------------------------------------------------------------------
 
 // SVS is the §3.1 / Algorithm 2 randomized (α,0)-sketch protocol with the
-// two-round norm calibration. Streaming switches the servers to the
-// one-pass pipeline (FD at α/2 locally, then SVS on the local sketch) so no
-// server ever materializes its raw input. Expected communication:
+// two-round norm calibration. Both server forms read their input once
+// without materializing it: the batch server into a d×d Gram (O(d²)
+// memory), Streaming through FD at α/2 and then SVS on the local sketch
+// (O(d/α) memory). Expected communication:
 // O(√s·d·√log(d/δ)/α) words (quadratic g) plus the 2s calibration words.
 type SVS struct {
 	Alpha    float64
@@ -258,19 +259,30 @@ func (p SVS) validate() error {
 // Server implements Protocol with the two-round calibration the paper
 // sketches in footnote 6: send ‖A_i‖F² (one word), receive the global
 // ‖A‖F² (one word), then run SVS with the shared sampling function and send
-// the sampled rows. The batch SVS needs the full local block (its SVD), so
-// the source is materialized — O(n_i·d) memory; set Streaming for bounded
-// space.
+// the sampled rows. agg(A_i) depends on A_i only through A_iᵀA_i, so the
+// batch server reads its source once into a d×d Gram and the exact row
+// mass (matrix.GramAccumulator): one pass, O(d²) memory, and one d×d
+// eigendecomposition (core.SVSGram). Streaming instead sketches the rows
+// with FD first, in O(d/α) memory.
 func (p SVS) Server(ctx context.Context, node Node, in Input) error {
 	if p.Streaming {
 		return p.serverStreaming(ctx, node, in)
 	}
-	s, alpha, delta, cfg := p.Env.Servers, p.Alpha, p.Delta, p.Env.Config
-	local, err := materializeLocal(node, in, p.Name(), cfg)
+	rows, err := in.Covariance(p.Name())
 	if err != nil {
 		return err
 	}
-	if err := node.Send(ctx, comm.CoordinatorID, &comm.Message{Kind: "frob2", Scalars: []float64{local.Frob2()}}); err != nil {
+	s, alpha, delta, cfg := p.Env.Servers, p.Alpha, p.Delta, p.Env.Config
+	_, d := rows.Dims()
+	acc := matrix.NewGramAccumulator(d)
+	n, sparse, err := streamRows(rows,
+		func(row []float64) error { acc.Add(row); return nil },
+		func(row *matrix.SparseVector) error { acc.AddSparse(row); return nil })
+	if err != nil {
+		return fmt.Errorf("server %d: %w", node.ID(), err)
+	}
+	cfg.observer().RowsIngested(int64(n), sparse)
+	if err := node.Send(ctx, comm.CoordinatorID, &comm.Message{Kind: "frob2", Scalars: []float64{acc.Frob2()}}); err != nil {
 		return err
 	}
 	msg, err := expectKind(ctx, node, "frob2-total")
@@ -279,12 +291,12 @@ func (p SVS) Server(ctx context.Context, node Node, in Input) error {
 	}
 	frob2 := msg.Scalars[0]
 	msg.Release()
-	g := p.Sampling.Build(s, local.Cols(), alpha, delta, frob2)
-	b, err := core.SVS(local, g, cfg.rng(node.ID()))
+	g := p.Sampling.Build(s, d, alpha, delta, frob2)
+	b, err := core.SVSGram(acc.Gram(), n, g, cfg.rng(node.ID()))
 	if err != nil {
 		return fmt.Errorf("server %d SVS: %w", node.ID(), err)
 	}
-	cfg.observer().SVSSampled(b.Rows(), minDim(local))
+	cfg.observer().SVSSampled(b.Rows(), min(n, d))
 	return cfg.sendMatrix(ctx, node, comm.CoordinatorID, "svs-sketch", b)
 }
 

@@ -47,10 +47,10 @@ func streamRows(src workload.RowSource, update func([]float64) error, sparseUpda
 }
 
 // materializeLocal collects a server's covariance shard into a dense matrix
-// and reports its rows as ingested, for the protocols that need random
-// access to their local rows (the batch SVS path, the subspace-embedding PCA
-// solve). These paths are documented as requiring
-// O(n_i·d) server memory; in-memory sources pass through without copying.
+// and reports its rows as ingested, for the one protocol that needs random
+// access to its local rows (BWZ's subspace-embedding PCA solve). That path
+// is documented as requiring O(n_i·d) server memory; in-memory sources pass
+// through without copying.
 func materializeLocal(node Node, in Input, proto string, cfg Config) (*matrix.Dense, error) {
 	src, err := in.Covariance(proto)
 	if err != nil {

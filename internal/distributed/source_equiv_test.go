@@ -120,11 +120,28 @@ func TestFDMergeBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocates a multi-MB on-disk dataset")
 	}
-	const (
-		n, d, s      = 40960, 80, 4
-		datasetBytes = n * d * 8        // 26.2 MB
-		allowedDelta = datasetBytes / 8 // 3.3 MB — the ≥8× headroom claim
-	)
+	requireBoundedMemory(t, FDMerge{Eps: 0.25}, 40960, 80) // 26.2 MB
+}
+
+// TestSVSBoundedMemory is TestFDMergeBoundedMemory for the batch SVS
+// server, which streams its shard once into a d×d Gram: 64 MB of shard
+// files must go through it with the live heap growing by at most an eighth
+// of that. A server that materializes its shard holds all of it.
+func TestSVSBoundedMemory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocates a multi-MB on-disk dataset")
+	}
+	requireBoundedMemory(t, SVS{Alpha: 0.02, Delta: 0.1, Sampling: SampleQuadratic}, 1<<18, 32) // 64 MB
+}
+
+// requireBoundedMemory runs proto over an n×d Gaussian dataset split into
+// four file-backed shards and fails if the peak live heap grows by more
+// than an eighth of the dataset.
+func requireBoundedMemory(t *testing.T, proto Protocol, n, d int) {
+	t.Helper()
+	const s = 4
+	datasetBytes := n * d * 8
+	allowedDelta := datasetBytes / 8 // the ≥8× headroom claim
 	// Write the shards one at a time so no full copy of the dataset is ever
 	// live; each shard matrix is dropped before the next is generated.
 	dir := t.TempDir()
@@ -181,7 +198,7 @@ func TestFDMergeBoundedMemory(t *testing.T) {
 			}
 		}
 	}()
-	res, err := RunSources(context.Background(), FDMerge{Eps: 0.25}, sources)
+	res, err := RunSources(context.Background(), proto, sources)
 	close(done)
 	if err != nil {
 		t.Fatal(err)
@@ -190,9 +207,9 @@ func TestFDMergeBoundedMemory(t *testing.T) {
 		t.Fatal("no sketch produced")
 	}
 	delta := int64(peak.Load()) - int64(baseline)
-	t.Logf("dataset %d B, baseline live heap %d B, peak delta %d B (allowed %d B)",
-		datasetBytes, baseline, delta, allowedDelta)
-	if delta > allowedDelta {
+	t.Logf("%s: dataset %d B, baseline live heap %d B, peak delta %d B (allowed %d B)",
+		proto.Name(), datasetBytes, baseline, delta, allowedDelta)
+	if delta > int64(allowedDelta) {
 		t.Fatalf("peak live heap grew %d B over baseline; want ≤ %d B (dataset is %d B)",
 			delta, allowedDelta, datasetBytes)
 	}

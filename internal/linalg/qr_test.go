@@ -152,7 +152,7 @@ func TestPseudoInverse(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A⁺A = I for full column rank.
-	if !pinv.Mul(a).EqualApprox(matrix.Identity(4), 1e-8) {
+	if !pinv.Mul(a).EqualApprox(identity(4), 1e-8) {
 		t.Fatal("A⁺A != I")
 	}
 	// Moore–Penrose conditions: A·A⁺·A = A, A⁺·A·A⁺ = A⁺.

@@ -1,13 +1,15 @@
 // Package linalg implements the dense numerical routines the sketching
 // algorithms are built on: singular value decomposition (one-sided Jacobi),
-// symmetric eigendecomposition (cyclic Jacobi), Householder QR (plain and
+// symmetric eigendecomposition (Householder tridiagonalization and
+// implicit-shift QL, with optional eigenvectors), Householder QR (plain and
 // column-pivoted), pseudoinverse, best rank-k approximation and spectral
 // norms.
 //
-// Everything is written from scratch against the stdlib. Jacobi methods are
-// chosen for robustness and near machine-precision accuracy at the
-// dimensions this repository works with; the tridiagonal eigenvalue routine
-// covers the larger sizes where only the spectrum is needed.
+// Everything is written from scratch against the stdlib. One-sided Jacobi
+// is chosen for robustness and relative accuracy at the dimensions this
+// repository works with, and it stays the independent oracle the tests
+// measure the QL solver against; the tridiagonal QL solver is the fast path
+// for symmetric matrices such as Grams, values only or with vectors.
 package linalg
 
 import (
@@ -274,6 +276,32 @@ func SingularValues(a *matrix.Dense) ([]float64, error) {
 		return nil, err
 	}
 	return s.Sigma, nil
+}
+
+// SpectralNormSym returns ‖S‖₂ = max(|λ₁|, |λ_n|) of a symmetric matrix as
+// its largest singular value from the one-sided Jacobi SVD. That keeps the
+// small-d oracle behind CovarianceError independent of the QL path the
+// shipped eigensolver runs. For large d prefer SpectralNormSymFast.
+//
+// Jacobi's convergence test multiplies squared column norms, which
+// underflows for entries near 1e-150, so S is first scaled by the power of
+// two that brings its largest entry into [½, 1). A power-of-two scaling
+// rounds nothing above the subnormal range, and Jacobi is equivariant under
+// it, so normally scaled inputs get the same bits as unscaled ones.
+func SpectralNormSym(s *matrix.Dense) (float64, error) {
+	if !s.IsFinite() {
+		return 0, ErrNoConvergence // as the QL path reports a NaN or Inf
+	}
+	m := s.MaxAbs()
+	if m == 0 {
+		return 0, nil
+	}
+	_, e := math.Frexp(m)
+	sig, err := SingularValues(s.Scale(math.Ldexp(1, -e)))
+	if err != nil {
+		return 0, err
+	}
+	return math.Ldexp(sig[0], e), nil
 }
 
 // Reconstruct returns U·diag(Sigma)·Vᵀ.

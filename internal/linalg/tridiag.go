@@ -11,9 +11,10 @@ import (
 // EigenvaluesSym returns the eigenvalues of a symmetric matrix in
 // non-increasing order, without eigenvectors, via Householder
 // tridiagonalization followed by the implicit-shift QL iteration — O(n³)
-// for the reduction with a much smaller constant than cyclic Jacobi, and
-// O(n²) for the QL phase. It is the fast path behind spectral-norm
-// measurements on the larger benchmark dimensions.
+// for the reduction and O(n²) for the QL phase. It is the fast path behind
+// spectral-norm measurements on the larger benchmark dimensions. Only the
+// lower triangle is read. ComputeEigSym runs the same two phases with the
+// transforms accumulated and returns bit-identical eigenvalues.
 func EigenvaluesSym(s *matrix.Dense) ([]float64, error) {
 	n, c := s.Dims()
 	if n != c {
@@ -22,83 +23,202 @@ func EigenvaluesSym(s *matrix.Dense) ([]float64, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	diag, off := tridiagonalize(s)
-	if err := qlImplicit(diag, off); err != nil {
+	diag, off, _ := tridiagonalize(s, false)
+	if err := qlImplicit(diag, off, nil); err != nil {
 		return nil, err
 	}
 	sort.Sort(sort.Reverse(sort.Float64Slice(diag)))
 	return diag, nil
 }
 
+// EigSym holds the eigendecomposition S = V·diag(Values)·Vᵀ of a symmetric
+// matrix, with eigenvalues sorted in non-increasing order and eigenvectors
+// in the corresponding columns of V.
+type EigSym struct {
+	Values []float64
+	V      *matrix.Dense
+}
+
+// ComputeEigSym computes the full eigendecomposition of the symmetric matrix
+// s: Householder tridiagonalization and the implicit-shift QL iteration
+// with the transforms accumulated. Only the lower triangle is
+// read; the input is not modified. Values are bit-identical to
+// EigenvaluesSym(s).
+func ComputeEigSym(s *matrix.Dense) (*EigSym, error) {
+	n, c := s.Dims()
+	if n != c {
+		panic(fmt.Sprintf("linalg: ComputeEigSym of non-square %d×%d", n, c))
+	}
+	if n == 0 {
+		return &EigSym{Values: nil, V: matrix.New(0, 0)}, nil
+	}
+	diag, off, zt := tridiagonalize(s, true)
+	if err := qlImplicit(diag, off, zt); err != nil {
+		return nil, err
+	}
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool { return diag[order[i]] > diag[order[j]] })
+	values := make([]float64, n)
+	v := matrix.New(n, n)
+	vd := v.Data()
+	for out, j := range order {
+		values[out] = diag[j]
+		for i, x := range zt.Row(j) {
+			vd[i*n+out] = x
+		}
+	}
+	return &EigSym{Values: values, V: v}, nil
+}
+
+// Reconstruct returns V·diag(Values)·Vᵀ.
+func (e *EigSym) Reconstruct() *matrix.Dense {
+	n, _ := e.V.Dims()
+	out := matrix.New(n, n)
+	for j, lambda := range e.Values {
+		if lambda == 0 {
+			continue
+		}
+		for i := 0; i < n; i++ {
+			vij := e.V.At(i, j) * lambda
+			if vij == 0 {
+				continue
+			}
+			row := out.Row(i)
+			for l := 0; l < n; l++ {
+				row[l] += vij * e.V.At(l, j)
+			}
+		}
+	}
+	return out
+}
+
 // tridiagonalize reduces a symmetric matrix to tridiagonal form by
-// Householder reflections (values-only variant of Numerical Recipes tred2),
-// returning the diagonal and subdiagonal.
-func tridiagonalize(s *matrix.Dense) (diag, off []float64) {
+// Householder reflections (Numerical Recipes tred2), returning the diagonal
+// and subdiagonal. Only the lower triangle of s is read.
+//
+// With vectors set it also accumulates the orthogonal transform Q and
+// returns its transpose qt, so that row j of qt is column j of Q and the QL
+// rotations touch two contiguous rows. The reduction stores the scaled
+// Householder vectors in the upper triangle, which the values-only
+// reduction never reads, so diag and off are the same bits either way.
+func tridiagonalize(s *matrix.Dense, vectors bool) (diag, off []float64, qt *matrix.Dense) {
 	n, _ := s.Dims()
 	a := s.Clone()
+	ad := a.Data()
 	diag = make([]float64, n)
 	off = make([]float64, n)
 	for i := n - 1; i >= 1; i-- {
 		l := i - 1
+		ri := ad[i*n : i*n+i] // the lower part of row i, columns 0..l
 		h, scale := 0.0, 0.0
 		if l > 0 {
 			for k := 0; k <= l; k++ {
-				scale += math.Abs(a.At(i, k))
+				scale += math.Abs(ri[k])
 			}
 			if scale == 0 {
-				off[i] = a.At(i, l)
+				off[i] = ri[l]
 			} else {
 				for k := 0; k <= l; k++ {
-					v := a.At(i, k) / scale
-					a.Set(i, k, v)
+					v := ri[k] / scale
+					ri[k] = v
 					h += v * v
 				}
-				f := a.At(i, l)
+				f := ri[l]
 				g := math.Sqrt(h)
 				if f > 0 {
 					g = -g
 				}
 				off[i] = scale * g
 				h -= f * g
-				a.Set(i, l, f-g)
+				ri[l] = f - g
 				f = 0
 				for j := 0; j <= l; j++ {
+					if vectors {
+						ad[j*n+i] = ri[j] / h
+					}
 					g := 0.0
-					for k := 0; k <= j; k++ {
-						g += a.At(j, k) * a.At(i, k)
+					rj := ad[j*n : j*n+j+1]
+					for k, v := range rj {
+						g += v * ri[k]
 					}
 					for k := j + 1; k <= l; k++ {
-						g += a.At(k, j) * a.At(i, k)
+						g += ad[k*n+j] * ri[k]
 					}
 					off[j] = g / h
-					f += off[j] * a.At(i, j)
+					f += off[j] * ri[j]
 				}
 				hh := f / (h + h)
 				for j := 0; j <= l; j++ {
-					f := a.At(i, j)
+					f := ri[j]
 					g := off[j] - hh*f
 					off[j] = g
-					for k := 0; k <= j; k++ {
-						a.Set(j, k, a.At(j, k)-f*off[k]-g*a.At(i, k))
+					rj := ad[j*n : j*n+j+1]
+					for k := range rj {
+						rj[k] = rj[k] - f*off[k] - g*ri[k]
 					}
 				}
 			}
 		} else {
-			off[i] = a.At(i, l)
+			off[i] = ri[l]
 		}
 		diag[i] = h
 	}
 	off[0] = 0
-	for i := 0; i < n; i++ {
-		diag[i] = a.At(i, i)
+	if !vectors {
+		for i := 0; i < n; i++ {
+			diag[i] = ad[i*n+i]
+		}
+		return diag, off, nil
 	}
-	return diag, off
+	// Accumulate Q from the stored reflections: for each i with a
+	// non-trivial reflection (diag[i] still holds its h), Q[:i,:i] −=
+	// (u/h)·(uᵀQ[:i,:i]), with u in row i and u/h in column i. The product
+	// uᵀQ is formed row by row so every pass is contiguous.
+	g := make([]float64, n)
+	for i := 0; i < n; i++ {
+		if diag[i] != 0 {
+			gi := g[:i]
+			for j := range gi {
+				gi[j] = 0
+			}
+			for k := 0; k < i; k++ {
+				if v := ad[i*n+k]; v != 0 {
+					axpy(gi, v, ad[k*n:k*n+i])
+				}
+			}
+			for k := 0; k < i; k++ {
+				if v := ad[k*n+i]; v != 0 {
+					axpy(ad[k*n:k*n+i], -v, gi)
+				}
+			}
+		}
+		diag[i] = ad[i*n+i]
+		ad[i*n+i] = 1
+		for j := 0; j < i; j++ {
+			ad[j*n+i], ad[i*n+j] = 0, 0
+		}
+	}
+	return diag, off, a.T()
+}
+
+// axpy sets y += a·x.
+func axpy(y []float64, a float64, x []float64) {
+	x = x[:len(y)]
+	for i, v := range x {
+		y[i] += a * v
+	}
 }
 
 // qlImplicit runs the implicit-shift QL iteration on a tridiagonal matrix
 // given by diag (modified in place to the eigenvalues) and off (the
-// subdiagonal, off[0] unused).
-func qlImplicit(diag, off []float64) error {
+// subdiagonal, off[0] unused). When zt is non-nil each rotation is also
+// applied to rows i, i+1 of zt, so that on entry Qᵀ from tridiagonalize
+// becomes the eigenvectors, row j belonging to diag[j]. Non-convergence and
+// a non-finite result (a NaN or Inf input) are ErrNoConvergence.
+func qlImplicit(diag, off []float64, zt *matrix.Dense) error {
 	n := len(diag)
 	if n == 0 {
 		return nil
@@ -108,6 +228,7 @@ func qlImplicit(diag, off []float64) error {
 	copy(e, off[1:])
 	const maxIter = 60
 	for l := 0; l < n; l++ {
+	iterate:
 		for iter := 0; ; iter++ {
 			// Find a small off-diagonal to split at.
 			m := l
@@ -135,9 +256,11 @@ func qlImplicit(diag, off []float64) error {
 				r := math.Hypot(f, g)
 				e[i+1] = r
 				if r == 0 {
+					// Underflow: the matrix splits at i+1; restart the
+					// sweep without the final update (tqli's "continue").
 					diag[i+1] -= p
 					e[m] = 0
-					break
+					continue iterate
 				}
 				s = f / r
 				c = g / r
@@ -146,10 +269,18 @@ func qlImplicit(diag, off []float64) error {
 				p = s * r
 				diag[i+1] = g + p
 				g = c*r - b
+				if zt != nil {
+					rotateRows(zt.Row(i), zt.Row(i+1), c, s)
+				}
 			}
 			diag[l] -= p
 			e[l] = g
 			e[m] = 0
+		}
+	}
+	for _, v := range diag {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return ErrNoConvergence
 		}
 	}
 	return nil

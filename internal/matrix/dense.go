@@ -73,15 +73,6 @@ func NewFromRows(rows [][]float64) *Dense {
 	return m
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Dense {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.data[i*n+i] = 1
-	}
-	return m
-}
-
 // Diag returns a square diagonal matrix whose diagonal is v.
 func Diag(v []float64) *Dense {
 	n := len(v)
@@ -309,17 +300,29 @@ func (m *Dense) TMulVec(x []float64) []float64 {
 // bit-identical across widths (grouping only changes rounding vs the
 // pre-blocking row-at-a-time chain; cross-kernel tests use tolerances).
 func (m *Dense) Gram() *Dense {
-	d := m.cols
-	out := New(d, d)
-	parallel.For(d, parallel.Grain(m.rows*(d+1)), func(lo, hi int) {
+	out := New(m.cols, m.cols)
+	m.addUpperGram(out)
+	mirrorUpper(out)
+	return out
+}
+
+// addUpperGram folds the upper triangle of mᵀm into the d×d out, with the
+// output rows split across the worker pool (see Gram).
+func (m *Dense) addUpperGram(out *Dense) {
+	parallel.For(m.cols, parallel.Grain(m.rows*(m.cols+1)), func(lo, hi int) {
 		gramRange(out, m, lo, hi)
 	})
+}
+
+// mirrorUpper copies the upper triangle of the square out into its lower
+// triangle.
+func mirrorUpper(out *Dense) {
+	d := out.cols
 	for i := 0; i < d; i++ {
 		for j := i + 1; j < d; j++ {
 			out.data[j*d+i] = out.data[i*d+j]
 		}
 	}
-	return out
 }
 
 // TMul returns mᵀ · b. Row blocks accumulate into private partial products

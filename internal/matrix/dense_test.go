@@ -53,7 +53,7 @@ func TestNewFromRowsRaggedPanics(t *testing.T) {
 }
 
 func TestIdentityAndDiag(t *testing.T) {
-	id := Identity(3)
+	id := identity(3)
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
 			want := 0.0
@@ -140,10 +140,10 @@ func TestMulAgainstNaive(t *testing.T) {
 func TestMulIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randDense(rng, 4, 4)
-	if !a.Mul(Identity(4)).EqualApprox(a, 1e-15) {
+	if !a.Mul(identity(4)).EqualApprox(a, 1e-15) {
 		t.Fatal("A·I != A")
 	}
-	if !Identity(4).Mul(a).EqualApprox(a, 1e-15) {
+	if !identity(4).Mul(a).EqualApprox(a, 1e-15) {
 		t.Fatal("I·A != A")
 	}
 }
@@ -449,4 +449,13 @@ func BenchmarkGram1024x64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		x.Gram()
 	}
+}
+
+// identity returns the n×n identity matrix.
+func identity(n int) *Dense {
+	m := New(n, n)
+	for i := 0; i < n; i++ {
+		m.data[i*n+i] = 1
+	}
+	return m
 }
