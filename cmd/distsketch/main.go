@@ -17,7 +17,8 @@
 // -part to stream a pre-split shard file whole.
 //
 // Protocols: fd (Theorem 2), svs (§3.1), adaptive (Theorem 7), sampling
-// ([10] baseline), lowrank (§3.3 Case 1), pca (Theorem 9 sketch+solve),
+// ([10] baseline), lowrank (§3.3 Case 1), pca (Theorem 9: SketchPCA over
+// the adaptive sketch at -eps/2, so -eps is the PCA target),
 // coord-product (coordinated priority-sampling AᵀB estimation).
 // -sampling picks the SVS sampling function (quadratic or linear);
 // -alpha sets the fd protocol's FD shrink rule α ∈ (0,1] (default 1, the
@@ -366,6 +367,11 @@ func (o options) buildProtocol(plan *distsketch.Plan) (distsketch.Protocol, erro
 	if o.timeout > 0 {
 		cfg.Stragglers.Timeout = o.timeout
 	}
+	if o.protocol == "pca" && !(o.eps > 0 && o.eps < 1) {
+		// -eps is pca's target; its inner sketch runs at ε/2 and would
+		// accept any ε below 2.
+		return nil, fmt.Errorf("protocol pca: eps %v out of (0,1)", o.eps)
+	}
 	dB := o.dB
 	if dB <= 0 {
 		dB = o.d
@@ -413,9 +419,11 @@ var protocols = []struct {
 		return distsketch.LowRankExact{KBound: o.k, Env: env}
 	}},
 	{"pca", func(o options, env distsketch.Env, _ distsketch.SamplingFn) distsketch.Protocol {
-		return distsketch.PCASketchSolve{
-			PCAParams: distsketch.PCAParams{K: o.k, Eps: o.eps},
-			Env:       env,
+		// Theorem 9's plain form: the adaptive sketch at half the PCA target.
+		return distsketch.SketchPCA{
+			Sketch: distsketch.Adaptive{AdaptiveParams: distsketch.AdaptiveParams{Eps: o.eps / 2, K: o.k}},
+			K:      o.k,
+			Env:    env,
 		}
 	}},
 	{"coord-product", func(o options, env distsketch.Env, _ distsketch.SamplingFn) distsketch.Protocol {

@@ -36,6 +36,14 @@ func TestBadParamsFailBeforeAnySocket(t *testing.T) {
 			cases = append(cases, tc{name + "/eps=" + eps, append(role[:len(role):len(role)], "-eps", eps), "eps " + eps})
 		}
 	}
+	// pca's -eps is the PCA target, not its inner sketch's ε/2.
+	for _, eps := range []string{"0", "1", "1.5", "NaN"} {
+		for name, role := range map[string][]string{"server": server, "coordinator": coordinator} {
+			args := append(role[:len(role):len(role)], "-eps", eps)
+			args[3] = "pca" // the -protocol value
+			cases = append(cases, tc{"pca-" + name + "/eps=" + eps, args, "eps " + eps})
+		}
+	}
 	for _, alpha := range []string{"-0.5", "1.5", "NaN"} {
 		for name, role := range map[string][]string{"server": server, "coordinator": coordinator, "aggregator": aggregator} {
 			cases = append(cases, tc{name + "/alpha=" + alpha, append(role[:len(role):len(role)], "-alpha", alpha), "alpha " + alpha})

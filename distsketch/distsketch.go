@@ -164,14 +164,14 @@ type (
 
 // PCA protocols (§4 / Theorem 9):
 type (
-	// PCASketchSolve sketches at the coordinator, then solves there.
-	PCASketchSolve = distributed.PCASketchSolve
+	// SketchPCA answers PCA from any covariance protocol's sketch (Lemma 8):
+	// over Adaptive at ε/2 it is Theorem 9's sketch-then-solve, over
+	// FDMerge at ε/2 the FD-merge baseline [22].
+	SketchPCA = distributed.SketchPCA
 	// BWZ is the subspace-embedding batch solve on the raw partition.
 	BWZ = distributed.BWZ
 	// PCACombined is the full Theorem 9 pipeline (local sketches + solve).
 	PCACombined = distributed.PCACombined
-	// PCAFDMerge is the FD-merge PCA baseline [22].
-	PCAFDMerge = distributed.PCAFDMerge
 )
 
 // Parameter structs.

@@ -40,7 +40,7 @@ func TestFacadeRunCoversProtocolFamilies(t *testing.T) {
 	}
 
 	pcaRes, err := distsketch.Run(ctx,
-		distsketch.PCASketchSolve{PCAParams: distsketch.PCAParams{K: k, Eps: eps}},
+		distsketch.SketchPCA{Sketch: distsketch.Adaptive{AdaptiveParams: distsketch.AdaptiveParams{Eps: eps / 2, K: k}}, K: k},
 		parts,
 		distsketch.WithSeed(1),
 	)

@@ -35,9 +35,10 @@ func main() {
 		name  string
 		proto distsketch.Protocol
 	}{
-		{"FD-merge PCA (baseline [22])", distsketch.PCAFDMerge{PCAParams: params}},
+		// SketchPCA reads the PCs off a covariance sketch built at ε/2 (Lemma 8).
+		{"FD-merge PCA (baseline [22])", distsketch.SketchPCA{Sketch: distsketch.FDMerge{Eps: eps / 2, K: k}, K: k}},
 		{"batch solve (stand-in for [5])", distsketch.BWZ{PCAParams: params}},
-		{"Thm9: sketch + coordinator SVD", distsketch.PCASketchSolve{PCAParams: params}},
+		{"Thm9: sketch + coordinator SVD", distsketch.SketchPCA{Sketch: distsketch.Adaptive{AdaptiveParams: distsketch.AdaptiveParams{Eps: eps / 2, K: k}}, K: k}},
 		{"Thm9: sketch + distributed solve", distsketch.PCACombined{PCAParams: params}},
 	} {
 		res, err := distsketch.Run(ctx, tc.proto, parts, seed)

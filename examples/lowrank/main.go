@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fd"
 	"repro/internal/linalg"
+	"repro/internal/pca"
 	"repro/internal/workload"
 )
 
@@ -29,10 +30,11 @@ func main() {
 			log.Fatal(err)
 		}
 		// Project A on the sketch's top-k right singular vectors.
-		projErr, err := core.ProjectionError(a, b, k)
+		v, err := pca.TopKRightSV(b, k)
 		if err != nil {
 			log.Fatal(err)
 		}
+		projErr := pca.ProjectionCost(a, v)
 		opt, err := linalg.TailEnergy(a, k)
 		if err != nil {
 			log.Fatal(err)

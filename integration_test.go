@@ -82,10 +82,11 @@ func TestEndToEndSketchPipeline(t *testing.T) {
 	}
 
 	// 5. Low-rank approximation via Lemma 1 from the deterministic sketch.
-	pe, err := core.ProjectionError(a, det.Sketch, k)
+	vDet, err := pca.TopKRightSV(det.Sketch, k)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pe := pca.ProjectionCost(a, vDet)
 	tail, err := linalg.TailEnergy(a, k)
 	if err != nil {
 		t.Fatal(err)

@@ -215,7 +215,7 @@ func Table2(cfg Config) ([]Row, error) {
 		return nil, err
 	}
 
-	ss, err := distributed.Run(ctx, distributed.PCASketchSolve{PCAParams: params}, parts, distributed.WithSeed(cfg.Seed))
+	ss, err := distributed.Run(ctx, distributed.SketchPCA{Sketch: distributed.Adaptive{AdaptiveParams: distributed.AdaptiveParams{Eps: cfg.Eps / 2, K: cfg.K}}, K: cfg.K}, parts, distributed.WithSeed(cfg.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("T2.2: %w", err)
 	}
@@ -231,7 +231,7 @@ func Table2(cfg Config) ([]Row, error) {
 		return nil, err
 	}
 
-	fdp, err := distributed.Run(ctx, distributed.PCAFDMerge{PCAParams: params}, parts, distributed.WithSeed(cfg.Seed))
+	fdp, err := distributed.Run(ctx, distributed.SketchPCA{Sketch: distributed.FDMerge{Eps: cfg.Eps / 2, K: cfg.K}, K: cfg.K}, parts, distributed.WithSeed(cfg.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("T2.0: %w", err)
 	}

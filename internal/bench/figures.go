@@ -320,7 +320,7 @@ func PCAQuality(ks []int, cfg Config) ([]Series, error) {
 	bwzPCA := Series{Name: "BWZ PCA", XLabel: "k"}
 	for _, k := range ks {
 		params := distributed.PCAParams{K: k, Eps: cfg.Eps}
-		r1, err := distributed.Run(context.Background(), distributed.PCAFDMerge{PCAParams: params}, parts, distributed.WithSeed(cfg.Seed))
+		r1, err := distributed.Run(context.Background(), distributed.SketchPCA{Sketch: distributed.FDMerge{Eps: cfg.Eps / 2, K: k}, K: k}, parts, distributed.WithSeed(cfg.Seed))
 		if err != nil {
 			return nil, err
 		}
@@ -328,7 +328,7 @@ func PCAQuality(ks []int, cfg Config) ([]Series, error) {
 		if err != nil {
 			return nil, err
 		}
-		r2, err := distributed.Run(context.Background(), distributed.PCASketchSolve{PCAParams: params}, parts, distributed.WithSeed(cfg.Seed))
+		r2, err := distributed.Run(context.Background(), distributed.SketchPCA{Sketch: distributed.Adaptive{AdaptiveParams: distributed.AdaptiveParams{Eps: cfg.Eps / 2, K: k}}, K: k}, parts, distributed.WithSeed(cfg.Seed))
 		if err != nil {
 			return nil, err
 		}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/fd"
 	"repro/internal/linalg"
 	"repro/internal/matrix"
+	"repro/internal/pca"
 	"repro/internal/workload"
 )
 
@@ -127,7 +128,8 @@ func TestIsEpsKSketch(t *testing.T) {
 }
 
 func TestProjectionErrorAndLemma1(t *testing.T) {
-	// Lemma 1: ‖A−π_B^k(A)‖F² ≤ ‖A−[A]_k‖F² + 2k·coverr(A,B).
+	// Lemma 1: ‖A−π_B^k(A)‖F² ≤ ‖A−[A]_k‖F² + 2k·coverr(A,B), where
+	// π_B^k(A) projects A onto B's top-k right singular vectors.
 	rng := rand.New(rand.NewSource(10))
 	a := workload.LowRankPlusNoise(rng, 120, 12, 3, 15, 0.8, 0.5)
 	k := 3
@@ -135,10 +137,15 @@ func TestProjectionErrorAndLemma1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pe, err := ProjectionError(a, b, k)
-	if err != nil {
-		t.Fatal(err)
+	projErr := func(b *matrix.Dense, k int) float64 {
+		t.Helper()
+		v, err := pca.TopKRightSV(b, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pca.ProjectionCost(a, v)
 	}
+	pe := projErr(b, k)
 	tail, err := linalg.TailEnergy(a, k)
 	if err != nil {
 		t.Fatal(err)
@@ -155,17 +162,12 @@ func TestProjectionErrorAndLemma1(t *testing.T) {
 		t.Fatalf("projection error %v below optimal %v", pe, tail)
 	}
 	// Self-projection achieves the optimum exactly.
-	self, err := ProjectionError(a, a, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(self-tail) > 1e-7*(1+tail) {
+	if self := projErr(a, k); math.Abs(self-tail) > 1e-7*(1+tail) {
 		t.Fatalf("π_A^k(A) error %v != tail %v", self, tail)
 	}
-	// k=0 convention.
-	p0, err := ProjectionError(a, b, 0)
-	if err != nil || p0 != a.Frob2() {
-		t.Fatal("k=0 projection error must be ‖A‖F²")
+	// k = 0 convention: nothing is projected away.
+	if p0 := projErr(b, 0); p0 != a.Frob2() {
+		t.Fatalf("k=0 projection error %v, want ‖A‖F² = %v", p0, a.Frob2())
 	}
 }
 

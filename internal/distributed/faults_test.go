@@ -50,7 +50,7 @@ func TestFaultMatrixAllProtocols(t *testing.T) {
 		SVS{Alpha: 0.25, Delta: 0.1, Streaming: true},
 		RowSampling{Eps: 0.3},
 		Adaptive{AdaptiveParams: AdaptiveParams{Eps: 0.25, K: k}},
-		PCASketchSolve{PCAParams: PCAParams{K: k, Eps: 0.25}},
+		SketchPCA{Sketch: Adaptive{AdaptiveParams: AdaptiveParams{Eps: 0.125, K: k}}, K: k},
 	}
 	plans := map[string]FaultPlan{
 		"drop":      {Seed: 11, Drop: 0.15},
@@ -220,7 +220,7 @@ func TestQuorumNotHonoredByStrictProtocols(t *testing.T) {
 	_, parts := split(t, 65, 120, 8, 4)
 	for _, proto := range []Protocol{
 		SVS{Alpha: 0.25, Delta: 0.1, Sampling: SampleQuadratic},
-		PCAFDMerge{PCAParams: PCAParams{K: 2, Eps: 0.25}},
+		SketchPCA{Sketch: FDMerge{Eps: 0.125, K: 2}, K: 2},
 	} {
 		_, err := Run(context.Background(), proto, parts,
 			WithFaults(FaultPlan{Seed: 1, Partition: map[int]bool{1: true}}),

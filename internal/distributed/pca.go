@@ -6,12 +6,12 @@ import (
 	"math"
 
 	"repro/internal/comm"
-	"repro/internal/fd"
 	"repro/internal/matrix"
 	"repro/internal/pca"
 )
 
-// PCAParams parameterizes the distributed PCA protocols of §4.
+// PCAParams parameterizes the batch-solve PCA protocols of §4, BWZ and
+// PCACombined. SketchPCA takes its accuracy from the sketch it wraps.
 type PCAParams struct {
 	// K is the number of principal components.
 	K int
@@ -52,8 +52,8 @@ func (p PCAParams) withDefaults() PCAParams {
 	return p
 }
 
-// adaptive parameterizes the Theorem 7 (ε/2,k)-sketch the Theorem 9
-// pipelines build first.
+// adaptive parameterizes the Theorem 7 (ε/2,k)-sketch PCACombined builds
+// first.
 func (p PCAParams) adaptive() AdaptiveParams {
 	p = p.withDefaults()
 	return AdaptiveParams{Eps: p.Eps / 2, K: p.K, Delta: p.Delta}
@@ -61,15 +61,15 @@ func (p PCAParams) adaptive() AdaptiveParams {
 
 // coordBroadcastPCs optionally ships the answer to all servers (s·k·d words)
 // so every server knows it, matching the all-servers output model of [5].
-func coordBroadcastPCs(ctx context.Context, node Node, s int, p PCAParams, v *matrix.Dense, cfg Config) error {
-	if !p.Broadcast {
+func coordBroadcastPCs(ctx context.Context, node Node, s int, send bool, v *matrix.Dense, cfg Config) error {
+	if !send {
 		return nil
 	}
 	return broadcast(ctx, node, s, &comm.Message{Kind: "pcs", Matrix: v}, cfg.observer())
 }
 
-func serverMaybeRecvPCs(ctx context.Context, node Node, p PCAParams) error {
-	if !p.Broadcast {
+func serverMaybeRecvPCs(ctx context.Context, node Node, recv bool) error {
+	if !recv {
 		return nil
 	}
 	_, err := expectKind(ctx, node, "pcs")
@@ -77,58 +77,91 @@ func serverMaybeRecvPCs(ctx context.Context, node Node, p PCAParams) error {
 }
 
 // ---------------------------------------------------------------------------
-// Theorem 9, plain form: ship the adaptive sketch, solve at the coordinator.
+// Theorem 9, plain form: PCA as a query over a covariance sketch.
 // ---------------------------------------------------------------------------
 
-// PCASketchSolve is the direct form of Theorem 9: build the Theorem 7
-// distributed (ε/2,k)-sketch at the coordinator and take its top-k right
-// singular vectors. Cost: O(sdk + √s·kd·√log d/ε) words (+ skd broadcast).
-type PCASketchSolve struct {
-	PCAParams
-	Env Env
+// SketchPCA runs a covariance protocol and answers PCA from its output at
+// the coordinator: by Lemma 8 the top-k right singular vectors of an
+// (ε/2,k)-sketch of A are (1+O(ε))-approximate principal components. The
+// caller builds the inner sketch at ε/2:
+//
+//	SketchPCA{Sketch: Adaptive{…ε/2, k…}, K: k}  // Theorem 9: O(sdk + √s·kd·√log d/ε) words
+//	SketchPCA{Sketch: FDMerge{ε/2, k}, K: k}     // the pre-[5] baseline [22]: O(sdk/ε) words
+//
+// The wrapper sends exactly the inner protocol's messages, plus s·k·d words
+// when Broadcast ships the PCs back to every server (as
+// PCAParams.Broadcast). It owns Env and installs it on the inner protocol,
+// so a TCP caller sets Env once. PCA needs every server's sketch, so a
+// straggler quorum is rejected up front.
+type SketchPCA struct {
+	Sketch    Protocol
+	K         int
+	Broadcast bool
+	Env       Env
 }
 
-// Name implements Protocol.
-func (p PCASketchSolve) Name() string { return "pca-sketch-solve" }
-
-func (p PCASketchSolve) withEnv(e Env) Protocol { p.Env = e; return p }
-
-func (p PCASketchSolve) rounds() int { return 2 }
-
-func (p PCASketchSolve) validate() error { return p.PCAParams.check(p.Name()) }
-
-// adaptive is the Theorem 7 protocol this pipeline runs before solving, in
-// the same Env.
-func (p PCASketchSolve) adaptive() Adaptive {
-	return Adaptive{AdaptiveParams: p.PCAParams.adaptive(), Env: p.Env}
+// Name implements Protocol: "pca-" plus the inner protocol's name.
+func (p SketchPCA) Name() string {
+	if p.Sketch == nil {
+		return "pca"
+	}
+	return "pca-" + p.Sketch.Name()
 }
 
 // Estimand implements Protocol.
-func (p PCASketchSolve) Estimand() Estimand { return EstimandCovariance }
+func (p SketchPCA) Estimand() Estimand { return EstimandCovariance }
 
-// Server implements Protocol.
-func (p PCASketchSolve) Server(ctx context.Context, node Node, in Input) error {
-	if err := p.adaptive().Server(ctx, node, in); err != nil {
-		return err
+func (p SketchPCA) withEnv(e Env) Protocol {
+	p.Env = e
+	if p.Sketch != nil {
+		p.Sketch = p.Sketch.withEnv(e)
 	}
-	return serverMaybeRecvPCs(ctx, node, p.PCAParams.withDefaults())
+	return p
 }
 
-// Coordinator implements Protocol.
-func (p PCASketchSolve) Coordinator(ctx context.Context, node Node) (*Result, error) {
-	pp := p.PCAParams.withDefaults()
-	res, err := p.adaptive().Coordinator(ctx, node)
+// inner is the wrapped protocol in the wrapper's Env.
+func (p SketchPCA) inner() Protocol { return p.Sketch.withEnv(p.Env) }
+
+func (p SketchPCA) rounds() int { return p.inner().rounds() }
+
+func (p SketchPCA) validate() error {
+	switch {
+	case p.Sketch == nil:
+		return fmt.Errorf("distributed: %s needs a covariance Sketch protocol, got nil", p.Name())
+	case p.Sketch.Estimand() != EstimandCovariance:
+		return fmt.Errorf("distributed: %s needs a covariance Sketch protocol, %s estimates %v", p.Name(), p.Sketch.Name(), p.Sketch.Estimand())
+	case p.K < 1:
+		return fmt.Errorf("distributed: %s needs k ≥ 1, got %d", p.Name(), p.K)
+	}
+	if err := rejectQuorum(p.Env.Config, p.Name()); err != nil {
+		return err
+	}
+	return p.inner().validate()
+}
+
+// Server implements Protocol: the inner server, then (with Broadcast) the
+// PCs.
+func (p SketchPCA) Server(ctx context.Context, node Node, in Input) error {
+	if err := p.inner().Server(ctx, node, in); err != nil {
+		return err
+	}
+	return serverMaybeRecvPCs(ctx, node, p.Broadcast)
+}
+
+// Coordinator implements Protocol: the inner coordinator, then the top-k
+// right singular vectors of its sketch.
+func (p SketchPCA) Coordinator(ctx context.Context, node Node) (*Result, error) {
+	res, err := p.inner().Coordinator(ctx, node)
 	if err != nil {
 		return nil, err
 	}
-	v, err := pca.SketchPCs(res.Sketch, pp.K)
-	if err != nil {
+	if res.PCs, err = pca.SketchPCs(res.Sketch, p.K); err != nil {
 		return nil, err
 	}
-	if err := coordBroadcastPCs(ctx, node, p.Env.Servers, pp, v, p.Env.Config); err != nil {
+	if err := coordBroadcastPCs(ctx, node, p.Env.Servers, p.Broadcast, res.PCs, p.Env.Config); err != nil {
 		return nil, err
 	}
-	return &Result{Sketch: res.Sketch, PCs: v}, nil
+	return res, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -332,7 +365,7 @@ func (p BWZ) Server(ctx context.Context, node Node, in Input) error {
 	if err := serverBWZSolve(ctx, node, local, pp, p.Env.Config); err != nil {
 		return err
 	}
-	return serverMaybeRecvPCs(ctx, node, pp)
+	return serverMaybeRecvPCs(ctx, node, pp.Broadcast)
 }
 
 // Coordinator implements Protocol: answer the row-count round with each
@@ -355,7 +388,7 @@ func (p BWZ) Coordinator(ctx context.Context, node Node) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := coordBroadcastPCs(ctx, node, s, pp, v, cfg); err != nil {
+	if err := coordBroadcastPCs(ctx, node, s, pp.Broadcast, v, cfg); err != nil {
 		return nil, err
 	}
 	return &Result{PCs: v}, nil
@@ -402,7 +435,7 @@ func (p PCACombined) Server(ctx context.Context, node Node, in Input) error {
 	if err := serverBWZSolve(ctx, node, q, pp, p.Env.Config); err != nil {
 		return err
 	}
-	return serverMaybeRecvPCs(ctx, node, pp)
+	return serverMaybeRecvPCs(ctx, node, pp.Broadcast)
 }
 
 // Coordinator implements Protocol: relay the tail-mass total, then run the
@@ -412,64 +445,4 @@ func (p PCACombined) Coordinator(ctx context.Context, node Node) (*Result, error
 		return nil, err
 	}
 	return BWZ{PCAParams: p.PCAParams, Env: p.Env}.Coordinator(ctx, node)
-}
-
-// PCAFDMerge is the pre-[5] baseline: FD-merge an (ε/2,k)-sketch at the
-// coordinator (O(skd/ε) words) and take its top-k right singular vectors —
-// the O(sdk/ε) bound of [22] that both Table 2 rows improve on.
-type PCAFDMerge struct {
-	PCAParams
-	Env Env
-}
-
-// Name implements Protocol.
-func (p PCAFDMerge) Name() string { return "pca-fd-merge" }
-
-func (p PCAFDMerge) withEnv(e Env) Protocol { p.Env = e; return p }
-
-func (p PCAFDMerge) rounds() int { return 1 }
-
-func (p PCAFDMerge) validate() error {
-	if err := p.PCAParams.check(p.Name()); err != nil {
-		return err
-	}
-	return p.Env.Config.checkAlpha(p.Name())
-}
-
-// Estimand implements Protocol.
-func (p PCAFDMerge) Estimand() Estimand { return EstimandCovariance }
-
-// Server implements Protocol.
-func (p PCAFDMerge) Server(ctx context.Context, node Node, in Input) error {
-	local, err := in.Covariance(p.Name())
-	if err != nil {
-		return err
-	}
-	pp := p.PCAParams.withDefaults()
-	if err := serverFDMergeTo(ctx, node, comm.CoordinatorID, local, pp.Eps/2, pp.K, p.Env.Config); err != nil {
-		return err
-	}
-	return serverMaybeRecvPCs(ctx, node, pp)
-}
-
-// Coordinator implements Protocol.
-func (p PCAFDMerge) Coordinator(ctx context.Context, node Node) (*Result, error) {
-	pp := p.PCAParams.withDefaults()
-	// PCA needs every server's sketch, so a quorum merge is unsound here:
-	// reject a user-supplied quorum instead of silently clearing it.
-	if err := rejectQuorum(p.Env.Config, "pca-fd-merge"); err != nil {
-		return nil, err
-	}
-	sk, _, err := coordFDGather(ctx, node, p.Env.plan(), p.Env.Dim, fd.SketchSize(pp.Eps/2, pp.K), p.Env.Config)
-	if err != nil {
-		return nil, err
-	}
-	v, err := pca.SketchPCs(sk, pp.K)
-	if err != nil {
-		return nil, err
-	}
-	if err := coordBroadcastPCs(ctx, node, p.Env.Servers, pp, v, p.Env.Config); err != nil {
-		return nil, err
-	}
-	return &Result{Sketch: sk, PCs: v}, nil
 }

@@ -17,10 +17,22 @@ func pcaInput(seed int64, n, d, k, s int) (*matrix.Dense, []*matrix.Dense) {
 	return a, workload.Split(a, s, workload.Contiguous, nil)
 }
 
+// adaptivePCA is Theorem 9's plain form at target ε: the PCs of the
+// Theorem 7 (ε/2,k)-sketch.
+func adaptivePCA(eps float64, k int) SketchPCA {
+	return SketchPCA{Sketch: Adaptive{AdaptiveParams: AdaptiveParams{Eps: eps / 2, K: k}}, K: k}
+}
+
+// fdPCA is the [22] baseline at target ε: the PCs of an FD-merged
+// (ε/2,k)-sketch.
+func fdPCA(eps float64, k int) SketchPCA {
+	return SketchPCA{Sketch: FDMerge{Eps: eps / 2, K: k}, K: k}
+}
+
 func TestRunPCASketchSolveQuality(t *testing.T) {
 	eps, k := 0.2, 3
 	a, parts := pcaInput(1, 480, 16, k, 6)
-	res, err := Run(context.Background(), PCASketchSolve{PCAParams: PCAParams{K: k, Eps: eps}}, parts)
+	res, err := Run(context.Background(), adaptivePCA(eps, k), parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +159,7 @@ func TestRunPCACombinedQualityAndCost(t *testing.T) {
 func TestRunPCAFDMergeQuality(t *testing.T) {
 	eps, k := 0.25, 3
 	a, parts := pcaInput(7, 480, 16, k, 6)
-	res, err := Run(context.Background(), PCAFDMerge{PCAParams: PCAParams{K: k, Eps: eps}}, parts)
+	res, err := Run(context.Background(), fdPCA(eps, k), parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,24 +172,69 @@ func TestRunPCAFDMergeQuality(t *testing.T) {
 	}
 }
 
+// TestSketchPCAIsInnerPlusOneSVD pins the wrapper to its definition: the
+// same messages as the bare inner protocol under the same seed, the same
+// sketch, and PCs that are exactly pca.SketchPCs of that sketch.
+func TestSketchPCAIsInnerPlusOneSVD(t *testing.T) {
+	eps, k := 0.25, 3
+	// Rank 2k, so LowRankExact's promise holds too.
+	a := workload.ExactRank(rand.New(rand.NewSource(11)), 480, 16, 2*k, 4)
+	parts := workload.Split(a, 6, workload.Contiguous, nil)
+	for _, inner := range []Protocol{
+		FDMerge{Eps: eps / 2, K: k},
+		Adaptive{AdaptiveParams: AdaptiveParams{Eps: eps / 2, K: k}},
+		SVS{Alpha: eps, Delta: 0.1},
+		LowRankExact{KBound: k},
+	} {
+		t.Run(inner.Name(), func(t *testing.T) {
+			bare, err := Run(context.Background(), inner, parts, WithSeed(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(context.Background(), SketchPCA{Sketch: inner, K: k}, parts, WithSeed(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Words != bare.Words || res.Bits != bare.Bits || res.Messages != bare.Messages || res.Rounds != bare.Rounds {
+				t.Fatalf("cost words/bits/messages/rounds = %v/%d/%d/%d, inner alone %v/%d/%d/%d",
+					res.Words, res.Bits, res.Messages, res.Rounds, bare.Words, bare.Bits, bare.Messages, bare.Rounds)
+			}
+			if !res.Sketch.Equal(bare.Sketch) {
+				t.Fatal("sketch differs from the inner protocol's")
+			}
+			want, err := pca.SketchPCs(bare.Sketch, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.PCs.Equal(want) {
+				t.Fatal("PCs differ from pca.SketchPCs of the inner sketch")
+			}
+		})
+	}
+}
+
 func TestPCABroadcastCost(t *testing.T) {
 	// Broadcast adds exactly s·k·d words.
 	eps, k := 0.25, 2
 	_, parts := pcaInput(8, 240, 12, k, 4)
-	noB, err := Run(context.Background(), PCAFDMerge{PCAParams: PCAParams{K: k, Eps: eps}}, parts)
+	noB, err := Run(context.Background(), fdPCA(eps, k), parts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withB, err := Run(context.Background(), PCAFDMerge{PCAParams: PCAParams{K: k, Eps: eps, Broadcast: true}}, parts)
+	withB := fdPCA(eps, k)
+	withB.Broadcast = true
+	resB, err := Run(context.Background(), withB, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := noB.Words + float64(4*k*12)
-	if withB.Words != want {
-		t.Fatalf("broadcast words = %v, want %v", withB.Words, want)
+	if resB.Words != want {
+		t.Fatalf("broadcast words = %v, want %v", resB.Words, want)
 	}
 }
 
+// TestPCAParamsValidation: the batch-solve protocols reject k < 1 and ε
+// outside (0,1).
 func TestPCAParamsValidation(t *testing.T) {
 	_, parts := pcaInput(9, 60, 8, 2, 2)
 	for _, p := range []PCAParams{
@@ -185,8 +242,10 @@ func TestPCAParamsValidation(t *testing.T) {
 		{K: 2, Eps: 0},
 		{K: 2, Eps: 1},
 	} {
-		if _, err := Run(context.Background(), PCASketchSolve{PCAParams: p}, parts); err == nil {
-			t.Errorf("params %+v: expected an error", p)
+		for _, proto := range []Protocol{BWZ{PCAParams: p}, PCACombined{PCAParams: p}} {
+			if _, err := Run(context.Background(), proto, parts); err == nil {
+				t.Errorf("%s %+v: expected an error", proto.Name(), p)
+			}
 		}
 	}
 }

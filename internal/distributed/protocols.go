@@ -11,7 +11,6 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/obs"
 	"repro/internal/rowsample"
-	"repro/internal/workload"
 )
 
 // Config holds options common to all sketch protocols.
@@ -176,15 +175,9 @@ func (p FDMerge) Server(ctx context.Context, node Node, in Input) error {
 	if err != nil {
 		return err
 	}
-	return serverFDMergeTo(ctx, node, p.Env.parent(node.ID()), local, p.Eps, p.K, p.Env.Config)
-}
-
-// serverFDMergeTo is the FD-merge server body with an explicit uplink
-// destination — the coordinator in the star, the leaf's aggregator in a
-// tree. FDMerge and PCAFDMerge share it.
-func serverFDMergeTo(ctx context.Context, node Node, dest int, local workload.RowSource, eps float64, k int, cfg Config) error {
+	cfg := p.Env.Config
 	_, d := local.Dims()
-	sk := fd.New(d, fd.SketchSize(eps, k), fd.Options{Obs: cfg.Obs, Alpha: cfg.Alpha})
+	sk := fd.New(d, fd.SketchSize(p.Eps, p.K), fd.Options{Obs: cfg.Obs, Alpha: cfg.Alpha})
 	rows, sparse, err := streamRows(local, sk.Update, sk.UpdateSparse)
 	if err != nil {
 		return fmt.Errorf("server %d: %w", node.ID(), err)
@@ -194,7 +187,7 @@ func serverFDMergeTo(ctx context.Context, node Node, dest int, local workload.Ro
 	if err != nil {
 		return fmt.Errorf("server %d: %w", node.ID(), err)
 	}
-	return cfg.sendMatrix(ctx, node, dest, "fd-sketch", b)
+	return cfg.sendMatrix(ctx, node, p.Env.parent(node.ID()), "fd-sketch", b)
 }
 
 // Coordinator implements Protocol: collect the children's summaries (the s

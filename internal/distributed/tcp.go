@@ -316,6 +316,10 @@ func (c *TCPCoordinator) ServeAccepts(ctx context.Context) {
 }
 
 func (c *TCPCoordinator) readLoop(id int, conn net.Conn) {
+	// The hub reads nothing more from conn once this loop ends. Our FIN
+	// tells the child so, which ends its close drain (TCPServer.Close)
+	// instead of leaving it to time out.
+	defer closeWrite(conn)
 	for {
 		msg, err := comm.Decode(conn)
 		if err != nil {
@@ -508,8 +512,46 @@ func (s *TCPServer) Recv(ctx context.Context) (*comm.Message, error) {
 	return msg, nil
 }
 
-// Close closes the connection.
-func (s *TCPServer) Close() { s.conn.Close() }
+// closeDrainTimeout bounds how long TCPServer.Close waits for the parent
+// to finish reading.
+const closeDrainTimeout = 5 * time.Second
+
+// Close shuts the uplink down without losing what it already sent. Closing
+// a TCP socket that still holds unread input (say, a threshold the parent
+// pushed after the last upload) sends a reset instead of a FIN, and the
+// reset discards every byte still queued for the parent. So Close first
+// half-closes, which queues a FIN behind the data, then discards incoming
+// bytes until the parent answers with its own FIN (its read loop does so
+// when it stops, at the latest after reading everything) or
+// closeDrainTimeout passes, and only then closes.
+func (s *TCPServer) Close() {
+	if closeWrite(s.conn) {
+		// Closing the socket is the drain's only bound: a Recv cancelled
+		// just before Close may still move the read deadline, so a timeout
+		// only means "clear the deadline and keep draining".
+		t := time.AfterFunc(closeDrainTimeout, func() { s.conn.Close() })
+		for {
+			_, err := io.Copy(io.Discard, s.conn)
+			var nerr net.Error
+			if err == nil || !errors.As(err, &nerr) || !nerr.Timeout() {
+				break
+			}
+			s.conn.SetReadDeadline(time.Time{})
+		}
+		t.Stop()
+	}
+	s.conn.Close()
+}
+
+// closeWrite half-closes conn (sends a FIN, keeps reading) and reports
+// whether it could.
+func closeWrite(conn net.Conn) bool {
+	if cc, ok := conn.(*countConn); ok {
+		conn = cc.Conn
+	}
+	cw, ok := conn.(interface{ CloseWrite() error })
+	return ok && cw.CloseWrite() == nil
+}
 
 // countConn wraps a net.Conn so every wire byte — framing and payload, in
 // both directions — is counted on the observer. This is the transport's

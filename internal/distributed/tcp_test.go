@@ -332,3 +332,55 @@ func TestTCPBadHello(t *testing.T) {
 		t.Fatal("expected hello rejection")
 	}
 }
+
+// TestTCPCloseDeliversEverySentMessage: a server that closes right after
+// its last Send, while input it never read sits in its socket, must not
+// lose the messages still queued for a slow coordinator. A plain close
+// there sends a TCP reset, which throws those bytes away.
+func TestTCPCloseDeliversEverySentMessage(t *testing.T) {
+	const n, d = 200, 1024
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	hub, err := NewTCPCoordinatorOpts("127.0.0.1:0", 1, nil, TCPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	srv, err := DialTCPServerContext(ctx, hub.Addr(), 0, nil, TCPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hub.Accept(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// Input the server will never read, as a threshold pushed after a
+	// server's last upload would be.
+	if err := hub.Node().Send(ctx, 0, &comm.Message{Kind: "note", Scalars: []float64{1}}); err != nil {
+		t.Fatal(err)
+	}
+	sendErr := make(chan error, 1)
+	go func() {
+		defer srv.Close()
+		row := matrix.New(1, d)
+		for i := 0; i < n; i++ {
+			if err := srv.Send(ctx, comm.CoordinatorID, &comm.Message{Kind: "row", Matrix: row}); err != nil {
+				sendErr <- err
+				return
+			}
+		}
+		sendErr <- nil
+	}()
+	// A slow reader keeps most of the stream queued at the server when it
+	// closes.
+	for got := 0; got < n; got++ {
+		msg, err := hub.Node().Recv(ctx)
+		if err != nil {
+			t.Fatalf("after %d of %d messages: %v", got, n, err)
+		}
+		msg.Release()
+		time.Sleep(time.Millisecond)
+	}
+	if err := <-sendErr; err != nil {
+		t.Fatal(err)
+	}
+}

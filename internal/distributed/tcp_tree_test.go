@@ -121,7 +121,12 @@ func TestTCPUplinkRejectsForeignPeer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	// The hub never accepts this uplink, so close the hub first: the
+	// uplink's close drain would otherwise wait out its bound for a FIN.
+	defer func() {
+		root.Close()
+		srv.Close()
+	}()
 	if err := srv.Send(ctx, comm.CoordinatorID, &comm.Message{Kind: "fd-sketch"}); err == nil {
 		t.Fatal("send to non-parent succeeded")
 	}

@@ -202,7 +202,7 @@ func TestStrictGatherRejectsQuorum(t *testing.T) {
 		proto Protocol
 	}{
 		{"svs", SVS{Alpha: 0.3, Delta: 0.1}},
-		{"pca-fd-merge", PCAFDMerge{PCAParams: PCAParams{K: 2, Eps: 0.3}}},
+		{"pca-fd-merge", SketchPCA{Sketch: FDMerge{Eps: 0.15, K: 2}, K: 2}},
 	} {
 		_, err := Run(ctx, tc.proto, parts, pol)
 		if err == nil || !strings.Contains(err.Error(), "not supported") {

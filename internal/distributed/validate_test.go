@@ -31,7 +31,9 @@ func (s touchedSource) Reset() error {
 // first panics inside a spawned server goroutine (fd.SketchSize did, for
 // FDMerge{Eps: 1.5}, while validation was optional) kills the process, which
 // no caller can recover from. The second fd-merge row's bad parameter is a
-// run option, the shrink rule's α.
+// run option, the shrink rule's α. The SketchPCA rows reject, in turn, an
+// inner sketch's ε, a straggler quorum (PCA needs every server), k = 0, a
+// tree topology, a nil sketch and a product protocol as the sketch.
 func TestIllegalParamsFailInCaller(t *testing.T) {
 	a, parts := split(t, 71, 60, 8, 3)
 	var touched atomic.Bool
@@ -58,10 +60,15 @@ func TestIllegalParamsFailInCaller(t *testing.T) {
 		{RowSampling{Eps: -0.1}, cov, nil},
 		{Adaptive{AdaptiveParams: AdaptiveParams{Eps: 0.2, K: 0}}, cov, nil},
 		{LowRankExact{KBound: 0}, cov, nil},
-		{PCASketchSolve{PCAParams: PCAParams{K: 2, Eps: 1}}, cov, nil},
+		{SketchPCA{Sketch: Adaptive{AdaptiveParams: AdaptiveParams{Eps: 1, K: 2}}, K: 2}, cov, nil},
 		{BWZ{PCAParams: PCAParams{K: 0, Eps: 0.2}}, cov, nil},
 		{PCACombined{PCAParams: PCAParams{K: -1, Eps: 0.2}}, cov, nil},
-		{PCAFDMerge{PCAParams: PCAParams{K: 2, Eps: 2}}, cov, nil},
+		{SketchPCA{Sketch: FDMerge{Eps: 1, K: 2}, K: 2}, cov, nil},
+		{SketchPCA{Sketch: FDMerge{Eps: 0.1, K: 2}, K: 2}, cov, []RunOption{WithStragglers(StragglerPolicy{Quorum: 2})}},
+		{SketchPCA{Sketch: FDMerge{Eps: 0.1, K: 2}, K: 0}, cov, nil},
+		{SketchPCA{Sketch: FDMerge{Eps: 0.1, K: 2}, K: 2}, cov, []RunOption{WithTopology(Tree(2))}},
+		{SketchPCA{K: 2}, cov, nil},
+		{SketchPCA{Sketch: CoordinatedProduct{SampleSize: 8}, K: 2}, cov, nil},
 		{CoordinatedProduct{SampleSize: 1}, prod, nil},
 	}
 	for _, tc := range cases {
