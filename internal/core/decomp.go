@@ -12,24 +12,16 @@ import (
 //	BᵀB = TᵀT + RᵀR  and  ‖R‖F² = ‖B − [B]_k‖F²,
 //
 // where T holds the top-k rows of the aggregated form ΣVᵀ and R the
-// remaining rows. If B has fewer than k nonzero singular values, R is empty.
+// remaining rows, zero rows included. R is empty when k ≥ min(rows, cols).
 func Decomp(b *matrix.Dense, k int) (t, r *matrix.Dense, err error) {
 	if k < 0 {
 		panic(fmt.Sprintf("core: Decomp with negative k=%d", k))
 	}
-	svd, err := linalg.ComputeSVD(b)
-	if err != nil {
+	var agg linalg.RightFactor
+	if err := agg.Factor(b); err != nil {
 		return nil, nil, err
 	}
-	return DecompFromSVD(svd, k)
-}
-
-// DecompFromSVD is Decomp on a precomputed SVD.
-func DecompFromSVD(svd *linalg.SVD, k int) (t, r *matrix.Dense, err error) {
-	agg := svd.Aggregated()
-	n := agg.Rows()
-	if k > n {
-		k = n
-	}
-	return agg.CopyRows(0, k), agg.CopyRows(k, n), nil
+	n := len(agg.Lambda)
+	k = min(k, n)
+	return agg.Rows(0, k), agg.Rows(k, n), nil
 }

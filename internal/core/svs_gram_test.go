@@ -127,3 +127,32 @@ func TestSVSGramIsSVSOfTheRows(t *testing.T) {
 		}
 	}
 }
+
+// TestSVSExtremeScales: SVS keeping every row of a 256×32 Gaussian input,
+// and of its 32×256 transpose, scaled by 1e-160 or 1e160, returns the
+// unit-scale output times the scale, within 1e-12 relative. The Gram of
+// such an input under- or overflows, so this relies on the factor's
+// power-of-two prescale.
+func TestSVSExtremeScales(t *testing.T) {
+	tall := workload.Gaussian(rand.New(rand.NewSource(42)), 256, 32)
+	for _, a := range []*matrix.Dense{tall, tall.T()} {
+		want, err := SVS(a, KeepAll{}, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, scale := range []float64{1e-160, 1e160} {
+			got, err := SVS(a.Scale(scale), KeepAll{}, rand.New(rand.NewSource(1)))
+			if err != nil {
+				t.Fatalf("%d×%d at scale %g: %v", a.Rows(), a.Cols(), scale, err)
+			}
+			if !got.IsFinite() || got.Rows() != want.Rows() {
+				t.Fatalf("%d×%d at scale %g: %d rows, finite %v; want %d finite rows",
+					a.Rows(), a.Cols(), scale, got.Rows(), got.IsFinite(), want.Rows())
+			}
+			if diff := got.Scale(1 / scale).Sub(want).Frob(); diff > 1e-12*want.Frob() {
+				t.Fatalf("%d×%d at scale %g: ‖B/scale − B₁‖F = %.3e, above 1e-12·‖B₁‖F = %.3e",
+					a.Rows(), a.Cols(), scale, diff, 1e-12*want.Frob())
+			}
+		}
+	}
+}

@@ -10,23 +10,29 @@ import (
 	"repro/internal/workload"
 )
 
+// TestAggregatedPreservesGram: the aggregated form Decomp splits, here
+// whole in R at k = 0, has A's Gram and mutually orthogonal rows, tall and
+// wide.
 func TestAggregatedPreservesGram(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	a := workload.Gaussian(rng, 40, 10)
-	svd, err := linalg.ComputeSVD(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg := svd.Aggregated()
-	if !agg.Gram().EqualApprox(a.Gram(), 1e-8) {
-		t.Fatal("agg(A)ᵀagg(A) != AᵀA")
-	}
-	// agg rows are orthogonal: agg·aggᵀ is diagonal.
-	g := agg.MulT(agg)
-	for i := 0; i < g.Rows(); i++ {
-		for j := 0; j < g.Cols(); j++ {
-			if i != j && math.Abs(g.At(i, j)) > 1e-8 {
-				t.Fatalf("agg rows not orthogonal at (%d,%d): %v", i, j, g.At(i, j))
+	for _, a := range []*matrix.Dense{workload.Gaussian(rng, 40, 10), workload.Gaussian(rng, 10, 40)} {
+		tt, agg, err := Decomp(a, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tt.Rows() != 0 || agg.Rows() != 10 {
+			t.Fatalf("%d×%d: T has %d rows and agg %d, want 0 and 10", a.Rows(), a.Cols(), tt.Rows(), agg.Rows())
+		}
+		if !agg.Gram().EqualApprox(a.Gram(), 1e-8) {
+			t.Fatal("agg(A)ᵀagg(A) != AᵀA")
+		}
+		// agg rows are orthogonal: agg·aggᵀ is diagonal.
+		g := agg.MulT(agg)
+		for i := 0; i < g.Rows(); i++ {
+			for j := 0; j < g.Cols(); j++ {
+				if i != j && math.Abs(g.At(i, j)) > 1e-8 {
+					t.Fatalf("agg rows not orthogonal at (%d,%d): %v", i, j, g.At(i, j))
+				}
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package distributed
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/comm"
 	"repro/internal/linalg"
@@ -175,7 +174,7 @@ func (p LowRankExact) Server(ctx context.Context, node Node, in Input) error {
 
 // Coordinator implements Protocol: reconstruct AᵀA = Σ_i Q_i⁺·Y_i·(Q_i⁺)ᵀ
 // exactly and return both the Gram matrix and a minimal exact covariance
-// sketch B = Λ^{1/2}·Vᵀ from its eigendecomposition (rank ≤ 2k·s rows,
+// sketch B = Λ^{1/2}·Vᵀ, the positive rows of agg(A) (rank ≤ 2k·s rows,
 // typically ≤ 2k when the global rank bound holds).
 func (p LowRankExact) Coordinator(ctx context.Context, node Node) (*Result, error) {
 	s, d, cfg := p.Env.Servers, p.Env.Dim, p.Env.Config
@@ -216,29 +215,9 @@ func (p LowRankExact) Coordinator(ctx context.Context, node Node) (*Result, erro
 		}
 		gram = gram.Add(pinv.Mul(ys[i]).Mul(pinv.T()))
 	}
-	eig, err := linalg.ComputeEigSym(gram)
-	if err != nil {
+	var agg linalg.RightFactor
+	if err := agg.FactorGram(gram, d); err != nil { // n unknown: d stands in
 		return nil, err
 	}
-	// Assemble B = Λ^{1/2}·Vᵀ over numerically positive eigenvalues.
-	var rows [][]float64
-	thresh := 0.0
-	if len(eig.Values) > 0 && eig.Values[0] > 0 {
-		thresh = 1e-12 * eig.Values[0]
-	}
-	for j, lam := range eig.Values {
-		if lam <= thresh {
-			break
-		}
-		w := math.Sqrt(lam)
-		row := make([]float64, d)
-		for l := 0; l < d; l++ {
-			row[l] = w * eig.V.At(l, j)
-		}
-		rows = append(rows, row)
-	}
-	if len(rows) == 0 {
-		return &Result{Gram: gram, Sketch: matrix.New(0, d)}, nil
-	}
-	return &Result{Gram: gram, Sketch: matrix.NewFromRows(rows)}, nil
+	return &Result{Gram: gram, Sketch: agg.Rows(0, agg.Rank())}, nil
 }

@@ -13,10 +13,12 @@
 // the deterministic distributed algorithm of Theorem 2.
 //
 // The implementation uses the standard doubling buffer: rows accumulate in a
-// buffer of bufferRows ≥ ℓ+1 rows; when full, one SVD shrinks the spectrum
-// by δ = σ_{ℓ+1}² (squared (ℓ+1)-st singular value), zeroing all but at most
-// ℓ rows. Each shrink adds at most δ to the covariance error and removes at
-// least (ℓ+1)·δ of Frobenius mass, which gives the bound above.
+// buffer of bufferRows ≥ ℓ+1 rows; when full, one shrink reduces the
+// spectrum by δ = σ_{ℓ+1}² (squared (ℓ+1)-st singular value), zeroing all
+// but at most ℓ rows, in Liberty's covariance form: σ² and V come off the
+// Gram of the buffer's smaller side (linalg.RightFactor). Each shrink adds
+// at most δ to the covariance error and removes at least (ℓ+1)·δ of
+// Frobenius mass, which gives the bound above.
 //
 // The shrink rule is α-FD with a single parameter Options.Alpha ∈ (0,1]
 // (Desai–Ghashami–Phillips): only the bottom ⌈αℓ⌉ retained directions absorb
@@ -27,6 +29,7 @@
 package fd
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -43,8 +46,8 @@ type Sketch struct {
 	bufferRows int
 	alpha      float64 // resolved shrink parameter, in (0,1]
 	buf        *matrix.Dense
-	ws         linalg.SVDWorkspace // reused across shrinks (no per-shrink allocs)
-	sig2       []float64           // reused squared-spectrum scratch (no per-shrink allocs)
+	agg        linalg.RightFactor // reused across shrinks
+	sig2       []float64          // reused shrunk-spectrum scratch
 	used       int
 	obs        *obs.Observer
 
@@ -52,7 +55,7 @@ type Sketch struct {
 	totalDelta float64 // Σ δ_i — an a-posteriori certificate for the error
 	inputFrob2 float64
 	inputRows  int
-	err        error // latched SVD failure
+	err        error // latched shrink failure
 }
 
 // Options configures a Sketch beyond the required (d, ℓ).
@@ -62,7 +65,7 @@ type Options struct {
 	// value is a configuration error and panics, since a buffer below ℓ+1
 	// cannot hold even one row beyond the sketch and would have to be
 	// silently reinterpreted. Larger buffers mean fewer,
-	// larger SVDs with identical guarantees; ℓ+1 reproduces Liberty's
+	// larger shrinks with identical guarantees; ℓ+1 reproduces Liberty's
 	// original one-row-at-a-time shrink schedule.
 	BufferRows int
 	// Alpha is the shrink rule's α ∈ (0,1]: the fraction of the ℓ retained
@@ -71,8 +74,8 @@ type Options struct {
 	// (0,1].
 	Alpha float64
 	// Obs records each shrink (count, δ, rows shrunk) on the observability
-	// layer; nil falls back to the process-wide obs.Default(). The shrink
-	// hot path stays allocation-free either way.
+	// layer; nil falls back to the process-wide obs.Default(). Either way a
+	// shrink allocates a constant count (TestShrinkAllocsConstant: ≤ 24).
 	Obs *obs.Observer
 }
 
@@ -132,7 +135,7 @@ func (s *Sketch) Ell() int { return s.ell }
 // working-space figure of Theorem 1 (total space is this times d).
 func (s *Sketch) WorkingSpaceRows() int { return s.bufferRows }
 
-// Shrinks returns how many SVD shrink steps have run.
+// Shrinks returns how many shrink steps have run.
 func (s *Sketch) Shrinks() int { return s.shrinks }
 
 // TotalShrinkage returns the accumulated per-shrink error charges Σ δ_i, a
@@ -147,12 +150,14 @@ func (s *Sketch) InputRows() int { return s.inputRows }
 // InputFrob2 returns the squared Frobenius norm of the input so far.
 func (s *Sketch) InputFrob2() float64 { return s.inputFrob2 }
 
-// Err returns the first SVD failure encountered, if any.
+// Err returns the first shrink failure encountered, if any.
 func (s *Sketch) Err() error { return s.err }
 
-// Update feeds one row into the sketch. Rows with NaN or Inf entries are
-// rejected: a single non-finite value would silently poison every later
-// shrink.
+// errNorm2 rejects a row whose squared norm would poison every later shrink.
+var errNorm2 = errors.New("fd: row has a NaN or Inf entry, or its squared norm overflows float64")
+
+// Update feeds one row into the sketch. A row whose squared norm is not
+// finite is rejected (errNorm2).
 func (s *Sketch) Update(row []float64) error {
 	if len(row) != s.d {
 		panic(fmt.Sprintf("fd: row length %d != d=%d", len(row), s.d))
@@ -162,7 +167,7 @@ func (s *Sketch) Update(row []float64) error {
 	}
 	n2 := matrix.Norm2(row)
 	if math.IsNaN(n2) || math.IsInf(n2, 0) {
-		return fmt.Errorf("fd: row contains non-finite values")
+		return errNorm2
 	}
 	if s.used == s.bufferRows {
 		if err := s.shrink(); err != nil {
@@ -188,7 +193,7 @@ func (s *Sketch) UpdateSparse(row *matrix.SparseVector) error {
 	}
 	n2 := row.Norm2()
 	if math.IsNaN(n2) || math.IsInf(n2, 0) {
-		return fmt.Errorf("fd: row contains non-finite values")
+		return errNorm2
 	}
 	if s.used == s.bufferRows {
 		if err := s.shrink(); err != nil {
@@ -234,39 +239,25 @@ func (s *Sketch) UpdateMatrix(m *matrix.Dense) error {
 	return nil
 }
 
-// shrink runs one shrink step, reducing the buffer to at most ℓ rows under
-// the sketch's α. The SVD factorizes through a workspace held by the
-// sketch and the squared spectrum lives in a reused scratch slice, so
-// steady-state shrinking allocates nothing.
+// shrink reduces the buffer to at most ℓ rows under the sketch's α:
+// shrinkSpectrum maps agg(B)'s λ_j to σ'²_j, and row j of agg(B) is scaled
+// by √(σ'²_j/λ_j). Its allocation count is constant whatever ℓ and d.
 func (s *Sketch) shrink() error {
-	svd, err := linalg.ComputeSVDWith(s.buf.SliceRows(0, s.used), &s.ws)
-	if err != nil {
-		s.err = fmt.Errorf("fd: shrink SVD: %w", err)
+	agg := &s.agg
+	if err := agg.Factor(s.buf.SliceRows(0, s.used)); err != nil {
+		s.err = fmt.Errorf("fd: shrink: %w", err)
 		return s.err
 	}
-	ns := len(svd.Sigma)
-	if cap(s.sig2) < ns {
-		s.sig2 = make([]float64, ns)
-	}
-	sig2 := s.sig2[:ns]
-	for j, sig := range svd.Sigma {
-		sig2[j] = sig * sig
-	}
-	charge := shrinkSpectrum(sig2, s.ell, s.alpha)
+	// sig2 is in the factor's prescaled units; charge and weights are not.
+	sig2 := append(s.sig2[:0], agg.Lambda...)
+	s.sig2 = sig2
+	charge := math.Ldexp(shrinkSpectrum(sig2, s.ell, s.alpha), 2*agg.Exp)
 	out := 0
-	for j := 0; j < ns; j++ {
-		if sig2[j] <= 0 {
-			break // non-increasing: all later entries are zero too
-		}
-		w := math.Sqrt(sig2[j])
-		row := s.buf.Row(out)
-		for l := 0; l < s.d; l++ {
-			row[l] = w * svd.V.At(l, j)
-		}
-		out++
+	for ; out < len(sig2) && sig2[out] > 0; out++ { // non-increasing: the rest is zero
+		agg.Row(s.buf.Row(out), out, math.Ldexp(math.Sqrt(sig2[out]), agg.Exp))
 	}
 	for i := out; i < s.used; i++ {
-		zero(s.buf.Row(i))
+		clear(s.buf.Row(i))
 	}
 	shrunk := s.used
 	s.used = out
@@ -278,12 +269,6 @@ func (s *Sketch) shrink() error {
 	ob.FDShrink(shrunk, charge)
 	s.totalDelta += charge
 	return nil
-}
-
-func zero(v []float64) {
-	for i := range v {
-		v[i] = 0
-	}
 }
 
 // Matrix returns the current sketch B with at most ℓ non-zero rows,

@@ -3,6 +3,7 @@ package fd
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -381,6 +382,13 @@ func TestNonFiniteRowRejected(t *testing.T) {
 	}
 	if err := s.Update([]float64{1, math.Inf(1), 2}); err == nil {
 		t.Fatal("Inf row must be rejected")
+	}
+	// A finite row whose squared norm overflows, on both update paths.
+	big := []float64{1e160, 2e160, -1e160}
+	for i, err := range []error{s.Update(big), s.UpdateSparse(matrix.NewSparseVector(3, []int{0, 1, 2}, big))} {
+		if err == nil || !strings.Contains(err.Error(), "squared norm overflows float64") {
+			t.Fatalf("update path %d: err = %v, want the squared-norm overflow", i, err)
+		}
 	}
 	// The sketch stays usable after a rejected row.
 	if err := s.Update([]float64{1, 2, 3}); err != nil {

@@ -12,7 +12,7 @@ import (
 // produce it — a sketch restored via FromState and fed the remainder of a
 // stream is bit-identical to one that consumed the stream uninterrupted.
 //
-// State does not capture a latched SVD error: State returns that error
+// State does not capture a latched shrink error: State returns that error
 // instead, so a poisoned sketch is never checkpointed.
 type State struct {
 	D          int

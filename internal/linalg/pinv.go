@@ -8,7 +8,7 @@ import (
 // treating singular values below tol·σ_max as zero (tol <= 0 uses 1e-12).
 //
 // The §3.3 Case-1 protocol uses Q⁺Q as the orthogonal projector onto the row
-// space of Q.
+// space of Q. It stays on Jacobi: Q's smallest σ can sit near 1e-9·σ₁.
 func PseudoInverse(a *matrix.Dense, tol float64) (*matrix.Dense, error) {
 	n, d := a.Dims()
 	if n == 0 || d == 0 {

@@ -1,15 +1,11 @@
 // Package linalg implements the dense numerical routines the sketching
-// algorithms are built on: singular value decomposition (one-sided Jacobi),
-// symmetric eigendecomposition (Householder tridiagonalization and
-// implicit-shift QL, with optional eigenvectors), Householder QR (plain and
-// column-pivoted), pseudoinverse, best rank-k approximation and spectral
-// norms.
-//
-// Everything is written from scratch against the stdlib. One-sided Jacobi
-// is chosen for robustness and relative accuracy at the dimensions this
-// repository works with, and it stays the independent oracle the tests
-// measure the QL solver against; the tridiagonal QL solver is the fast path
-// for symmetric matrices such as Grams, values only or with vectors.
+// algorithms are built on, from scratch against the stdlib: symmetric
+// eigendecomposition (Householder tridiagonalization and implicit-shift QL),
+// agg(A) = ΣVᵀ read off it (RightFactor, the source of every sketch row the
+// runtime emits), the one-sided Jacobi SVD, pivoted Householder QR,
+// pseudoinverse and spectral norms. Jacobi is the independent oracle behind
+// SpectralNormSym, SingularValues and TailEnergy, and factors the
+// pseudoinverse, whose small singular values a Gram cannot resolve.
 package linalg
 
 import (
@@ -44,7 +40,8 @@ const (
 )
 
 // ComputeSVD computes a thin SVD of a using the one-sided Jacobi (Hestenes)
-// method: the columns of a are orthogonalized by right rotations which are
+// method, the oracle and pseudoinverse route: the columns of a are
+// orthogonalized by right rotations which are
 // accumulated into V; singular values are the resulting column norms.
 //
 // The method is applied to whichever of a, aᵀ has fewer columns, so the cost
@@ -59,8 +56,9 @@ func ComputeSVD(a *matrix.Dense) (*SVD, error) {
 }
 
 // SVDWorkspace holds reusable buffers for repeated SVDs of equally-shaped
-// inputs (the FD shrink loop). The zero value is ready to use; pass the same
-// workspace to successive ComputeSVDWith calls. The returned SVD aliases
+// inputs (kept for the reference benchmark's SVD replay). The zero value
+// is ready to use; pass the same workspace to successive ComputeSVDWith
+// calls. The returned SVD aliases
 // the workspace buffers, so it is valid only until the next call with the
 // same workspace.
 type SVDWorkspace struct {
@@ -72,8 +70,7 @@ type SVDWorkspace struct {
 
 // ComputeSVDWith is ComputeSVD with caller-managed scratch: all large
 // intermediates (the working transpose, rotation accumulator, and output
-// factors) are reused from ws across calls, eliminating the per-shrink
-// allocations of the FD loop.
+// factors) are reused from ws across calls.
 func ComputeSVDWith(a *matrix.Dense, ws *SVDWorkspace) (*SVD, error) {
 	return computeSVDWorkspace(a, ws)
 }
@@ -322,21 +319,6 @@ func (s *SVD) Reconstruct() *matrix.Dense {
 			for l := 0; l < d; l++ {
 				row[l] += uij * s.V.At(l, j)
 			}
-		}
-	}
-	return out
-}
-
-// Aggregated returns the "aggregated form" agg(A) = Σ·Vᵀ used by the SVS
-// algorithm (§3.1 of the paper): row j is σ_j·v_jᵀ. Rows are returned for
-// all r = min(n,d) singular values, including zero ones.
-func (s *SVD) Aggregated() *matrix.Dense {
-	d, r := s.V.Dims()
-	out := matrix.New(r, d)
-	for j := 0; j < r; j++ {
-		row := out.Row(j)
-		for l := 0; l < d; l++ {
-			row[l] = s.Sigma[j] * s.V.At(l, j)
 		}
 	}
 	return out

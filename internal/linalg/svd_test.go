@@ -144,19 +144,38 @@ func TestSVDFrobeniusIdentity(t *testing.T) {
 	}
 }
 
+// TestAggregatedPreservesGram: agg(A) from RightFactor, built from A tall
+// or wide, from its Gram, or from its SVD, has min(n,d) rows, A's Gram and
+// the SVD's spectrum.
 func TestAggregatedPreservesGram(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	a := randDense(rng, 11, 6)
-	s, err := ComputeSVD(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg := s.Aggregated()
-	if !agg.Gram().EqualApprox(a.Gram(), 1e-8) {
-		t.Fatal("agg(A)ᵀagg(A) != AᵀA")
-	}
-	if agg.Rows() != 6 {
-		t.Fatalf("agg rows = %d, want 6", agg.Rows())
+	for _, dims := range [][2]int{{11, 6}, {6, 11}} {
+		a := randDense(rng, dims[0], dims[1])
+		s, err := ComputeSVD(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fromA, fromGram RightFactor
+		if err := fromA.Factor(a); err != nil {
+			t.Fatal(err)
+		}
+		if err := fromGram.FactorGram(a.Gram(), dims[0]); err != nil {
+			t.Fatal(err)
+		}
+		for name, f := range map[string]*RightFactor{"A": &fromA, "Gram": &fromGram, "SVD": s.RightFactor()} {
+			agg := f.Rows(0, len(f.Lambda))
+			if f.Rank() != 6 || agg.Rows() != 6 || agg.Cols() != dims[1] {
+				t.Fatalf("%v from %s: rank %d, agg %d×%d", dims, name, f.Rank(), agg.Rows(), agg.Cols())
+			}
+			if !agg.Gram().EqualApprox(a.Gram(), 1e-8) {
+				t.Fatalf("%v from %s: agg(A)ᵀagg(A) != AᵀA", dims, name)
+			}
+			for j := 0; j < 6; j++ {
+				if math.Abs(f.Sigma(j)-s.Sigma[j]) > 1e-12*s.Sigma[0] {
+					t.Fatalf("%v from %s: σ_%d = %v, Jacobi %v", dims, name, j, f.Sigma(j), s.Sigma[j])
+				}
+			}
+		}
 	}
 }
 

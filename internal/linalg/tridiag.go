@@ -305,3 +305,137 @@ func SpectralNormSymFast(s *matrix.Dense) (float64, error) {
 	}
 	return math.Max(math.Abs(vals[0]), math.Abs(vals[len(vals)-1])), nil
 }
+
+// RightFactor is agg(A) = Σ·Vᵀ of an n×d matrix A (§3.1), row j = σ_j·v_jᵀ
+// for j < r = min(n,d): every sketch row the FD shrink, SVS, Decomp, PCA and
+// the exact protocol emit. Factor eigendecomposes the Gram of A's smaller
+// side, AᵀA (the v_j) or AAᵀ (the u_j, v_j = Aᵀu_j/σ_j); squaring loses
+// accuracy only below √(max(n,d)·u)·σ₁, where the cutoff zeroes λ_j. The
+// zero value is ready; reusing one allocates a constant count per Factor.
+type RightFactor struct {
+	// Lambda holds λ_j = σ_j²·4^−Exp in non-increasing order, r entries;
+	// λ_j ≤ max(n,m)·u·λ₁ (an m×m Gram's rounding noise) is exactly 0.
+	Lambda []float64
+	// Exp is the prescale: Factor works on Ā = 2^−Exp·A, Exp ≠ 0 only when
+	// max|a_ij| ∉ [2^−400, 2^400], where AᵀA would leave the normal range.
+	// A power of two rounds nothing there and the eigensolver is
+	// equivariant under it, so normally scaled results keep every bit.
+	Exp int
+
+	d    int
+	vecs *matrix.Dense // v_j in columns (d×r); u_j (n×n) when wide is set
+	wide *matrix.Dense // Ā when A is wide; it aliases buf
+	buf  matrix.Dense  // Ā's reused backing
+}
+
+// prescaleExp bounds the exponent of max|a_ij| squared as it is: AᵀA then
+// neither overflows nor underflows a product above u·λ₁·2^−170.
+const prescaleExp = 400
+
+// Factor computes agg(a). a is neither modified nor retained.
+func (f *RightFactor) Factor(a *matrix.Dense) error {
+	n, d := a.Dims()
+	f.Exp = 0
+	if _, e := math.Frexp(a.MaxAbs()); e < -prescaleExp || e > prescaleExp {
+		f.Exp = e
+	}
+	data := append(f.buf.Data()[:0], a.Data()...) // Ā, in a reused buffer
+	if f.Exp != 0 {
+		for i, x := range data {
+			data[i] = math.Ldexp(x, -f.Exp)
+		}
+	}
+	f.buf.Reuse(n, d, data)
+	if n >= d {
+		return f.fromGram(f.buf.Gram(), n, nil)
+	}
+	return f.fromGram(f.buf.MulT(&f.buf), n, &f.buf)
+}
+
+// FactorGram computes agg(A) for an A with n rows known only through its
+// Gram g = AᵀA, which determines agg(A). Only g's lower triangle is read.
+func (f *RightFactor) FactorGram(g *matrix.Dense, n int) error {
+	f.Exp = 0
+	return f.fromGram(g, n, nil)
+}
+
+// fromGram eigendecomposes the m×m Gram s of a matrix with n rows (ĀᵀĀ, or
+// ĀĀᵀ with wide set to Ā) and keeps r = min(n,m) pairs under the cutoff.
+func (f *RightFactor) fromGram(s *matrix.Dense, n int, wide *matrix.Dense) error {
+	m := s.Rows()
+	f.d, f.wide, f.vecs, f.Lambda = m, wide, nil, nil
+	if wide != nil {
+		f.d = wide.Cols()
+	}
+	r := min(n, m)
+	if r == 0 {
+		return nil
+	}
+	e, err := ComputeEigSym(s)
+	if err != nil {
+		return err
+	}
+	f.vecs, f.Lambda = e.V, e.Values[:r]
+	tol := float64(max(n, m)) * 0x1p-52 * f.Lambda[0]
+	for j, l := range f.Lambda {
+		if l <= tol {
+			f.Lambda[j] = 0
+		}
+	}
+	return nil
+}
+
+// RightFactor returns agg(A) read off this SVD, without the cutoff.
+func (s *SVD) RightFactor() *RightFactor {
+	f := &RightFactor{d: s.V.Rows(), vecs: s.V}
+	for _, x := range s.Sigma {
+		f.Lambda = append(f.Lambda, x*x)
+	}
+	return f
+}
+
+// Sigma returns σ_j in A's units.
+func (f *RightFactor) Sigma(j int) float64 { return math.Ldexp(math.Sqrt(f.Lambda[j]), f.Exp) }
+
+// Rank returns the number of positive λ_j.
+func (f *RightFactor) Rank() int {
+	r := 0
+	for r < len(f.Lambda) && f.Lambda[r] > 0 {
+		r++
+	}
+	return r
+}
+
+// Row writes w·v_jᵀ into dst (length d): w = c·σ_j gives c times row
+// j of agg(A), w = 1 the right singular vector. A wide A has no v_j where
+// σ_j = 0; dst is then zero.
+func (f *RightFactor) Row(dst []float64, j int, w float64) {
+	if f.wide == nil {
+		for l := range dst {
+			dst[l] = w * f.vecs.At(l, j)
+		}
+		return
+	}
+	clear(dst)
+	if w == 0 || f.Lambda[j] == 0 {
+		return
+	}
+	// √Lambda[j] = 2^−Exp·σ_j, so c·Ā = (w/σ_j)·A.
+	c := w / math.Sqrt(f.Lambda[j])
+	for i := 0; i < f.wide.Rows(); i++ {
+		if x := c * f.vecs.At(i, j); x != 0 {
+			for l, y := range f.wide.Row(i) {
+				dst[l] += x * y
+			}
+		}
+	}
+}
+
+// Rows returns rows [from, to) of agg(A) as a new matrix.
+func (f *RightFactor) Rows(from, to int) *matrix.Dense {
+	out := matrix.New(to-from, f.d)
+	for j := from; j < to; j++ {
+		f.Row(out.Row(j-from), j, f.Sigma(j))
+	}
+	return out
+}

@@ -14,22 +14,22 @@ import (
 )
 
 // TopKRightSV returns the top-k right singular vectors of a as the columns
-// of a d×k matrix (k is clamped to the number of available vectors).
+// of a d×k matrix (k is clamped to min(n,d)); where a wide a has a zero
+// singular value (linalg.RightFactor), that column is zero.
 func TopKRightSV(a *matrix.Dense, k int) (*matrix.Dense, error) {
 	if k < 0 {
 		panic(fmt.Sprintf("pca: negative k=%d", k))
 	}
-	svd, err := linalg.ComputeSVD(a)
-	if err != nil {
+	var agg linalg.RightFactor
+	if err := agg.Factor(a); err != nil {
 		return nil, err
 	}
-	d, r := svd.V.Dims()
-	if k > r {
-		k = r
-	}
-	v := matrix.New(d, k)
+	k = min(k, len(agg.Lambda))
+	v := matrix.New(a.Cols(), k)
+	col := make([]float64, a.Cols())
 	for j := 0; j < k; j++ {
-		v.SetCol(j, svd.V.Col(j))
+		agg.Row(col, j, 1)
+		v.SetCol(j, col)
 	}
 	return v, nil
 }

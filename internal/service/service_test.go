@@ -241,12 +241,18 @@ func TestKillRestoreBitExact(t *testing.T) {
 	}
 }
 
-// TestRestoresPreviousFormatCheckpoint pins the checkpoint format across
-// the shrink-rule collapse: testdata/checkpoint_v1.dskm (+ .json sidecar)
-// was written by the code that still had five pluggable shrink strategies —
-// server 0's fd-delta state after 170 of 240 rows, shrinks charged in both
-// sketches. It must restore under the default rule and then track the rest
-// of the stream bit-identically to a tracker that never stopped.
+// TestRestoresPreviousFormatCheckpoint restores a checkpoint written by an
+// earlier version of the code: testdata/checkpoint_v1.dskm (+ .json
+// sidecar) is server 0's fd-delta state after 170 of 240 rows, written when
+// the shrink still had five pluggable strategies and ran on the Jacobi SVD.
+// It checks what must hold across code versions without pinning the
+// shrink's last bit:
+//   - format: the restored tracker holds exactly the stored fd.States and
+//     sidecar values;
+//   - determinism: two trackers restored from it and fed rows 170–239 end
+//     bit-identical;
+//   - soundness: the continued sketch's covariance error over all 240 rows,
+//     measured by the Jacobi oracle at d = 24, is within its ErrorBound.
 func TestRestoresPreviousFormatCheckpoint(t *testing.T) {
 	const n, d, consumed = 240, 24, 170
 	cfg := testConfig(2, d)
@@ -261,49 +267,100 @@ func TestRestoresPreviousFormatCheckpoint(t *testing.T) {
 		}
 	}
 	m := workload.LowRankPlusNoise(rand.New(rand.NewSource(8)), n, d, 3, 10, 0.8, 0.3)
-	srv, err := NewServer(cfg, 0, workload.NewDenseSource(m))
-	if err != nil {
-		t.Fatal(err)
+	restore := func(t *testing.T) *Server {
+		t.Helper()
+		srv, err := NewServer(cfg, 0, workload.NewDenseSource(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !srv.Restored() || srv.Consumed() != consumed {
+			t.Fatalf("restored=%v consumed=%d, want a restore at row %d", srv.Restored(), srv.Consumed(), consumed)
+		}
+		return srv
 	}
-	if !srv.Restored() || srv.Consumed() != consumed {
-		t.Fatalf("restored=%v consumed=%d, want a restore at row %d", srv.Restored(), srv.Consumed(), consumed)
-	}
-	ref := monitoring.NewServer(cfg.Monitoring, 0)
-	ref.SetThreshold(200) // the threshold the checkpointed server held
-	got := srv.Tracker()
-	for i := 0; i < n; i++ {
-		if i >= consumed {
-			if _, err := got.Offer(m.Row(i)); err != nil {
+	continued := func(t *testing.T) *monitoring.ServerState {
+		t.Helper()
+		track := restore(t).Tracker()
+		for i := consumed; i < n; i++ {
+			if _, err := track.Offer(m.Row(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := ref.Offer(m.Row(i)); err != nil {
+		st, err := track.State()
+		if err != nil {
 			t.Fatal(err)
 		}
+		return st
 	}
-	gotSt, err := got.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	refSt, err := ref.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pair := range [][2]*fd.State{{gotSt.Full, refSt.Full}, {gotSt.Pending, refSt.Pending}} {
-		g, w := pair[0], pair[1]
-		if g.Strategy != "fast-fd" || w.Strategy != "fast-fd" {
-			t.Fatalf("rule names %q / %q, want fast-fd", g.Strategy, w.Strategy)
+	sameFD := func(t *testing.T, name string, got, want *fd.State) {
+		t.Helper()
+		if got.D != want.D || got.Ell != want.Ell || got.BufferRows != want.BufferRows || got.Strategy != want.Strategy ||
+			got.Shrinks != want.Shrinks || got.TotalDelta != want.TotalDelta ||
+			got.InputRows != want.InputRows || got.InputFrob2 != want.InputFrob2 {
+			t.Fatalf("%s counters: %+v, want %+v", name, got, want)
 		}
-		if g.Shrinks != w.Shrinks || g.TotalDelta != w.TotalDelta || g.InputRows != w.InputRows || g.InputFrob2 != w.InputFrob2 {
-			t.Fatalf("counters diverge: %+v vs %+v", g, w)
-		}
-		if !g.Buffer.Equal(w.Buffer) {
-			t.Fatal("sketch buffer differs from the uninterrupted tracker")
+		if !got.Buffer.Equal(want.Buffer) {
+			t.Fatalf("%s buffer differs", name)
 		}
 	}
-	if refSt.Full.Shrinks == 0 || refSt.Full.TotalDelta == 0 {
-		t.Fatal("workload too small: no charged shrink exercised")
-	}
+
+	t.Run("format", func(t *testing.T) {
+		var meta serverMeta
+		stacked, err := workload.LoadCheckpoint(cfg.CheckpointPath, &meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := restore(t)
+		st, err := srv.Tracker().State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if srv.Words() != meta.Words || st.LocalMass != meta.LocalMass || st.UnreportedMass != meta.UnreportedMass ||
+			st.Threshold != meta.Threshold || st.Announced != meta.Announced {
+			t.Fatalf("sidecar values: words %v mass %v/%v threshold %v announced %v, stored %+v",
+				srv.Words(), st.LocalMass, st.UnreportedMass, st.Threshold, st.Announced, meta)
+		}
+		split := meta.Pending.Rows
+		sameFD(t, "pending", st.Pending, meta.Pending.toState(d, stacked.CopyRows(0, split)))
+		sameFD(t, "full", st.Full, meta.Full.toState(d, stacked.CopyRows(split, stacked.Rows())))
+		if st.Full.Strategy != "fast-fd" || st.Full.Shrinks == 0 || st.Full.TotalDelta == 0 {
+			t.Fatalf("stored full sketch %+v: want a fast-fd sketch with a charged shrink", st.Full)
+		}
+	})
+
+	t.Run("determinism", func(t *testing.T) {
+		a, b := continued(t), continued(t)
+		sameFD(t, "pending", a.Pending, b.Pending)
+		sameFD(t, "full", a.Full, b.Full)
+		if a.LocalMass != b.LocalMass || a.UnreportedMass != b.UnreportedMass {
+			t.Fatalf("masses diverge: %v/%v vs %v/%v", a.LocalMass, a.UnreportedMass, b.LocalMass, b.UnreportedMass)
+		}
+	})
+
+	t.Run("soundness", func(t *testing.T) {
+		st := continued(t)
+		full, err := fd.FromState(st.Full, fd.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sk, err := full.Matrix()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.InputRows() != n {
+			t.Fatalf("continued sketch covers %d rows, want %d", full.InputRows(), n)
+		}
+		coverr, err := linalg.SpectralNormSym(m.Gram().Sub(sk.Gram()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if coverr > full.ErrorBound() {
+			t.Fatalf("coverr %.6e above the continued sketch's ErrorBound %.6e", coverr, full.ErrorBound())
+		}
+		if full.Shrinks() <= 7 {
+			t.Fatalf("%d shrinks: the continuation ran none of its own", full.Shrinks())
+		}
+	})
 }
 
 func TestRestoreRejectsMismatchedConfig(t *testing.T) {
