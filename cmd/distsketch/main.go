@@ -356,7 +356,7 @@ func (o options) buildProtocol(plan *distsketch.Plan) (distsketch.Protocol, erro
 	if !plan.IsStar() && o.protocol != "fd" {
 		return nil, fmt.Errorf("protocol %q does not support -topology tree (only fd merges at interior nodes)", o.protocol)
 	}
-	cfg := distsketch.Config{Seed: o.seed, Parallelism: o.parallel, Alpha: o.alpha}
+	cfg := distsketch.Config{Seed: o.seed, Alpha: o.alpha}
 	if o.wirePrec != "" {
 		p, err := distsketch.ParseWirePrecision(o.wirePrec)
 		if err != nil {

@@ -6,12 +6,16 @@
 // The package re-exports the stable surface of the internal packages so
 // applications (and the examples/ directory) depend on one import path:
 //
+//	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+//	defer cancel()
 //	res, err := distsketch.Run(ctx,
 //	    distsketch.FDMerge{Eps: 0.1, K: 5},
 //	    parts,
-//	    distsketch.WithDeadline(5*time.Second),
 //	    distsketch.WithSeed(1),
 //	)
+//
+// The run's deadline is the context's: when it expires, every party's
+// pending Send/Recv unblocks and Run returns the context's error.
 //
 // Protocol values are plain structs; the same value also drives the two
 // real-TCP roles (see TCPCoordinator/TCPServer and cmd/distsketch), where
@@ -34,8 +38,8 @@ import (
 // SetParallelism sets the width of the process-wide compute worker pool
 // shared by every kernel (FD shrinks, SVDs, matrix products); n <= 0 resets
 // to GOMAXPROCS. Parallelism only affects local compute speed — metered
-// communication word counts are identical at every width. Per-run callers
-// can use WithParallelism instead.
+// communication word counts are identical at every width. The width is
+// process-wide and stays set until the next call.
 func SetParallelism(n int) { parallel.SetWorkers(n) }
 
 // Parallelism returns the current compute worker pool width.
@@ -101,7 +105,7 @@ type Env = distributed.Env
 type Result = distributed.Result
 
 // Config is the cross-cutting per-run configuration shared by every
-// protocol (seed, quantization, straggler policy, and the fd-merge shrink
+// protocol (seed, quantization step, wire precision, straggler policy, and the fd-merge shrink
 // rule's Alpha ∈ (0,1]: only the bottom ⌈αℓ⌉ retained directions absorb
 // each shrink, 0 meaning 1, the classic FD shrink).
 type Config = distributed.Config
@@ -220,36 +224,30 @@ const (
 var ParseSamplingFn = distributed.ParseSamplingFn
 
 // Run executes a protocol in-process over len(parts) simulated servers and
-// returns the coordinator's result; see the RunOption values for deadlines,
-// fault plans, straggler policies, quantization, and seeding.
+// returns the coordinator's result; ctx bounds the run, and the RunOption
+// values set fault plans, straggler policies, quantization, and seeding.
 var Run = distributed.Run
 
-// RunSources is Run over RowSources instead of in-memory partitions: server
-// i streams sources[i], so handing it file-backed sources (OpenSource plus
-// NewSectionSource per shard) runs the whole protocol out of core.
-var RunSources = distributed.RunSources
-
-// RunWorkload is the estimand-general driver beneath Run and RunSources:
-// server i consumes inputs[i], which may be a covariance shard or an
-// aligned (A, B) product pair. Use it (with ProductShards /
-// ProductShardsDense) to run product protocols such as CoordinatedProduct.
+// RunWorkload is the estimand-general driver beneath Run: server i consumes
+// inputs[i], which may be a covariance shard or an aligned (A, B) product
+// pair. Use it with CovarianceInput per RowSource to stream shards (handing
+// it file-backed sources, OpenSource plus NewSectionSource per shard, runs
+// the whole protocol out of core), or with ProductShards /
+// ProductShardsDense to run product protocols such as CoordinatedProduct.
 var RunWorkload = distributed.RunWorkload
 
 // RunOption configures a Run invocation.
 type RunOption = distributed.RunOption
 
 var (
-	WithDeadline        = distributed.WithDeadline
-	WithSeed            = distributed.WithSeed
-	WithQuantization    = distributed.WithQuantization
-	WithWirePrecision   = distributed.WithWirePrecision
-	WithAlpha           = distributed.WithAlpha
-	WithStragglers      = distributed.WithStragglers
-	WithTopology        = distributed.WithTopology
-	WithFaults          = distributed.WithFaults
-	WithMailboxCapacity = distributed.WithMailboxCapacity
-	WithMeter           = distributed.WithMeter
-	WithParallelism     = distributed.WithParallelism
+	WithSeed          = distributed.WithSeed
+	WithQuantization  = distributed.WithQuantization
+	WithWirePrecision = distributed.WithWirePrecision
+	WithAlpha         = distributed.WithAlpha
+	WithStragglers    = distributed.WithStragglers
+	WithTopology      = distributed.WithTopology
+	WithFaults        = distributed.WithFaults
+	WithMeter         = distributed.WithMeter
 )
 
 // Quality metrics: IsEpsKSketch checks the Definition 3 guarantee, CovErr

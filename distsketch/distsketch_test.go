@@ -13,7 +13,8 @@ import (
 // the README shows it: generate, split, Run a protocol struct with options,
 // verify the guarantee — no internal imports anywhere.
 func TestFacadeRunCoversProtocolFamilies(t *testing.T) {
-	ctx := context.Background()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
 	rng := rand.New(rand.NewSource(8))
 	a := distsketch.LowRankPlusNoise(rng, 400, 16, 3, 30, 0.7, 0.4)
 	parts := distsketch.Split(a, 4, distsketch.Contiguous, nil)
@@ -22,7 +23,6 @@ func TestFacadeRunCoversProtocolFamilies(t *testing.T) {
 	res, err := distsketch.Run(ctx,
 		distsketch.FDMerge{Eps: eps, K: k},
 		parts,
-		distsketch.WithDeadline(30*time.Second),
 		distsketch.WithSeed(1),
 	)
 	if err != nil {
@@ -88,12 +88,13 @@ func TestFacadeFaultInjection(t *testing.T) {
 	a := distsketch.Gaussian(rng, 200, 10)
 	parts := distsketch.Split(a, 4, distsketch.Contiguous, nil)
 
-	res, err := distsketch.Run(context.Background(),
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := distsketch.Run(ctx,
 		distsketch.FDMerge{Eps: 0.3, K: 2},
 		parts,
 		distsketch.WithFaults(distsketch.FaultPlan{Seed: 5, Partition: map[int]bool{3: true}}),
 		distsketch.WithStragglers(distsketch.StragglerPolicy{Timeout: 300 * time.Millisecond, Quorum: 3}),
-		distsketch.WithDeadline(30*time.Second),
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,10 @@ import (
 )
 
 func main() {
-	ctx := context.Background()
+	// The context's deadline bounds every run below: when it expires, every
+	// party's pending Send/Recv unblocks and Run returns the error.
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
 	rng := rand.New(rand.NewSource(42))
 
 	// A 4096×64 matrix with a strong rank-5 component plus noise: the
@@ -28,11 +31,8 @@ func main() {
 	fmt.Printf("input: %d×%d over %d servers, ‖A‖F² = %.4g\n\n", n, d, s, a.Frob2())
 
 	// Every protocol is a plain struct driven by the same Run call; the
-	// options bound the whole run (deadline) and seed the randomness.
-	opts := []distsketch.RunOption{
-		distsketch.WithDeadline(30 * time.Second),
-		distsketch.WithSeed(1),
-	}
+	// option seeds the randomness.
+	opts := []distsketch.RunOption{distsketch.WithSeed(1)}
 	for _, tc := range []struct {
 		proto     distsketch.Protocol
 		budgetEps float64
@@ -60,7 +60,6 @@ func main() {
 	res, err := distsketch.Run(ctx,
 		distsketch.FDMerge{Eps: eps, K: k},
 		parts,
-		distsketch.WithDeadline(30*time.Second),
 		distsketch.WithSeed(1),
 		distsketch.WithFaults(distsketch.FaultPlan{
 			Seed:      7,

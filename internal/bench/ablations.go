@@ -188,8 +188,8 @@ func SparseInputAblation(cfg Config, density float64) ([]Row, error) {
 	for i, p := range spParts {
 		sources[i] = workload.NewSparseSource(p)
 	}
-	res, err := distributed.RunSources(context.Background(),
-		distributed.FDMerge{Eps: cfg.Eps}, sources, distributed.WithSeed(cfg.Seed))
+	res, err := distributed.RunWorkload(context.Background(),
+		distributed.FDMerge{Eps: cfg.Eps}, distributed.CovarianceInputs(sources), distributed.WithSeed(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}

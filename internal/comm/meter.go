@@ -102,14 +102,6 @@ func (m *Meter) LinkWords(from, to int) float64 {
 	return float64(m.linkBits[[2]int{from, to}]) / WordBits
 }
 
-// LinkMessages returns the number of messages sent from endpoint `from` to
-// endpoint `to`.
-func (m *Meter) LinkMessages(from, to int) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.linkMsgs[[2]int{from, to}]
-}
-
 // InboundMessages returns the number of messages addressed to endpoint `to`
 // over all senders — the fan-in figure of a tree node (O(fan-out) at the
 // root of a tree plan versus s in the star).

@@ -52,6 +52,8 @@ func (p Adaptive) Estimand() Estimand { return EstimandCovariance }
 
 func (p Adaptive) withEnv(e Env) Protocol { p.Env = e; return p }
 
+func (p Adaptive) env() Env { return p.Env }
+
 func (p Adaptive) rounds() int { return 2 }
 
 func (p Adaptive) validate() error { return p.AdaptiveParams.check(p.Name()) }

@@ -91,8 +91,8 @@ func (in Input) Product(proto string) (a, b RowSource, offset int, err error) {
 }
 
 // CovarianceInputs wraps each source in a covariance Input — the adapter
-// RunSources uses so every existing single-matrix entry point flows through
-// the workload seam unchanged.
+// Run uses so the single-matrix entry point flows through the workload
+// seam unchanged.
 func CovarianceInputs(sources []RowSource) []Input {
 	inputs := make([]Input, len(sources))
 	for i, src := range sources {

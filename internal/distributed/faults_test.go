@@ -34,6 +34,14 @@ func checkGoroutines(t *testing.T) {
 	})
 }
 
+// timeoutCtx returns a context that expires after d, cancelled when the
+// test ends.
+func timeoutCtx(t *testing.T, d time.Duration) context.Context {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	t.Cleanup(cancel)
+	return ctx
+}
+
 // TestFaultMatrixAllProtocols drives every protocol through each single-fault
 // plan (drop, delay, duplicate). The contract under faults is "clean outcome,
 // promptly": either the run succeeds and the output is usable, or it fails
@@ -47,7 +55,6 @@ func TestFaultMatrixAllProtocols(t *testing.T) {
 	protos := []Protocol{
 		FDMerge{Eps: 0.25, K: k},
 		SVS{Alpha: 0.25, Delta: 0.1, Sampling: SampleQuadratic},
-		SVS{Alpha: 0.25, Delta: 0.1, Streaming: true},
 		RowSampling{Eps: 0.3},
 		Adaptive{AdaptiveParams: AdaptiveParams{Eps: 0.25, K: k}},
 		SketchPCA{Sketch: Adaptive{AdaptiveParams: AdaptiveParams{Eps: 0.125, K: k}}, K: k},
@@ -62,10 +69,9 @@ func TestFaultMatrixAllProtocols(t *testing.T) {
 		for _, proto := range protos {
 			t.Run(planName+"/"+proto.Name(), func(t *testing.T) {
 				start := time.Now()
-				res, err := Run(context.Background(), proto, parts,
+				res, err := Run(timeoutCtx(t, deadline), proto, parts,
 					WithSeed(5),
 					WithFaults(plan),
-					WithDeadline(deadline),
 					// Fail fast on lost messages instead of waiting out the
 					// whole deadline.
 					WithStragglers(StragglerPolicy{Timeout: time.Second}),
@@ -95,9 +101,8 @@ func TestDelayOnlyPreservesResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delayed, err := Run(context.Background(), FDMerge{Eps: 0.25, K: 2}, parts,
+	delayed, err := Run(timeoutCtx(t, 30*time.Second), FDMerge{Eps: 0.25, K: 2}, parts,
 		WithFaults(FaultPlan{Seed: 3, Delay: 2 * time.Millisecond}),
-		WithDeadline(30*time.Second),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -149,15 +154,14 @@ func TestCancellationUnblocksAllParties(t *testing.T) {
 }
 
 // TestRunDeadlineAbortsPartitionedRun partitions every server's uplink so
-// the coordinator can never gather; the WithDeadline bound must abort the
-// whole run with a deadline error instead of hanging.
+// the coordinator can never gather; the deadline of the run's context must
+// abort the whole run with a deadline error instead of hanging.
 func TestRunDeadlineAbortsPartitionedRun(t *testing.T) {
 	checkGoroutines(t)
 	_, parts := split(t, 63, 80, 8, 3)
 	start := time.Now()
-	_, err := Run(context.Background(), FDMerge{Eps: 0.25, K: 2}, parts,
+	_, err := Run(timeoutCtx(t, 300*time.Millisecond), FDMerge{Eps: 0.25, K: 2}, parts,
 		WithFaults(FaultPlan{Seed: 1, Partition: map[int]bool{0: true, 1: true, 2: true}}),
-		WithDeadline(300*time.Millisecond),
 	)
 	if err == nil {
 		t.Fatal("expected deadline error from fully partitioned run")
@@ -181,10 +185,9 @@ func TestStragglerQuorumFDMerge(t *testing.T) {
 	eps, k := 0.25, 2
 	cut := FaultPlan{Seed: 1, Partition: map[int]bool{2: true}}
 
-	res, err := Run(context.Background(), FDMerge{Eps: eps, K: k}, parts,
+	res, err := Run(timeoutCtx(t, 30*time.Second), FDMerge{Eps: eps, K: k}, parts,
 		WithFaults(cut),
 		WithStragglers(StragglerPolicy{Timeout: 300 * time.Millisecond, Quorum: 3}),
-		WithDeadline(30*time.Second),
 	)
 	if err != nil {
 		t.Fatalf("quorum run: %v", err)
@@ -202,10 +205,9 @@ func TestStragglerQuorumFDMerge(t *testing.T) {
 	}
 
 	// Fail-fast (Quorum 0): the same partition must surface ErrStraggler.
-	_, err = Run(context.Background(), FDMerge{Eps: eps, K: k}, parts,
+	_, err = Run(timeoutCtx(t, 30*time.Second), FDMerge{Eps: eps, K: k}, parts,
 		WithFaults(cut),
 		WithStragglers(StragglerPolicy{Timeout: 300 * time.Millisecond}),
-		WithDeadline(30*time.Second),
 	)
 	if !errors.Is(err, ErrStraggler) {
 		t.Fatalf("expected ErrStraggler without quorum, got %v", err)
@@ -222,10 +224,9 @@ func TestQuorumNotHonoredByStrictProtocols(t *testing.T) {
 		SVS{Alpha: 0.25, Delta: 0.1, Sampling: SampleQuadratic},
 		SketchPCA{Sketch: FDMerge{Eps: 0.125, K: 2}, K: 2},
 	} {
-		_, err := Run(context.Background(), proto, parts,
+		_, err := Run(timeoutCtx(t, 30*time.Second), proto, parts,
 			WithFaults(FaultPlan{Seed: 1, Partition: map[int]bool{1: true}}),
 			WithStragglers(StragglerPolicy{Timeout: 200 * time.Millisecond, Quorum: 3}),
-			WithDeadline(30*time.Second),
 		)
 		if err == nil {
 			t.Fatalf("%s: expected failure despite quorum", proto.Name())
@@ -278,11 +279,10 @@ func TestFaultPlanDeterminism(t *testing.T) {
 	checkGoroutines(t)
 	_, parts := split(t, 66, 150, 10, 4)
 	run := func() (*Result, error) {
-		return Run(context.Background(), SVS{Alpha: 0.25, Delta: 0.1, Sampling: SampleQuadratic}, parts,
+		return Run(timeoutCtx(t, 30*time.Second), SVS{Alpha: 0.25, Delta: 0.1, Sampling: SampleQuadratic}, parts,
 			WithSeed(9),
 			WithFaults(FaultPlan{Seed: 21, Delay: time.Millisecond, Duplicate: 0.2}),
 			WithStragglers(StragglerPolicy{Timeout: time.Second}),
-			WithDeadline(30*time.Second),
 		)
 	}
 	r1, err1 := run()

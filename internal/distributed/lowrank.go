@@ -140,6 +140,8 @@ func (p LowRankExact) Estimand() Estimand { return EstimandCovariance }
 
 func (p LowRankExact) withEnv(e Env) Protocol { p.Env = e; return p }
 
+func (p LowRankExact) env() Env { return p.Env }
+
 func (p LowRankExact) rounds() int { return 1 }
 
 func (p LowRankExact) validate() error {
@@ -152,7 +154,7 @@ func (p LowRankExact) validate() error {
 // Server implements Protocol: one streaming pass builds (Q_i, Y_i) in
 // O(k·d) working space; both are sent. Cost ≤ 2k·d + (2k)² words per
 // server; Y's entries are O(log(nd/ε))-bit when the input is
-// integer-valued, which the Quantize option exploits.
+// integer-valued, which quantization (Config.QuantStep) exploits.
 func (p LowRankExact) Server(ctx context.Context, node Node, in Input) error {
 	local, err := in.Covariance(p.Name())
 	if err != nil {

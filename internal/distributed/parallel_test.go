@@ -7,9 +7,9 @@ import (
 	"repro/internal/parallel"
 )
 
-// Parallelism is a local-compute knob only: rerunning a protocol at a
-// different pool width must move zero communication words, and the
-// deterministic protocols must produce the identical sketch.
+// The worker pool's width is a local-compute setting only: rerunning a
+// protocol at a different pool width must move zero communication words,
+// and the deterministic protocols must produce the identical sketch.
 func TestParallelismDoesNotChangeWords(t *testing.T) {
 	defer parallel.SetWorkers(0)
 	_, parts := split(t, 3, 512, 24, 4)
@@ -22,11 +22,13 @@ func TestParallelismDoesNotChangeWords(t *testing.T) {
 		Adaptive{AdaptiveParams: AdaptiveParams{Eps: 0.2, K: 2}},
 	}
 	for _, proto := range protos {
-		serial, err := Run(ctx, proto, parts, WithSeed(7), WithParallelism(1))
+		parallel.SetWorkers(1)
+		serial, err := Run(ctx, proto, parts, WithSeed(7))
 		if err != nil {
 			t.Fatalf("%s at width 1: %v", proto.Name(), err)
 		}
-		wide, err := Run(ctx, proto, parts, WithSeed(7), WithParallelism(4))
+		parallel.SetWorkers(4)
+		wide, err := Run(ctx, proto, parts, WithSeed(7))
 		if err != nil {
 			t.Fatalf("%s at width 4: %v", proto.Name(), err)
 		}
@@ -39,19 +41,5 @@ func TestParallelismDoesNotChangeWords(t *testing.T) {
 				t.Errorf("%s: sketch shape moved with pool width", proto.Name())
 			}
 		}
-	}
-}
-
-// WithParallelism must install the requested pool width for the run.
-func TestWithParallelismSetsPool(t *testing.T) {
-	defer parallel.SetWorkers(0)
-	_, parts := split(t, 5, 256, 16, 2)
-	parallel.SetWorkers(1)
-	if _, err := Run(context.Background(), FDMerge{Eps: 0.25}, parts,
-		WithSeed(1), WithParallelism(3)); err != nil {
-		t.Fatal(err)
-	}
-	if got := parallel.Workers(); got != 3 {
-		t.Fatalf("pool width after WithParallelism(3) run = %d", got)
 	}
 }

@@ -21,7 +21,8 @@ type PCAParams struct {
 	Delta float64
 	// EmbeddingRows overrides the subspace-embedding size m of the batch
 	// solve (default ⌈4k/ε²⌉ capped below by 4k+8 — the theory wants
-	// Θ(k/ε²); the constant is a knob the benchmarks sweep).
+	// Θ(k/ε²)). Only tests set it: to force the dense or the sparse
+	// CountSketch wire form, and to size small instances.
 	EmbeddingRows int
 	// Broadcast makes the coordinator send the resulting PCs back to every
 	// server (the O(skd) term that makes the answer common knowledge, per
@@ -118,6 +119,8 @@ func (p SketchPCA) withEnv(e Env) Protocol {
 	}
 	return p
 }
+
+func (p SketchPCA) env() Env { return p.Env }
 
 // inner is the wrapped protocol in the wrapper's Env.
 func (p SketchPCA) inner() Protocol { return p.Sketch.withEnv(p.Env) }
@@ -348,6 +351,8 @@ func (p BWZ) Name() string { return "bwz" }
 
 func (p BWZ) withEnv(e Env) Protocol { p.Env = e; return p }
 
+func (p BWZ) env() Env { return p.Env }
+
 func (p BWZ) rounds() int { return 2 }
 
 func (p BWZ) validate() error { return p.PCAParams.check(p.Name()) }
@@ -413,6 +418,8 @@ type PCACombined struct {
 func (p PCACombined) Name() string { return "pca-combined" }
 
 func (p PCACombined) withEnv(e Env) Protocol { p.Env = e; return p }
+
+func (p PCACombined) env() Env { return p.Env }
 
 func (p PCACombined) rounds() int { return 4 }
 

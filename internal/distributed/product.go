@@ -43,6 +43,8 @@ func (p CoordinatedProduct) Estimand() Estimand { return EstimandProduct }
 
 func (p CoordinatedProduct) withEnv(e Env) Protocol { p.Env = e; return p }
 
+func (p CoordinatedProduct) env() Env { return p.Env }
+
 func (p CoordinatedProduct) rounds() int { return 1 }
 
 func (p CoordinatedProduct) validate() error {
@@ -57,7 +59,7 @@ func (p CoordinatedProduct) validate() error {
 // rounding would silently change the estimand's value (the estimate is built
 // from exact row values) rather than trade precision for words.
 func rejectSketchOptions(cfg Config) error {
-	if cfg.Quantize {
+	if cfg.QuantStep > 0 {
 		return fmt.Errorf("distributed: coord-product ships sample rows, not matrix sketches: quantization is not supported (drop WithQuantization)")
 	}
 	if cfg.WirePrecision == comm.Float32 {

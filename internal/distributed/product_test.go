@@ -243,11 +243,11 @@ func TestRunRejectsMixedWorkloads(t *testing.T) {
 		!strings.Contains(err.Error(), "estimates a matrix product") {
 		t.Fatalf("coord-product over covariance inputs: %v", err)
 	}
-	// RunSources (the single-matrix entry point) with a product protocol.
-	if _, err := RunSources(ctx, CoordinatedProduct{SampleSize: 10},
-		workload.DenseSources(workload.Split(a, 2, workload.Contiguous, nil))); err == nil ||
+	// Run (the single-matrix entry point) with a product protocol.
+	if _, err := Run(ctx, CoordinatedProduct{SampleSize: 10},
+		workload.Split(a, 2, workload.Contiguous, nil)); err == nil ||
 		!strings.Contains(err.Error(), "estimates a matrix product") {
-		t.Fatalf("RunSources with coord-product: %v", err)
+		t.Fatalf("Run with coord-product: %v", err)
 	}
 }
 

@@ -32,12 +32,12 @@ type Protocol interface {
 	// Server runs the server role over node, streaming the local workload
 	// input — one row shard for covariance protocols (unwrap it with
 	// in.Covariance), an aligned (A, B) shard pair for product protocols
-	// (in.Product). Streaming protocols (FD merge, SVS in both forms,
-	// adaptive, low-rank exact, coordinated product) read their sources in
-	// one or two bounded-memory passes; BWZ materializes its shard
-	// (documented O(n_i·d) memory). Wrap an in-memory
-	// partition with workload.NewDenseSource — or use the []*matrix.Dense
-	// Run entry points, which do it for you.
+	// (in.Product). Streaming protocols (FD merge, SVS, adaptive, low-rank
+	// exact, coordinated product) read their sources in one or two
+	// bounded-memory passes; BWZ materializes its shard (documented
+	// O(n_i·d) memory). Wrap an in-memory partition with
+	// workload.NewDenseSource — or use the []*matrix.Dense Run entry point,
+	// which does it for you.
 	Server(ctx context.Context, node Node, in Input) error
 	// Coordinator runs the coordinator role over node and returns the
 	// protocol's output; communication totals are filled in by the driver.
@@ -51,6 +51,8 @@ type Protocol interface {
 	// withEnv returns a copy of the protocol with the driver-derived Env
 	// installed.
 	withEnv(Env) Protocol
+	// env returns the protocol's installed Env.
+	env() Env
 	// rounds is the protocol's synchronous round count on a star, which the
 	// driver adds to the meter.
 	rounds() int
@@ -67,7 +69,12 @@ type Protocol interface {
 // before any party goroutine exists; a caller that drives the roles
 // directly over TCP calls it before opening a socket, so a bad parameter is
 // one error line instead of a panic in a half-connected process.
-func Validate(p Protocol) error { return p.validate() }
+func Validate(p Protocol) error {
+	if err := p.env().Config.checkQuantStep(p.Name()); err != nil {
+		return err
+	}
+	return p.validate()
+}
 
 // Env is the runtime environment a protocol executes in: the cluster shape
 // plus the cross-cutting Config every protocol shares. The Run driver
@@ -81,7 +88,7 @@ type Env struct {
 	// DimB is the column dimension of B for product workloads (0 for
 	// covariance protocols, which have no second matrix).
 	DimB int
-	// Config carries quantization, seeding, and straggler options.
+	// Config carries the wire, seeding, straggler and observer options.
 	Config Config
 	// Topology is the run's aggregation plan; nil means the star (the
 	// compatible default for direct TCP callers that build Env by hand).

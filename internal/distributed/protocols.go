@@ -3,6 +3,7 @@ package distributed
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/comm"
@@ -15,12 +16,11 @@ import (
 
 // Config holds options common to all sketch protocols.
 type Config struct {
-	// Quantize rounds every sketch matrix to QuantStep precision before
-	// sending (§3.3), so costs are counted at O(log(nd/ε)) bits per entry
-	// instead of full 64-bit words.
-	Quantize bool
-	// QuantStep is the additive rounding precision; required when Quantize
-	// is set (use comm.StepFor).
+	// QuantStep, when positive, rounds every sketch matrix to this additive
+	// precision before sending (§3.3), so costs are counted at
+	// O(log(nd/ε)) bits per entry instead of full 64-bit words (use
+	// comm.StepFor). 0 leaves quantization off; a negative, NaN or infinite
+	// step fails Validate.
 	QuantStep float64
 	// WirePrecision selects the wire width of matrix payloads
 	// (comm.Float64 by default). comm.Float32 halves every sketch's word
@@ -28,25 +28,20 @@ type Config struct {
 	// transmission, so in-memory and socket transports carry identical
 	// payloads and meter identically, at an additive error bounded by
 	// comm.Float32RoundTripError (charge it against the certificate like a
-	// quantized leg's step). Mutually exclusive with Quantize, whose step
-	// accounting already covers the payload.
+	// quantized leg's step). Mutually exclusive with quantization, whose
+	// step accounting already covers the payload.
 	WirePrecision comm.Precision
 	// Seed seeds each server's private randomness (server i uses Seed+i).
 	Seed int64
 	// Stragglers bounds how long the coordinator waits for each server and
 	// whether quorum-tolerant protocols may proceed without stragglers.
 	Stragglers StragglerPolicy
-	// Parallelism sets the process-wide compute worker pool width before
-	// the run (0 leaves the pool unchanged; the default width is
-	// GOMAXPROCS). It only affects local kernel speed — communication word
-	// counts and protocol transcripts are identical at every width.
-	Parallelism int
 	// Alpha is the FD shrink rule's α ∈ (0,1] for the fd-merge protocols:
 	// the rule every leaf's streaming sketch and every merge node applies
 	// (0 = 1, the classic FD shrink; see fd.Options.Alpha). Every α keeps
 	// FD mergeability, with the a-priori bound ‖A‖F²/(⌈αℓ⌉+1). Protocols
-	// that use FD internally as a fixed analysis step (adaptive, streaming
-	// SVS) deliberately ignore it: their guarantees are proven against the
+	// that use FD internally as a fixed analysis step (adaptive)
+	// deliberately ignore it: their guarantees are proven against the
 	// default rule. α never changes metered communication — every summary
 	// is still at most ℓ rows.
 	Alpha float64
@@ -66,6 +61,14 @@ func (c Config) checkAlpha(proto string) error {
 	return nil
 }
 
+// checkQuantStep rejects a quantization step the quantizer cannot use.
+func (c Config) checkQuantStep(proto string) error {
+	if c.QuantStep < 0 || math.IsNaN(c.QuantStep) || math.IsInf(c.QuantStep, 0) {
+		return fmt.Errorf("distributed: %s: quantization step %v is not positive and finite", proto, c.QuantStep)
+	}
+	return nil
+}
+
 // observer resolves the config's observability sink: the explicit Obs, or
 // the process-wide default. The result may be nil — every Observer method
 // is a no-op on a nil receiver.
@@ -76,25 +79,32 @@ func (c Config) observer() *obs.Observer {
 	return obs.Default()
 }
 
-// sendMatrix transmits m under the config's quantization policy.
-func (c Config) sendMatrix(ctx context.Context, node Node, to int, kind string, m *matrix.Dense) error {
-	if !c.Quantize {
-		if c.WirePrecision == comm.Float32 {
-			// Round before handing the payload to the transport: the
-			// in-memory network shares the message by pointer without
-			// encoding, so rounding here keeps it value- and
-			// word-identical with the socket wire format.
-			return node.Send(ctx, to, &comm.Message{
-				Kind: kind, Matrix: comm.RoundFloat32(m), MatrixPrecision: comm.Float32,
-			})
+// sendMatrix transmits m under the config's wire policy (quantized,
+// float32 or float64). A tree node's missing-leaf list rides along as Ints,
+// nil when empty, so a fault-free run pays not a single extra word.
+func (c Config) sendMatrix(ctx context.Context, node Node, to int, kind string, m *matrix.Dense, missing ...int) error {
+	msg := &comm.Message{Kind: kind, Matrix: m}
+	switch {
+	case c.QuantStep > 0:
+		q, err := comm.NewQuantizer(c.QuantStep).Quantize(m)
+		if err != nil {
+			return fmt.Errorf("distributed: quantize %s: %w", kind, err)
 		}
-		return node.Send(ctx, to, &comm.Message{Kind: kind, Matrix: m})
+		msg.Matrix, msg.Quantized = nil, q
+	case c.WirePrecision == comm.Float32:
+		// Round before handing the payload to the transport: the in-memory
+		// network shares the message by pointer without encoding, so
+		// rounding here keeps it value- and word-identical with the socket
+		// wire format.
+		msg.Matrix, msg.MatrixPrecision = comm.RoundFloat32(m), comm.Float32
 	}
-	q, err := comm.NewQuantizer(c.QuantStep).Quantize(m)
-	if err != nil {
-		return fmt.Errorf("distributed: quantize %s: %w", kind, err)
+	if len(missing) > 0 {
+		msg.Ints = make([]int64, len(missing))
+		for i, leaf := range missing {
+			msg.Ints[i] = int64(leaf)
+		}
 	}
-	return node.Send(ctx, to, &comm.Message{Kind: kind, Quantized: q})
+	return node.Send(ctx, to, msg)
 }
 
 // recvMatrix extracts the matrix payload regardless of quantization.
@@ -156,6 +166,8 @@ func (p FDMerge) Estimand() Estimand { return EstimandCovariance }
 
 func (p FDMerge) withEnv(e Env) Protocol { p.Env = e; return p }
 
+func (p FDMerge) env() Env { return p.Env }
+
 func (p FDMerge) rounds() int { return 1 }
 
 func (p FDMerge) validate() error {
@@ -212,33 +224,26 @@ func (p FDMerge) Coordinator(ctx context.Context, node Node) (*Result, error) {
 // ---------------------------------------------------------------------------
 
 // SVS is the §3.1 / Algorithm 2 randomized (α,0)-sketch protocol with the
-// two-round norm calibration. Both server forms read their input once
-// without materializing it: the batch server into a d×d Gram (O(d²)
-// memory), Streaming through FD at α/2 and then SVS on the local sketch
-// (O(d/α) memory). Expected communication:
-// O(√s·d·√log(d/δ)/α) words (quadratic g) plus the 2s calibration words.
+// two-round norm calibration. The server reads its input once without
+// materializing it, into a d×d Gram (O(d²) memory). Expected
+// communication: O(√s·d·√log(d/δ)/α) words (quadratic g) plus the 2s
+// calibration words.
 type SVS struct {
 	Alpha    float64
 	Delta    float64
 	Sampling SamplingFn
-	// Streaming selects the one-pass server pipeline (always quadratic
-	// sampling, as in the paper's framework).
-	Streaming bool
-	Env       Env
+	Env      Env
 }
 
 // Name implements Protocol.
-func (p SVS) Name() string {
-	if p.Streaming {
-		return "svs-streaming"
-	}
-	return "svs"
-}
+func (p SVS) Name() string { return "svs" }
 
 // Estimand implements Protocol.
 func (p SVS) Estimand() Estimand { return EstimandCovariance }
 
 func (p SVS) withEnv(e Env) Protocol { p.Env = e; return p }
+
+func (p SVS) env() Env { return p.Env }
 
 func (p SVS) rounds() int { return 2 }
 
@@ -253,14 +258,10 @@ func (p SVS) validate() error {
 // sketches in footnote 6: send ‖A_i‖F² (one word), receive the global
 // ‖A‖F² (one word), then run SVS with the shared sampling function and send
 // the sampled rows. agg(A_i) depends on A_i only through A_iᵀA_i, so the
-// batch server reads its source once into a d×d Gram and the exact row
-// mass (matrix.GramAccumulator): one pass, O(d²) memory, and one d×d
-// eigendecomposition (core.SVSGram). Streaming instead sketches the rows
-// with FD first, in O(d/α) memory.
+// server reads its source once into a d×d Gram and the exact row mass
+// (matrix.GramAccumulator): one pass, O(d²) memory, and one d×d
+// eigendecomposition (core.SVSGram).
 func (p SVS) Server(ctx context.Context, node Node, in Input) error {
-	if p.Streaming {
-		return p.serverStreaming(ctx, node, in)
-	}
 	rows, err := in.Covariance(p.Name())
 	if err != nil {
 		return err
@@ -291,52 +292,6 @@ func (p SVS) Server(ctx context.Context, node Node, in Input) error {
 	}
 	cfg.observer().SVSSampled(b.Rows(), min(n, d))
 	return cfg.sendMatrix(ctx, node, comm.CoordinatorID, "svs-sketch", b)
-}
-
-// serverStreaming is the one-pass form of the server role, following the
-// paper's framework sentence ("each server first independently computes a
-// local sketch using a streaming algorithm, then all servers run a
-// distributed algorithm on top of the local sketches"): the server streams
-// its rows through FD at accuracy ε/2 (O(d/ε) space), then runs SVS on the
-// FD sketch at accuracy ε/2. The combined covariance error is at most the
-// sum of the two stages' errors, so the output is still an (O(ε),0)-sketch,
-// and the server never holds its raw input in memory. The coordinator side
-// is the same as the batch form's.
-func (p SVS) serverStreaming(ctx context.Context, node Node, in Input) error {
-	rows, err := in.Covariance(p.Name())
-	if err != nil {
-		return err
-	}
-	s, alpha, delta, cfg := p.Env.Servers, p.Alpha, p.Delta, p.Env.Config
-	_, d := rows.Dims()
-	local := fd.New(d, fd.SketchSize(alpha/2, 0), fd.Options{Obs: cfg.Obs})
-	n, sparse, err := streamRows(rows, local.Update, local.UpdateSparse)
-	if err != nil {
-		return fmt.Errorf("server %d: %w", node.ID(), err)
-	}
-	cfg.observer().RowsIngested(int64(n), sparse)
-	b, err := local.Matrix()
-	if err != nil {
-		return fmt.Errorf("server %d: %w", node.ID(), err)
-	}
-	// The calibration uses the exact streamed mass, not the sketch's
-	// (shrunk) mass, so the shared g matches the true ‖A‖F².
-	if err := node.Send(ctx, comm.CoordinatorID, &comm.Message{Kind: "frob2", Scalars: []float64{local.InputFrob2()}}); err != nil {
-		return err
-	}
-	msg, err := expectKind(ctx, node, "frob2-total")
-	if err != nil {
-		return err
-	}
-	globalFrob2 := msg.Scalars[0]
-	msg.Release()
-	g := core.NewQuadraticSampling(s, d, alpha/2, delta, globalFrob2)
-	w, err := core.SVS(b, g, cfg.rng(node.ID()))
-	if err != nil {
-		return fmt.Errorf("server %d SVS: %w", node.ID(), err)
-	}
-	cfg.observer().SVSSampled(w.Rows(), minDim(b))
-	return cfg.sendMatrix(ctx, node, comm.CoordinatorID, "svs-sketch", w)
 }
 
 // Coordinator implements Protocol. The calibration round makes a partial
@@ -393,6 +348,8 @@ func (p RowSampling) Name() string { return "row-sampling" }
 func (p RowSampling) Estimand() Estimand { return EstimandCovariance }
 
 func (p RowSampling) withEnv(e Env) Protocol { p.Env = e; return p }
+
+func (p RowSampling) env() Env { return p.Env }
 
 func (p RowSampling) rounds() int { return 2 }
 

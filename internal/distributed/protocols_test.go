@@ -420,51 +420,3 @@ func TestPartitionInvariance(t *testing.T) {
 		}
 	}
 }
-
-func TestRunSVSStreamingGuarantee(t *testing.T) {
-	// The one-pass pipeline (FD locally, SVS on the sketch) keeps the
-	// combined (O(ε),0) guarantee while each server holds only O(d/ε) rows.
-	alpha, delta := 0.2, 0.1
-	fails := 0
-	const trials = 8
-	for trial := 0; trial < trials; trial++ {
-		rng := rand.New(rand.NewSource(int64(400 + trial)))
-		a := workload.PowerLawSpectrum(rng, 400, 16, 0.8, 15)
-		parts := workload.Split(a, 5, workload.Contiguous, nil)
-		res, err := Run(context.Background(), SVS{Alpha: alpha, Delta: delta, Streaming: true}, parts, WithSeed(int64(trial)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ce, err := core.CovErr(a, res.Sketch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Budget: ε/2 (FD stage) + 4·ε/2 (SVS stage, whp constant).
-		if ce > (0.5+2)*alpha*a.Frob2() {
-			fails++
-		}
-	}
-	if fails > 2 {
-		t.Fatalf("streaming SVS failed %d/%d trials", fails, trials)
-	}
-}
-
-func TestSVSStreamingCheaperThanBatchSVSLocally(t *testing.T) {
-	// The streamed variant ships no more than the batch variant: SVS on an
-	// FD sketch has at most O(1/ε) singular values to sample from, versus
-	// min(n_i, d) for the raw input.
-	rng := rand.New(rand.NewSource(410))
-	a := workload.PowerLawSpectrum(rng, 600, 24, 0.6, 20)
-	parts := workload.Split(a, 4, workload.Contiguous, nil)
-	stream, err := Run(context.Background(), SVS{Alpha: 0.15, Delta: 0.1, Streaming: true}, parts, WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := Run(context.Background(), SVS{Alpha: 0.15, Delta: 0.1}, parts, WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stream.Words > 2*batch.Words+64 {
-		t.Fatalf("streaming %v words far above batch %v", stream.Words, batch.Words)
-	}
-}

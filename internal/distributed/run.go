@@ -3,33 +3,24 @@ package distributed
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/comm"
 	"repro/internal/matrix"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/workload"
 )
 
 // runOpts collects the cross-cutting options of a Run invocation.
 type runOpts struct {
-	cfg      Config
-	deadline time.Duration
-	faults   *FaultPlan
-	mailbox  int
-	meter    *comm.Meter
-	topo     Topology
+	cfg    Config
+	faults *FaultPlan
+	meter  *comm.Meter
+	topo   Topology
+	err    error // an option's own argument check; fails the run in the caller
 }
 
 // RunOption configures a Run invocation.
 type RunOption func(*runOpts)
-
-// WithDeadline bounds the whole protocol run: when it expires, every
-// party's pending Send/Recv unblocks and Run returns the deadline error.
-func WithDeadline(d time.Duration) RunOption {
-	return func(o *runOpts) { o.deadline = d }
-}
 
 // WithSeed seeds each server's private randomness (server i uses seed+i).
 func WithSeed(seed int64) RunOption {
@@ -37,9 +28,15 @@ func WithSeed(seed int64) RunOption {
 }
 
 // WithQuantization turns on §3.3 quantization with the given additive step
-// (use comm.StepFor).
+// (use comm.StepFor). A step that is not positive and finite fails the run
+// before any party starts.
 func WithQuantization(step float64) RunOption {
-	return func(o *runOpts) { o.cfg.Quantize, o.cfg.QuantStep = true, step }
+	return func(o *runOpts) {
+		if !(step > 0) {
+			o.err = fmt.Errorf("distributed: WithQuantization(%v): the step must be positive and finite", step)
+		}
+		o.cfg.QuantStep = step
+	}
 }
 
 // WithWirePrecision sets the wire width of matrix payloads (see
@@ -79,17 +76,10 @@ func WithTopology(t Topology) RunOption {
 
 // WithFaults runs the protocol over a FaultNetwork injecting the plan —
 // the in-process way to rehearse drops, delays, duplicates, reorderings,
-// and partitions. Combine with WithDeadline (or WithStragglers) so a lost
-// message surfaces as a timely error rather than a hang.
+// and partitions. Give the run's ctx a deadline (or use WithStragglers) so
+// a lost message surfaces as a timely error rather than a hang.
 func WithFaults(plan FaultPlan) RunOption {
 	return func(o *runOpts) { o.faults = &plan }
-}
-
-// WithMailboxCapacity sets the per-server mailbox capacity of the run's
-// MemNetwork (the coordinator's mailbox is capacity×s). See Mailbox for the
-// backpressure semantics.
-func WithMailboxCapacity(capacity int) RunOption {
-	return func(o *runOpts) { o.mailbox = capacity }
 }
 
 // WithMeter records the run's communication on the given meter (sharing one
@@ -109,32 +99,14 @@ func WithObserver(ob *obs.Observer) RunOption {
 	return func(o *runOpts) { o.cfg.Obs = ob }
 }
 
-// WithParallelism sets the process-wide compute worker pool to n before the
-// run (n <= 0 leaves the pool at its current width, GOMAXPROCS by default).
-// The pool accelerates local kernels only — FD shrinks, SVDs, matrix
-// products — and never changes metered communication: word counts are
-// identical at every width. The setting is process-global and persists
-// after the run.
-func WithParallelism(n int) RunOption {
-	return func(o *runOpts) { o.cfg.Parallelism = n }
-}
-
 // Run executes proto in-process over len(parts) simulated servers (server i
 // holding parts[i]) plus a coordinator, and returns the coordinator's
-// result with exact communication accounting. It is the thin dense adapter
-// over RunSources — each partition is wrapped in a workload.DenseSource —
-// kept so existing callers and examples work unchanged.
+// result with exact communication accounting. It is the dense adapter over
+// RunWorkload: each partition becomes one covariance Input over a
+// workload.DenseSource. Streaming or file-backed sources go to RunWorkload
+// as CovarianceInputs(sources), which runs the whole protocol out of core.
 func Run(ctx context.Context, proto Protocol, parts []*matrix.Dense, opts ...RunOption) (*Result, error) {
-	return RunSources(ctx, proto, workload.DenseSources(parts), opts...)
-}
-
-// RunSources executes proto in-process over len(sources) simulated servers
-// (server i streaming sources[i]) plus a coordinator. It is the
-// single-matrix adapter over RunWorkload — each source becomes one
-// covariance Input — kept as the entry point for every covariance protocol;
-// handing it file-backed sources runs the whole protocol out of core.
-func RunSources(ctx context.Context, proto Protocol, sources []RowSource, opts ...RunOption) (*Result, error) {
-	return RunWorkload(ctx, proto, CovarianceInputs(sources), opts...)
+	return RunWorkload(ctx, proto, CovarianceInputs(workload.DenseSources(parts)), opts...)
 }
 
 // RunWorkload executes proto in-process over len(inputs) simulated servers
@@ -148,7 +120,7 @@ func RunSources(ctx context.Context, proto Protocol, sources []RowSource, opts .
 // RunWorkload derives the protocol's Env from the inputs and the options,
 // spawns one goroutine per server, runs the coordinator on the calling
 // goroutine, and guarantees that any single party failure — or cancellation
-// of ctx, or an expired WithDeadline — unblocks every other party promptly.
+// or expiry of ctx — unblocks every other party promptly.
 func RunWorkload(ctx context.Context, proto Protocol, inputs []Input, opts ...RunOption) (*Result, error) {
 	if len(inputs) == 0 {
 		return nil, fmt.Errorf("distributed: Run(%s) with no inputs", proto.Name())
@@ -157,7 +129,10 @@ func RunWorkload(ctx context.Context, proto Protocol, inputs []Input, opts ...Ru
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.cfg.Quantize && o.cfg.WirePrecision == comm.Float32 {
+	if o.err != nil {
+		return nil, o.err
+	}
+	if o.cfg.QuantStep > 0 && o.cfg.WirePrecision == comm.Float32 {
 		return nil, fmt.Errorf("distributed: Run(%s): quantization and float32 wire precision are mutually exclusive (the quantizer's step accounting already covers the payload)", proto.Name())
 	}
 	s := len(inputs)
@@ -175,18 +150,7 @@ func RunWorkload(ctx context.Context, proto Protocol, inputs []Input, opts ...Ru
 	if err := Validate(proto); err != nil {
 		return nil, err
 	}
-	if o.cfg.Parallelism > 0 {
-		parallel.SetWorkers(o.cfg.Parallelism)
-	}
-	if o.deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, o.deadline)
-		defer cancel()
-	}
 	var memOpts []MemOption
-	if o.mailbox > 0 {
-		memOpts = append(memOpts, Mailbox(o.mailbox))
-	}
 	if aggs := plan.Aggregators(); len(aggs) > 0 {
 		fanin := make(map[int]int, len(aggs))
 		for _, id := range aggs {

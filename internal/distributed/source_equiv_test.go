@@ -56,7 +56,7 @@ func requireIdentical(t *testing.T, name string, mem, file *Result) {
 	}
 }
 
-// TestSourceEquivalence is the PR's equivalence proof: all four covariance
+// TestSourceEquivalence is the equivalence proof: all four covariance
 // protocols produce bit-identical results — sketch bytes and exact
 // communication totals — whether the servers stream in-memory DenseSources
 // or file-backed sources. There is a single source-based code path, so any
@@ -70,15 +70,14 @@ func TestSourceEquivalence(t *testing.T) {
 	}{
 		{"fd-merge", FDMerge{Eps: 0.2, K: 3}},
 		{"svs", SVS{Alpha: 0.3, Delta: 0.1, Sampling: SampleQuadratic}},
-		{"svs-streaming", SVS{Alpha: 0.3, Delta: 0.1, Streaming: true}},
 		{"row-sampling", RowSampling{Eps: 0.25}},
 		{"adaptive", Adaptive{AdaptiveParams: AdaptiveParams{Eps: 0.25, K: 3}}},
 	} {
-		mem, err := RunSources(ctx, tc.proto, workload.DenseSources(parts), WithSeed(11))
+		mem, err := RunWorkload(ctx, tc.proto, CovarianceInputs(workload.DenseSources(parts)), WithSeed(11))
 		if err != nil {
 			t.Fatalf("%s (mem): %v", tc.name, err)
 		}
-		file, err := RunSources(ctx, tc.proto, fileSources(t, parts), WithSeed(11))
+		file, err := RunWorkload(ctx, tc.proto, CovarianceInputs(fileSources(t, parts)), WithSeed(11))
 		if err != nil {
 			t.Fatalf("%s (file): %v", tc.name, err)
 		}
@@ -101,11 +100,11 @@ func TestSparseSourceEquivalence(t *testing.T) {
 	}
 	denseParts := workload.Split(sp.ToDense(), s, workload.Contiguous, nil)
 	proto := FDMerge{Eps: 0.2}
-	mem, err := RunSources(ctx, proto, workload.DenseSources(denseParts), WithSeed(3))
+	mem, err := RunWorkload(ctx, proto, CovarianceInputs(workload.DenseSources(denseParts)), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	spRes, err := RunSources(ctx, proto, sparse, WithSeed(3))
+	spRes, err := RunWorkload(ctx, proto, CovarianceInputs(sparse), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +197,7 @@ func requireBoundedMemory(t *testing.T, proto Protocol, n, d int) {
 			}
 		}
 	}()
-	res, err := RunSources(context.Background(), proto, sources)
+	res, err := RunWorkload(context.Background(), proto, CovarianceInputs(sources))
 	close(done)
 	if err != nil {
 		t.Fatal(err)

@@ -209,9 +209,6 @@ func newTCPNodeHub(addr string, self int, children []int, meter *comm.Meter, opt
 	return c, nil
 }
 
-// DebugServing reports whether the opt-in pprof/expvar server is running.
-func (c *TCPCoordinator) DebugServing() bool { return c.dbg != nil }
-
 // Debug returns the hub's debug HTTP server, or nil when DebugAddr was not
 // set.
 func (c *TCPCoordinator) Debug() *obs.DebugServer { return c.dbg }

@@ -59,9 +59,6 @@ func Tree(fanout int) Topology { return Topology{fanout: fanout} }
 // IsStar reports whether the topology is the flat star.
 func (t Topology) IsStar() bool { return t.fanout == 0 }
 
-// Fanout returns the tree fan-out (0 for the star).
-func (t Topology) Fanout() int { return t.fanout }
-
 func (t Topology) String() string {
 	if t.IsStar() {
 		return "star"
@@ -190,12 +187,6 @@ func (p *Plan) Role(id int) Role {
 	default:
 		return RoleAggregator
 	}
-}
-
-// Contains reports whether id is an endpoint of this plan.
-func (p *Plan) Contains(id int) bool {
-	_, ok := p.span[id]
-	return ok || id == comm.CoordinatorID
 }
 
 // LeafSpan returns the contiguous leaf range [lo, hi) node id covers.

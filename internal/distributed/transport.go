@@ -5,7 +5,7 @@
 //
 // Each protocol is one Protocol struct whose Server and Coordinator methods
 // operate on the Node interface, so the same protocol code runs in-process
-// over channels (Run/RunSources/RunWorkload over a MemNetwork, used by tests
+// over channels (Run/RunWorkload over a MemNetwork, used by tests
 // and benchmarks) and role by role across machines over TCP
 // (cmd/distsketch). Unlike the paper's failure-free blackboard
 // model, the runtime is context-aware end to end: every Send/Recv takes a

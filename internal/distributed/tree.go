@@ -122,31 +122,6 @@ func coordFDGather(ctx context.Context, node Node, plan *Plan, d, ell int, cfg C
 	return sk, missing, nil
 }
 
-// sendSummary transmits a subtree summary upward: the sketch under the
-// config's quantization policy, plus the missing-leaf list riding as Ints —
-// nil when empty, so a fault-free run pays not a single extra word.
-func (c Config) sendSummary(ctx context.Context, node Node, to int, kind string, m *matrix.Dense, missing []int) error {
-	msg := &comm.Message{Kind: kind, Matrix: m}
-	if c.Quantize {
-		q, err := comm.NewQuantizer(c.QuantStep).Quantize(m)
-		if err != nil {
-			return fmt.Errorf("distributed: quantize %s: %w", kind, err)
-		}
-		msg.Matrix, msg.Quantized = nil, q
-	} else if c.WirePrecision == comm.Float32 {
-		// Same pre-rounding as sendMatrix: mem and socket transports must
-		// observe identical payloads and word counts.
-		msg.Matrix, msg.MatrixPrecision = comm.RoundFloat32(m), comm.Float32
-	}
-	if len(missing) > 0 {
-		msg.Ints = make([]int64, len(missing))
-		for i, leaf := range missing {
-			msg.Ints[i] = int64(leaf)
-		}
-	}
-	return node.Send(ctx, to, msg)
-}
-
 // Aggregate implements treeAggregator for FDMerge: merge the child
 // summaries with the canonical reduction and forward one ℓ-row summary (at
 // most ℓ·d words, like any leaf's) to the parent, missing leaves attached.
@@ -158,5 +133,5 @@ func (p FDMerge) Aggregate(ctx context.Context, node Node, plan *Plan) error {
 	}
 	parent := plan.Parent(node.ID())
 	cfg.observer().TreeForward(plan.Height(node.ID()), node.ID(), parent)
-	return cfg.sendSummary(ctx, node, parent, "fd-sketch", sk, missing)
+	return cfg.sendMatrix(ctx, node, parent, "fd-sketch", sk, missing...)
 }

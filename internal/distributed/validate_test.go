@@ -2,6 +2,7 @@ package distributed
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -33,7 +34,9 @@ func (s touchedSource) Reset() error {
 // no caller can recover from. The second fd-merge row's bad parameter is a
 // run option, the shrink rule's α. The SketchPCA rows reject, in turn, an
 // inner sketch's ε, a straggler quorum (PCA needs every server), k = 0, a
-// tree topology, a nil sketch and a product protocol as the sketch.
+// tree topology, a nil sketch and a product protocol as the sketch. The
+// last rows pass a quantization step that is 0, negative, NaN or infinite,
+// which the quantizer inside a server's send would panic on.
 func TestIllegalParamsFailInCaller(t *testing.T) {
 	a, parts := split(t, 71, 60, 8, 3)
 	var touched atomic.Bool
@@ -56,7 +59,7 @@ func TestIllegalParamsFailInCaller(t *testing.T) {
 		{FDMerge{Eps: 1.5, K: 1}, cov, nil},
 		{FDMerge{Eps: 0.2, K: 1}, cov, []RunOption{WithAlpha(1.5)}},
 		{SVS{Alpha: 0.2, Delta: 1}, cov, nil},
-		{SVS{Alpha: 0, Delta: 0.1, Streaming: true}, cov, nil},
+		{SVS{Alpha: 0, Delta: 0.1}, cov, nil},
 		{RowSampling{Eps: -0.1}, cov, nil},
 		{Adaptive{AdaptiveParams: AdaptiveParams{Eps: 0.2, K: 0}}, cov, nil},
 		{LowRankExact{KBound: 0}, cov, nil},
@@ -70,6 +73,10 @@ func TestIllegalParamsFailInCaller(t *testing.T) {
 		{SketchPCA{K: 2}, cov, nil},
 		{SketchPCA{Sketch: CoordinatedProduct{SampleSize: 8}, K: 2}, cov, nil},
 		{CoordinatedProduct{SampleSize: 1}, prod, nil},
+		{FDMerge{Eps: 0.3, K: 1}, cov, []RunOption{WithQuantization(0)}},
+		{FDMerge{Eps: 0.3, K: 1}, cov, []RunOption{WithQuantization(-1e-3)}},
+		{SVS{Alpha: 0.2, Delta: 0.1}, cov, []RunOption{WithQuantization(math.NaN())}},
+		{Adaptive{AdaptiveParams: AdaptiveParams{Eps: 0.2, K: 1}}, cov, []RunOption{WithQuantization(math.Inf(1))}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.proto.Name(), func(t *testing.T) {
@@ -92,5 +99,13 @@ func TestIllegalParamsFailInCaller(t *testing.T) {
 				t.Error("a server started reading its input")
 			}
 		})
+	}
+	// Role-by-role callers install Config on the Env themselves; Validate
+	// must reject the same steps there.
+	for _, step := range []float64{-1e-3, math.NaN(), math.Inf(1)} {
+		p := FDMerge{Eps: 0.3, K: 1, Env: Env{Servers: 3, Dim: 8, Config: Config{QuantStep: step}}}
+		if err := Validate(p); err == nil {
+			t.Errorf("Validate accepted quantization step %v", step)
+		}
 	}
 }

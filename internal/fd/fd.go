@@ -291,28 +291,37 @@ func (s *Sketch) Matrix() (*matrix.Dense, error) {
 // runs on a private copy, leaving s's buffer, certificate (Shrinks,
 // TotalShrinkage) and accounting untouched.
 func (s *Sketch) Snapshot() (*matrix.Dense, error) {
+	b, _, err := s.snapshot()
+	return b, err
+}
+
+// snapshot is Snapshot plus the certificate of the returned rows: s's
+// TotalShrinkage, plus the charge of the private shrink when one ran.
+func (s *Sketch) snapshot() (*matrix.Dense, float64, error) {
 	if s.err != nil {
-		return nil, s.err
+		return nil, 0, s.err
 	}
 	if s.used <= s.ell {
-		return s.buf.CopyRows(0, s.used), nil
+		return s.buf.CopyRows(0, s.used), s.totalDelta, nil
 	}
 	tmp := &Sketch{
 		d: s.d, ell: s.ell, bufferRows: s.bufferRows, alpha: s.alpha,
 		buf: s.buf.CopyRows(0, s.bufferRows), used: s.used,
-		obs: s.obs,
+		totalDelta: s.totalDelta, obs: s.obs,
 	}
 	if err := tmp.shrink(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return tmp.buf.CopyRows(0, tmp.used), nil
+	return tmp.buf.CopyRows(0, tmp.used), tmp.totalDelta, nil
 }
 
 // Merge feeds the rows of other's current sketch into s (FD mergeability).
 // Both sketches must share the same dimension d. other is never mutated (a
 // pending shrink of its buffer runs on a private copy — see Snapshot), and
 // on error s's input accounting is rolled back to its pre-merge values, so
-// a failed merge never leaves the certificate counters corrupted. The two
+// a failed merge never leaves the certificate counters corrupted. On
+// success s's TotalShrinkage gains other's charges (a pending shrink of
+// other's buffer included), so ErrorBound covers the input of both. The two
 // sketches may use different α: each shrink still drains its own share of
 // the one mass budget, so the merge keeps the bound of the smaller α.
 func (s *Sketch) Merge(other *Sketch) error {
@@ -322,7 +331,7 @@ func (s *Sketch) Merge(other *Sketch) error {
 	if s.err != nil {
 		return s.err
 	}
-	m, err := other.Snapshot()
+	m, charge, err := other.snapshot()
 	if err != nil {
 		return err
 	}
@@ -331,9 +340,12 @@ func (s *Sketch) Merge(other *Sketch) error {
 		s.inputRows, s.inputFrob2 = preRows, preFrob2
 		return err
 	}
-	// UpdateMatrix counted the ℓ sketch rows; track other's real input.
+	// UpdateMatrix counted the ℓ sketch rows; track other's real input, and
+	// carry other's charges: s now approximates other's sketch, which itself
+	// approximates other's input.
 	s.inputRows = preRows + other.inputRows
 	s.inputFrob2 = preFrob2 + other.inputFrob2
+	s.totalDelta += charge
 	return nil
 }
 

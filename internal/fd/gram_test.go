@@ -138,7 +138,6 @@ func TestMergeCertificateAtD64(t *testing.T) {
 	for _, alpha := range []float64{1, 0.5} {
 		opts := Options{Alpha: alpha}
 		root := New(d, ell, opts)
-		charges := 0.0
 		for i := 0; i < shards; i++ {
 			leaf := New(d, ell, opts)
 			if err := leaf.UpdateMatrix(a.SliceRows(i*rows, (i+1)*rows)); err != nil {
@@ -147,7 +146,6 @@ func TestMergeCertificateAtD64(t *testing.T) {
 			if err := root.Merge(leaf); err != nil {
 				t.Fatal(err)
 			}
-			charges += leaf.TotalShrinkage()
 		}
 		b, err := root.Matrix()
 		if err != nil {
@@ -157,7 +155,7 @@ func TestMergeCertificateAtD64(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		charges += root.TotalShrinkage()
+		charges := root.TotalShrinkage() // Merge carried every leaf's charges
 		apriori := a.Frob2() / float64(eligible(ell, alpha)+1)
 		t.Logf("α=%.1f: coverr %.4e, Σ charges %.4e, ‖A‖F²/(⌈αℓ⌉+1) %.4e", alpha, coverr, charges, apriori)
 		if coverr == 0 || coverr > charges || coverr > apriori {

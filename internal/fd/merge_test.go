@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/linalg"
 	"repro/internal/matrix"
+	"repro/internal/workload"
 )
 
 func fillRandom(t *testing.T, s *Sketch, rng *rand.Rand, rows int) {
@@ -164,6 +166,49 @@ func TestMergeRestoresAccountingOnError(t *testing.T) {
 	fillRandom(t, dst, rng, 2)
 	if dst.InputRows() != preRows+2 {
 		t.Errorf("post-failure updates: InputRows = %d, want %d", dst.InputRows(), preRows+2)
+	}
+}
+
+// TestMergeCarriesCertificate: after Merge, the target's ErrorBound covers
+// everything fed into either sketch — the source's shrink charges included,
+// and the charge of the private shrink when the source's buffer holds more
+// than ℓ rows. It merges into an empty and into a non-empty target and
+// measures the covariance error with the Jacobi oracle.
+func TestMergeCarriesCertificate(t *testing.T) {
+	const d, ell = 16, 4
+	rng := rand.New(rand.NewSource(43))
+	a := workload.Gaussian(rng, 400, d)
+	c := workload.Gaussian(rng, 150, d)
+	for _, tc := range []struct {
+		name string
+		seed *matrix.Dense // rows fed to the target before the merge
+	}{{"empty", nil}, {"non-empty", c}} {
+		src := New(d, ell, Options{})
+		if err := src.UpdateMatrix(a); err != nil {
+			t.Fatal(err)
+		}
+		dst := New(d, ell, Options{})
+		all := a
+		if tc.seed != nil {
+			if err := dst.UpdateMatrix(tc.seed); err != nil {
+				t.Fatal(err)
+			}
+			all = matrix.Stack(tc.seed, a)
+		}
+		if err := dst.Merge(src); err != nil {
+			t.Fatal(err)
+		}
+		b, err := dst.Matrix()
+		if err != nil {
+			t.Fatal(err)
+		}
+		coverr, err := linalg.SpectralNormSym(all.Gram().Sub(b.Gram()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bound := dst.ErrorBound(); bound < coverr {
+			t.Errorf("%s target: ErrorBound %.6e below coverr %.6e", tc.name, bound, coverr)
+		}
 	}
 }
 

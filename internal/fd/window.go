@@ -91,9 +91,6 @@ func (w *WindowSketch) expire() {
 	}
 }
 
-// Seq returns the number of rows ingested since creation.
-func (w *WindowSketch) Seq() int { return w.seq }
-
 // Window returns the configured window size W.
 func (w *WindowSketch) Window() int { return w.window }
 
@@ -116,18 +113,14 @@ func (w *WindowSketch) Covered() int {
 // Query merges the live buckets into one fresh sketch covering the last
 // Covered() rows. The returned sketch's ErrorBound() is the full window
 // certificate: the merge target's own shrink charges plus every live
-// bucket's accumulated charges (Merge feeds sketch rows, so the bucket
-// charges would otherwise be lost). The window keeps streaming after a
-// query; the result is independent state.
+// bucket's accumulated charges, which Merge carries over. The window keeps
+// streaming after a query; the result is independent state.
 func (w *WindowSketch) Query() (*Sketch, error) {
 	q := New(w.d, w.ell, w.opts)
 	for _, b := range w.buckets {
 		if err := q.Merge(b.sk); err != nil {
 			return nil, err
 		}
-		// Carry the bucket's certificate: the merged sketch approximates the
-		// bucket's *sketch*, which itself approximates the bucket's rows.
-		q.totalDelta += b.sk.TotalShrinkage()
 	}
 	return q, nil
 }

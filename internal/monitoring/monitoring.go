@@ -324,20 +324,22 @@ func (s *Server) Full() *fd.Sketch { return s.full }
 
 // Coordinator tracks the union continuously from the servers' uploads.
 //
-// Every policy keeps the coordinator's state per server: the latest
-// replace-block under PolicyFullSketch, a running per-server FD sketch of
-// the absorbed deltas under the delta policies. Per-server state is what
-// makes a Replace upload meaningful under any policy — it discards
-// exactly one server's prior contributions and substitutes the shipped
-// block. A restored server uses that to rebase after a crash: its full
-// cumulative sketch covers every row it ever ingested, so one replace
-// upload makes the coordinator's view of that server exact regardless of
-// which pre-crash deltas were or were not absorbed.
+// Every policy keeps the coordinator's state per server: a running FD
+// sketch of what that server shipped — its latest replace-block under
+// PolicyFullSketch, the absorbed deltas under the delta policies. A
+// replace-block has at most ℓ rows, so in a fresh sketch (2ℓ-row buffer) it
+// never shrinks: the sketch holds the block bit for bit and adds no charge.
+// Per-server state is what makes a Replace upload meaningful under any
+// policy — it discards exactly one server's prior contributions and
+// substitutes the shipped block. A restored server uses that to rebase
+// after a crash: its full cumulative sketch covers every row it ever
+// ingested, so one replace upload makes the coordinator's view of that
+// server exact regardless of which pre-crash deltas were or were not
+// absorbed.
 type Coordinator struct {
 	cfg Config
 
-	replaced  map[int]*matrix.Dense // PolicyFullSketch: latest block per server
-	perServer map[int]*fd.Sketch    // delta policies: per-server absorbed deltas
+	perServer map[int]*fd.Sketch // per-server shipped blocks
 
 	reportedMass  map[int]float64
 	shrinkage     map[int]float64 // Σδ shipped inside absorbed blocks, per server
@@ -355,7 +357,6 @@ func NewCoordinator(cfg Config) *Coordinator {
 	cfg.validate()
 	return &Coordinator{
 		cfg:          cfg,
-		replaced:     make(map[int]*matrix.Dense),
 		perServer:    make(map[int]*fd.Sketch),
 		reportedMass: make(map[int]float64),
 		shrinkage:    make(map[int]float64),
@@ -393,17 +394,13 @@ func (c *Coordinator) Absorb(up *Upload) (*Broadcast, error) {
 		ob.MonitoringUpload(up.From, 0, up.Words, true)
 	case up.Replace:
 		c.uploads++
-		if c.cfg.Policy == PolicyFullSketch {
-			c.replaced[up.From] = up.Rows
-		} else {
-			// Rebase: the block supersedes every delta absorbed from this
-			// server so far (restored servers ship their full sketch once).
-			sk := fd.New(c.cfg.D, sketchSize(c.cfg.Eps), fd.Options{})
-			if err := sk.UpdateMatrix(up.Rows); err != nil {
-				return nil, err
-			}
-			c.perServer[up.From] = sk
+		// The block supersedes everything absorbed from this server so far:
+		// a full-sketch re-send, or a restored server's rebase.
+		sk := fd.New(c.cfg.D, sketchSize(c.cfg.Eps), fd.Options{})
+		if err := sk.UpdateMatrix(up.Rows); err != nil {
+			return nil, err
 		}
+		c.perServer[up.From] = sk
 		c.shrinkage[up.From] = up.Shrinkage
 		ob.MonitoringUpload(up.From, up.Rows.Rows(), up.Words, false)
 	default:
@@ -465,11 +462,7 @@ func (c *Coordinator) heard() []int {
 func (c *Coordinator) Sketch() (*matrix.Dense, error) {
 	parts := make([]*matrix.Dense, 0, c.cfg.S)
 	for i := 0; i < c.cfg.S; i++ {
-		if c.cfg.Policy == PolicyFullSketch {
-			if b, ok := c.replaced[i]; ok {
-				parts = append(parts, b)
-			}
-		} else if sk, ok := c.perServer[i]; ok {
+		if sk, ok := c.perServer[i]; ok {
 			b, err := sk.Snapshot()
 			if err != nil {
 				return nil, err
@@ -507,10 +500,6 @@ func (c *Coordinator) Threshold() float64 { return c.threshold }
 
 // Heard returns how many servers the coordinator has heard from.
 func (c *Coordinator) Heard() int { return len(c.reportedMass) }
-
-// HeardIDs returns the sorted IDs of the servers the coordinator has heard
-// from.
-func (c *Coordinator) HeardIDs() []int { return c.heard() }
 
 // ReportedMass returns the total mass the servers have reported so far.
 func (c *Coordinator) ReportedMass() float64 {

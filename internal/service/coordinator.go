@@ -102,10 +102,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}, nil
 }
 
-// Tracking exposes the underlying monitoring coordinator. Read it only
-// after Run returns; while the daemon is live use Status instead.
-func (c *Coordinator) Tracking() *monitoring.Coordinator { return c.track }
-
 // Run drives the daemon until ctx is cancelled or the hub closes. It owns
 // all coordinator-side sends (the per-connection TCP writer is single-
 // threaded) and keeps the hub accepting so restarted servers can rejoin.

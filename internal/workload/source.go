@@ -535,7 +535,7 @@ func Materialize(src RowSource) (*matrix.Dense, error) {
 }
 
 // DenseSources wraps each partition in a DenseSource — the adapter the
-// []*matrix.Dense entry points use.
+// []*matrix.Dense entry point, Run, uses.
 func DenseSources(parts []*matrix.Dense) []RowSource {
 	out := make([]RowSource, len(parts))
 	for i, p := range parts {

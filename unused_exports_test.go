@@ -36,10 +36,44 @@ var unusedExportsAllowed = []string{
 	"lowerbound.SketchSizeWords",
 }
 
+// interfaceMethods are method names a standard-library interface calls
+// (sort, heap, io, fmt.Stringer, error): a method of that name may have no
+// caller in the repository and still be used.
+var interfaceMethods = map[string]bool{
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+	"Read": true, "Write": true, "Close": true, "String": true, "Error": true,
+}
+
+// testOnlyMethods lists the exported methods of internal/* that no non-test
+// file calls and that stay anyway, each for the tests named beside it.
+var testOnlyMethods = []string{
+	"comm.(*Meter).Summary",                     // the per-link report, rendered by comm's tests
+	"core.(*QuadraticSampling).Cutoff",          // sampling tests check the threshold α‖A‖F²/s
+	"distributed.(*MemNetwork).MailboxCapacity", // TestMailboxBackpressure reads the installed capacity
+	"fd.(*WindowSketch).BucketRows",             // window tests check the bucket geometry
+	"fd.(*WindowSketch).LiveBuckets",            // window tests check bucket expiry
+	"linalg.(*EigSym).Reconstruct",              // eigensolver accuracy tests rebuild the input
+	"linalg.(*SVD).Reconstruct",                 // Jacobi oracle accuracy tests rebuild the input
+	"matrix.(*Dense).EqualApprox",               // the tolerance comparison most tests use
+	"matrix.(*Dense).Frob",                      // tests report relative errors in ‖·‖F
+	"matrix.(*Dense).RowNorm2",                  // dense-kernel tests
+	"matrix.(*Dense).ScaleInPlace",              // dense-kernel tests
+	"matrix.(*Dense).ScaleRow",                  // dense-kernel tests
+	"matrix.(*Dense).TMulVec",                   // the kernel tests' reference product
+	"matrix.(*Sparse).Density",                  // generator tests check the requested density
+	"matrix.(*Sparse).TMulVec",                  // sparse-kernel tests check it against dense
+	"obs.(*Observer).Registry",                  // obs tests read the counters back
+	"obs.(*Observer).Tracer",                    // obs tests read the trace back
+	"obs.(*Tracer).Events",                      // trace tests read the recorded events
+	"service.(*Server).Tracker",                 // service tests inspect a server's tracker
+	"workload.(*DenseSource).Remaining",         // source tests check the cursor
+}
+
 // TestNoUnusedInternalExports keeps superseded code from piling up again:
-// every exported package-level identifier of an internal/ package must be
-// referenced by some non-test file outside its own declaration (method
-// receivers do not count), or be named in unusedExportsAllowed.
+// every exported package-level identifier and every exported method of an
+// internal/ package must be referenced by some non-test file outside its
+// own declaration (method receivers do not count), or be named in
+// unusedExportsAllowed or testOnlyMethods.
 func TestNoUnusedInternalExports(t *testing.T) {
 	type decl struct{ from, to token.Pos } // positions are unique across files of one FileSet
 	fset := token.NewFileSet()
@@ -168,8 +202,78 @@ func TestNoUnusedInternalExports(t *testing.T) {
 		}
 	}
 
+	// Exported methods of internal/<pkg>, keyed "pkg.Recv.Name" with Recv
+	// "(*T)" for a pointer receiver. Without type information a method
+	// counts as used when any non-test file selects its name (x.Name) on
+	// something other than an imported package, outside its own
+	// declaration; a call through an interface counts the same way.
+	methods := map[string]decl{}
+	for dir, files := range byDir {
+		if filepath.Dir(dir) != "internal" {
+			continue
+		}
+		for _, f := range files {
+			for _, d := range f.Decls {
+				fn, ok := d.(*ast.FuncDecl)
+				if !ok || fn.Recv == nil || !fn.Name.IsExported() || interfaceMethods[fn.Name.Name] {
+					continue
+				}
+				recv := fn.Recv.List[0].Type
+				if idx, ok := recv.(*ast.IndexExpr); ok { // generic receiver T[E]
+					recv = idx.X
+				}
+				name := ""
+				switch r := recv.(type) {
+				case *ast.Ident:
+					name = r.Name
+				case *ast.StarExpr:
+					if id, ok := r.X.(*ast.Ident); ok {
+						name = "(*" + id.Name + ")"
+					} else if idx, ok := r.X.(*ast.IndexExpr); ok {
+						name = "(*" + idx.X.(*ast.Ident).Name + ")"
+					}
+				}
+				methods[filepath.Base(dir)+"."+name+"."+fn.Name.Name] = decl{fn.Pos(), fn.End()}
+			}
+		}
+	}
+	selected := map[string][]token.Pos{} // method name → positions selecting it
+	for _, files := range byDir {
+		for _, f := range files {
+			imports := map[string]bool{}
+			for _, im := range f.Imports {
+				p, _ := strconv.Unquote(im.Path.Value)
+				name := p[strings.LastIndex(p, "/")+1:]
+				if im.Name != nil {
+					name = im.Name.Name
+				}
+				imports[name] = true
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if x, ok := sel.X.(*ast.Ident); !ok || !imports[x.Name] {
+						selected[sel.Sel.Name] = append(selected[sel.Sel.Name], sel.Sel.Pos())
+					}
+				}
+				return true
+			})
+		}
+	}
+	for key, d := range methods {
+		for _, pos := range selected[key[strings.LastIndex(key, ".")+1:]] {
+			if pos < d.from || pos >= d.to {
+				used[key] = true
+				break
+			}
+		}
+		decls[key] = d
+	}
+
 	allowed := map[string]bool{}
 	for _, name := range unusedExportsAllowed {
+		allowed[name] = true
+	}
+	for _, name := range testOnlyMethods {
 		allowed[name] = true
 	}
 	var diff []string
@@ -185,7 +289,7 @@ func TestNoUnusedInternalExports(t *testing.T) {
 	}
 	if len(diff) > 0 {
 		sort.Strings(diff)
-		t.Fatalf("unused exported identifiers under internal/ differ from unusedExportsAllowed:\n%s", strings.Join(diff, "\n"))
+		t.Fatalf("unused exported identifiers under internal/ differ from unusedExportsAllowed/testOnlyMethods:\n%s", strings.Join(diff, "\n"))
 	}
 }
 
