@@ -23,5 +23,6 @@ func Decomp(b *matrix.Dense, k int) (t, r *matrix.Dense, err error) {
 	}
 	n := len(agg.Lambda)
 	k = min(k, n)
-	return agg.Rows(0, k), agg.Rows(k, n), nil
+	all := agg.Top(n)
+	return all.SliceRows(0, k), all.SliceRows(k, n), nil
 }

@@ -43,7 +43,8 @@ func SVSFromSVD(svd *linalg.SVD, g SamplingFunc, rng *rand.Rand) *matrix.Dense {
 
 // sample is Algorithm 1's Bernoulli pass over the rows (length d) of agg(A).
 func sample(agg *linalg.RightFactor, d int, g SamplingFunc, rng *rand.Rand) *matrix.Dense {
-	var rows [][]float64
+	var js []int
+	var ws []float64
 	for j, lambda := range agg.Lambda {
 		p := g.Prob(math.Ldexp(lambda, 2*agg.Exp))
 		if p <= 0 {
@@ -61,14 +62,12 @@ func sample(agg *linalg.RightFactor, d int, g SamplingFunc, rng *rand.Rand) *mat
 		if p > 1 {
 			p = 1
 		}
-		row := make([]float64, d)
-		agg.Row(row, j, agg.Sigma(j)/math.Sqrt(p))
-		rows = append(rows, row)
+		js = append(js, j)
+		ws = append(ws, agg.Sigma(j)/math.Sqrt(p))
 	}
-	if len(rows) == 0 {
-		return matrix.New(0, d)
-	}
-	return matrix.NewFromRows(rows)
+	out := matrix.New(len(js), d)
+	agg.Rows(out, js, ws)
+	return out
 }
 
 // IIDRowSampleAggregated is the ablation variant discussed in §3.1.1: it
@@ -105,8 +104,8 @@ func IIDRowSampleAggregated(a *matrix.Dense, m int, rng *rand.Rand) (*matrix.Den
 			lastPos = j // λ is sorted, so zeros only trail
 		}
 	}
-	out := matrix.New(m, d)
-	for i := 0; i < m; i++ {
+	js, ws := make([]int, m), make([]float64, m)
+	for i := range js {
 		u := rng.Float64()
 		j := 0
 		for j < len(cum)-1 && cum[j] < u {
@@ -117,7 +116,9 @@ func IIDRowSampleAggregated(a *matrix.Dense, m int, rng *rand.Rand) (*matrix.Den
 		}
 		p := agg.Lambda[j] / total
 		// Rescale by σ_j/√(m·p) so that E[Σ rows] = AᵀA.
-		agg.Row(out.Row(i), j, agg.Sigma(j)/math.Sqrt(float64(m)*p))
+		js[i], ws[i] = j, agg.Sigma(j)/math.Sqrt(float64(m)*p)
 	}
+	out := matrix.New(m, d)
+	agg.Rows(out, js, ws)
 	return out, nil
 }

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/linalg"
 	"repro/internal/matrix"
+	"repro/internal/parallel"
 	"repro/internal/workload"
 )
 
@@ -152,6 +154,43 @@ func TestSVSExtremeScales(t *testing.T) {
 			if diff := got.Scale(1 / scale).Sub(want).Frob(); diff > 1e-12*want.Frob() {
 				t.Fatalf("%d×%d at scale %g: ‖B/scale − B₁‖F = %.3e, above 1e-12·‖B₁‖F = %.3e",
 					a.Rows(), a.Cols(), scale, diff, 1e-12*want.Frob())
+			}
+		}
+	}
+}
+
+// TestSVSBitIdenticalAcrossPoolWidths: SVS samples, from a wide and a tall
+// A and from a Gram, have the same bits at pool widths 1, 2 and 4.
+func TestSVSBitIdenticalAcrossPoolWidths(t *testing.T) {
+	defer parallel.SetWorkers(parallel.Workers())
+	rng := rand.New(rand.NewSource(65))
+	for _, dims := range [][2]int{{40, 256}, {300, 48}} {
+		a := workload.LowRankPlusNoise(rng, dims[0], dims[1], 6, 10, 0.7, 0.3)
+		g := NewQuadraticSampling(2, dims[1], 0.05, 0.1, a.Frob2())
+		sample := map[string]func() (*matrix.Dense, error){
+			"A":    func() (*matrix.Dense, error) { return SVS(a, g, rand.New(rand.NewSource(1))) },
+			"Gram": func() (*matrix.Dense, error) { return SVSGram(a.Gram(), dims[0], g, rand.New(rand.NewSource(1))) },
+		}
+		for name, run := range sample {
+			var want []uint64
+			for _, w := range []int{1, 2, 4} {
+				parallel.SetWorkers(w)
+				b, err := run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if b.Rows() == 0 {
+					t.Fatalf("%v from %s: empty sample", dims, name)
+				}
+				var got []uint64
+				for _, x := range b.Data() {
+					got = append(got, math.Float64bits(x))
+				}
+				if want == nil {
+					want = got
+				} else if !slices.Equal(got, want) {
+					t.Fatalf("%v from %s: the sample at pool width %d differs from width 1", dims, name, w)
+				}
 			}
 		}
 	}

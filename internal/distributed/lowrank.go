@@ -221,5 +221,5 @@ func (p LowRankExact) Coordinator(ctx context.Context, node Node) (*Result, erro
 	if err := agg.FactorGram(gram, d); err != nil { // n unknown: d stands in
 		return nil, err
 	}
-	return &Result{Gram: gram, Sketch: agg.Rows(0, agg.Rank())}, nil
+	return &Result{Gram: gram, Sketch: agg.Top(agg.Rank())}, nil
 }

@@ -48,6 +48,8 @@ type Sketch struct {
 	buf        *matrix.Dense
 	agg        linalg.RightFactor // reused across shrinks
 	sig2       []float64          // reused shrunk-spectrum scratch
+	js         []int              // reused row positions and weights
+	ws         []float64          // of a shrink's one Rows call
 	used       int
 	obs        *obs.Observer
 
@@ -252,10 +254,13 @@ func (s *Sketch) shrink() error {
 	sig2 := append(s.sig2[:0], agg.Lambda...)
 	s.sig2 = sig2
 	charge := math.Ldexp(shrinkSpectrum(sig2, s.ell, s.alpha), 2*agg.Exp)
-	out := 0
-	for ; out < len(sig2) && sig2[out] > 0; out++ { // non-increasing: the rest is zero
-		agg.Row(s.buf.Row(out), out, math.Ldexp(math.Sqrt(sig2[out]), agg.Exp))
+	s.js, s.ws = s.js[:0], s.ws[:0]
+	for j := 0; j < len(sig2) && sig2[j] > 0; j++ { // non-increasing: the rest is zero
+		s.js = append(s.js, j)
+		s.ws = append(s.ws, math.Ldexp(math.Sqrt(sig2[j]), agg.Exp))
 	}
+	out := len(s.js)
+	agg.Rows(s.buf.SliceRows(0, out), s.js, s.ws)
 	for i := out; i < s.used; i++ {
 		clear(s.buf.Row(i))
 	}
@@ -287,17 +292,12 @@ func (s *Sketch) Matrix() (*matrix.Dense, error) {
 }
 
 // Snapshot returns the current sketch matrix (at most ℓ non-zero rows)
-// without mutating s: when the buffer holds more than ℓ rows, the shrink
-// runs on a private copy, leaving s's buffer, certificate (Shrinks,
-// TotalShrinkage) and accounting untouched.
-func (s *Sketch) Snapshot() (*matrix.Dense, error) {
-	b, _, err := s.snapshot()
-	return b, err
-}
-
-// snapshot is Snapshot plus the certificate of the returned rows: s's
-// TotalShrinkage, plus the charge of the private shrink when one ran.
-func (s *Sketch) snapshot() (*matrix.Dense, float64, error) {
+// and its certificate without mutating s: when the buffer holds more than
+// ℓ rows, the shrink runs on a private copy, leaving s's buffer,
+// certificate (Shrinks, TotalShrinkage) and accounting untouched. The
+// certificate is s's TotalShrinkage plus the charge of that private
+// shrink, so it covers the returned rows.
+func (s *Sketch) Snapshot() (*matrix.Dense, float64, error) {
 	if s.err != nil {
 		return nil, 0, s.err
 	}
@@ -331,7 +331,7 @@ func (s *Sketch) Merge(other *Sketch) error {
 	if s.err != nil {
 		return s.err
 	}
-	m, charge, err := other.snapshot()
+	m, charge, err := other.Snapshot()
 	if err != nil {
 		return err
 	}

@@ -164,11 +164,11 @@ func TestPSDDominance(t *testing.T) {
 		t.Fatal(err)
 	}
 	diff := a.Gram().Sub(b.Gram())
-	e, err := linalg.ComputeEigSym(diff)
+	vals, err := linalg.EigenvaluesSym(diff)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if min := e.Values[len(e.Values)-1]; min < -1e-8 {
+	if min := vals[len(vals)-1]; min < -1e-8 {
 		t.Fatalf("AᵀA − BᵀB has negative eigenvalue %v", min)
 	}
 }

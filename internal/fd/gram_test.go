@@ -3,6 +3,7 @@ package fd
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -165,14 +166,16 @@ func TestMergeCertificateAtD64(t *testing.T) {
 }
 
 // TestShrinkAllocsConstant pins the steady-state allocations of one shrink
-// at pool width 1: the Gram kernel's and ComputeEigSym's, a constant count
-// whatever ℓ and d. The race runtime allocates internally, so the test
-// skips under -race.
+// at pool width 1: a constant count whatever ℓ and d, and at most
+// 3.25·m² + 16·m float64s and 256 bytes for an m×m Gram: the Gram, the
+// rotation record (≈1.1·m²) and the block of at most m requested
+// eigenvectors. The race runtime allocates internally, so the test skips
+// under -race.
 func TestShrinkAllocsConstant(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates internally")
 	}
-	const maxAllocs = 24
+	const maxAllocs, shrinks = 24, 10
 	defer parallel.SetWorkers(parallel.Workers())
 	parallel.SetWorkers(1)
 	rng := rand.New(rand.NewSource(62))
@@ -191,17 +194,73 @@ func TestShrinkAllocsConstant(t *testing.T) {
 		if err := s.shrink(); err != nil { // sizes the reused buffers
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(10, func() {
+		allocs := testing.AllocsPerRun(shrinks, func() {
 			refill()
 			if err := s.shrink(); err != nil {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("d=%d ℓ=%d: %.0f allocations per shrink", shape.d, shape.ell, allocs)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < shrinks; i++ {
+			refill()
+			if err := s.shrink(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		m := min(s.bufferRows, shape.d)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / shrinks
+		maxBytes := float64(8*(13*m*m/4+16*m) + 256)
+		t.Logf("d=%d ℓ=%d: %.0f allocations and %.0f bytes (%.2f·m² float64s, m=%d) per shrink",
+			shape.d, shape.ell, allocs, bytes, bytes/float64(8*m*m), m)
 		if allocs > maxAllocs {
 			t.Errorf("d=%d ℓ=%d: %.0f allocations per shrink, want ≤ %d", shape.d, shape.ell, allocs, maxAllocs)
 		}
+		if bytes > maxBytes {
+			t.Errorf("d=%d ℓ=%d: %.0f bytes per shrink, want ≤ %.0f", shape.d, shape.ell, bytes, maxBytes)
+		}
 	}
+}
+
+// TestSketchBitIdenticalAcrossPoolWidths: an FD sketch, wide buffer and
+// tall, has the same bits at pool widths 1, 2 and 4. The shrink's Gram and
+// its row product split across the pool; every entry keeps one summation
+// chain whatever the split.
+func TestSketchBitIdenticalAcrossPoolWidths(t *testing.T) {
+	defer parallel.SetWorkers(parallel.Workers())
+	rng := rand.New(rand.NewSource(64))
+	for _, shape := range []struct{ d, ell int }{{256, 20}, {24, 20}} {
+		a := workload.LowRankPlusNoise(rng, 300, shape.d, 6, 10, 0.7, 0.3)
+		var want *matrix.Dense
+		for _, w := range []int{1, 2, 4} {
+			parallel.SetWorkers(w)
+			got, err := SketchMatrix(a, shape.ell)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			if !bitsEqual(got, want) {
+				t.Fatalf("d=%d ℓ=%d: the sketch at pool width %d differs from width 1", shape.d, shape.ell, w)
+			}
+		}
+	}
+}
+
+// bitsEqual reports whether a and b have the same shape and bits.
+func bitsEqual(a, b *matrix.Dense) bool {
+	if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
+		return false
+	}
+	for i, x := range a.Data() {
+		if math.Float64bits(x) != math.Float64bits(b.Data()[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestExtremeScales: a 256×32 Gaussian input scaled by 1e-160, 1e-150 or

@@ -117,7 +117,7 @@ func TestSnapshotMatchesMatrixWithoutMutation(t *testing.T) {
 	fillRandom(t, s, rng, s.WorkingSpaceRows())
 	pre := captureState(s)
 
-	snap, err := s.Snapshot()
+	snap, _, err := s.Snapshot()
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}

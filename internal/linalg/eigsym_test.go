@@ -21,6 +21,34 @@ func identity(n int) *matrix.Dense {
 	return m
 }
 
+// eigSym is S = V·diag(Values)·Vᵀ with every vector requested from the
+// one eigen route (symEig), V's columns in the order of Values.
+type eigSym struct {
+	Values []float64
+	V      *matrix.Dense
+}
+
+// computeEigSym asks symEig for all n eigenvectors of the symmetric s.
+func computeEigSym(s *matrix.Dense) (*eigSym, error) {
+	var e symEig
+	if err := e.factor(s.Clone()); err != nil {
+		return nil, err
+	}
+	n := s.Rows()
+	js := make([]int, n)
+	for j := range js {
+		js[j] = j
+	}
+	vt := matrix.New(n, n)
+	e.vectors(vt, js)
+	return &eigSym{Values: e.values, V: vt.T()}, nil
+}
+
+// Reconstruct returns V·diag(Values)·Vᵀ.
+func (e *eigSym) Reconstruct() *matrix.Dense {
+	return e.V.Mul(matrix.Diag(e.Values)).MulT(e.V)
+}
+
 func randSym(rng *rand.Rand, n int) *matrix.Dense {
 	a := randDense(rng, n, n)
 	return a.Add(a.T()).Scale(0.5)
@@ -30,7 +58,7 @@ func TestEigSymReconstruct(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{1, 2, 5, 10, 20} {
 		s := randSym(rng, n)
-		e, err := ComputeEigSym(s)
+		e, err := computeEigSym(s)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -49,7 +77,7 @@ func TestEigSymReconstruct(t *testing.T) {
 func TestEigSymKnown(t *testing.T) {
 	// [[2,1],[1,2]] has eigenvalues 3 and 1.
 	s := matrix.NewFromRows([][]float64{{2, 1}, {1, 2}})
-	e, err := ComputeEigSym(s)
+	e, err := computeEigSym(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +88,7 @@ func TestEigSymKnown(t *testing.T) {
 
 func TestEigSymDiagonal(t *testing.T) {
 	s := matrix.Diag([]float64{-5, 2, 7})
-	e, err := ComputeEigSym(s)
+	e, err := computeEigSym(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +101,7 @@ func TestEigSymDiagonal(t *testing.T) {
 }
 
 func TestEigSymZeroAndEmpty(t *testing.T) {
-	e, err := ComputeEigSym(matrix.New(3, 3))
+	e, err := computeEigSym(matrix.New(3, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +110,7 @@ func TestEigSymZeroAndEmpty(t *testing.T) {
 			t.Fatal("zero matrix eigenvalues must be 0")
 		}
 	}
-	e2, err := ComputeEigSym(matrix.New(0, 0))
+	e2, err := computeEigSym(matrix.New(0, 0))
 	if err != nil || len(e2.Values) != 0 {
 		t.Fatal("empty eig failed")
 	}
@@ -94,7 +122,7 @@ func TestEigSymNonSquarePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	ComputeEigSym(matrix.New(2, 3))
+	computeEigSym(matrix.New(2, 3))
 }
 
 func TestSpectralNormSym(t *testing.T) {
@@ -145,7 +173,7 @@ func TestEigSymVsSVDOnGram(t *testing.T) {
 	// λ_i(AᵀA) == σ_i(A)².
 	rng := rand.New(rand.NewSource(14))
 	a := randDense(rng, 10, 5)
-	e, err := ComputeEigSym(a.Gram())
+	e, err := computeEigSym(a.Gram())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +194,7 @@ func TestPropEigTrace(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(8)
 		s := randSym(rng, n)
-		e, err := ComputeEigSym(s)
+		e, err := computeEigSym(s)
 		if err != nil {
 			return false
 		}
@@ -220,7 +248,7 @@ func TestEigSymAccuracy(t *testing.T) {
 	const c = 8.0
 	for _, tc := range eigCases() {
 		n, s := tc.s.Rows(), tc.s
-		e, err := ComputeEigSym(s)
+		e, err := computeEigSym(s)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -270,7 +298,7 @@ func TestEigSymMatchesJacobiFactor(t *testing.T) {
 	for _, dims := range [][2]int{{40, 8}, {64, 33}, {8, 20}, {300, 64}} {
 		n, d := dims[0], dims[1]
 		a := randDense(rng, n, d)
-		e, err := ComputeEigSym(a.Gram())
+		e, err := computeEigSym(a.Gram())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,8 +371,8 @@ func TestEigSymNonFiniteIsNoConvergence(t *testing.T) {
 				if vals, err := EigenvaluesSym(s); !errors.Is(err, ErrNoConvergence) {
 					t.Errorf("EigenvaluesSym n=%d %v at %v: err %v, values %v", n, bad, at, err, vals)
 				}
-				if _, err := ComputeEigSym(s); !errors.Is(err, ErrNoConvergence) {
-					t.Errorf("ComputeEigSym n=%d %v at %v: err %v", n, bad, at, err)
+				if _, err := computeEigSym(s); !errors.Is(err, ErrNoConvergence) {
+					t.Errorf("computeEigSym n=%d %v at %v: err %v", n, bad, at, err)
 				}
 			}
 		}

@@ -216,7 +216,7 @@ func BenchmarkEigSym64(b *testing.B) {
 	s := randSym(rng, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ComputeEigSym(s); err != nil {
+		if _, err := computeEigSym(s); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,9 +1,11 @@
 // Package linalg implements the dense numerical routines the sketching
 // algorithms are built on, from scratch against the stdlib: symmetric
-// eigendecomposition (Householder tridiagonalization and implicit-shift QL),
-// agg(A) = ΣVᵀ read off it (RightFactor, the source of every sketch row the
-// runtime emits), the one-sided Jacobi SVD, pivoted Householder QR,
-// pseudoinverse and spectral norms. Jacobi is the independent oracle behind
+// eigendecomposition (Householder tridiagonalization and the values-only
+// implicit-shift QL, which records its rotations so that only the
+// eigenvectors a caller reads are built afterwards), agg(A) = ΣVᵀ read off
+// it (RightFactor, the source of every sketch row the runtime emits), the
+// one-sided Jacobi SVD, pivoted Householder QR, pseudoinverse and spectral
+// norms. Jacobi is the independent oracle behind
 // SpectralNormSym, SingularValues and TailEnergy, and factors the
 // pseudoinverse, whose small singular values a Gram cannot resolve.
 package linalg

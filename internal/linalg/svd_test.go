@@ -163,7 +163,7 @@ func TestAggregatedPreservesGram(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, f := range map[string]*RightFactor{"A": &fromA, "Gram": &fromGram, "SVD": s.RightFactor()} {
-			agg := f.Rows(0, len(f.Lambda))
+			agg := f.Top(len(f.Lambda))
 			if f.Rank() != 6 || agg.Rows() != 6 || agg.Cols() != dims[1] {
 				t.Fatalf("%v from %s: rank %d, agg %d×%d", dims, name, f.Rank(), agg.Rows(), agg.Cols())
 			}

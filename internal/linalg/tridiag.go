@@ -1,8 +1,10 @@
 package linalg
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/matrix"
@@ -13,8 +15,8 @@ import (
 // tridiagonalization followed by the implicit-shift QL iteration — O(n³)
 // for the reduction and O(n²) for the QL phase. It is the fast path behind
 // spectral-norm measurements on the larger benchmark dimensions. Only the
-// lower triangle is read. ComputeEigSym runs the same two phases with the
-// transforms accumulated and returns bit-identical eigenvalues.
+// lower triangle is read. RightFactor runs the same two phases, recording
+// the rotations for its eigenvectors, and gets bit-identical eigenvalues.
 func EigenvaluesSym(s *matrix.Dense) ([]float64, error) {
 	n, c := s.Dims()
 	if n != c {
@@ -23,7 +25,7 @@ func EigenvaluesSym(s *matrix.Dense) ([]float64, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	diag, off, _ := tridiagonalize(s, false)
+	diag, off, _ := tridiagonalize(s.Clone())
 	if err := qlImplicit(diag, off, nil); err != nil {
 		return nil, err
 	}
@@ -31,89 +33,151 @@ func EigenvaluesSym(s *matrix.Dense) ([]float64, error) {
 	return diag, nil
 }
 
-// EigSym holds the eigendecomposition S = V·diag(Values)·Vᵀ of a symmetric
-// matrix, with eigenvalues sorted in non-increasing order and eigenvectors
-// in the corresponding columns of V.
-type EigSym struct {
-	Values []float64
-	V      *matrix.Dense
+// symEig is the eigendecomposition S = V·diag(values)·Vᵀ of a symmetric
+// m×m matrix in two phases. factor reduces S to tridiagonal form without
+// accumulating Q, keeping the Householder vectors, and runs the values-only
+// QL while recording its rotations, so every λ is EigenvaluesSym's, bit for
+// bit. vectors then builds only the v_j a caller asks for: it replays the
+// record backwards on e_j and applies the reflectors. The rotations are the
+// ones a full accumulation applies, so the accuracy is the same, and each
+// v_j is computed alone: any subset is bit-identical to the same vectors of
+// a full request.
+type symEig struct {
+	values []float64     // λ in non-increasing order
+	order  []int         // order[j]: the QL index of values[j]
+	a      *matrix.Dense // reflector i's u_i in row i, columns < i
+	h      []float64     // reflector i is I − u_i·u_iᵀ/h_i; 0 where there is none
+	rot    rotations
 }
 
-// ComputeEigSym computes the full eigendecomposition of the symmetric matrix
-// s: Householder tridiagonalization and the implicit-shift QL iteration
-// with the transforms accumulated. Only the lower triangle is
-// read; the input is not modified. Values are bit-identical to
-// EigenvaluesSym(s).
-func ComputeEigSym(s *matrix.Dense) (*EigSym, error) {
-	n, c := s.Dims()
-	if n != c {
-		panic(fmt.Sprintf("linalg: ComputeEigSym of non-square %d×%d", n, c))
+// factor computes the eigenvalues of s and keeps what vectors needs. Only
+// the lower triangle of s is read, and s is overwritten.
+func (e *symEig) factor(s *matrix.Dense) error {
+	m, c := s.Dims()
+	if m != c {
+		panic(fmt.Sprintf("linalg: eigendecomposition of non-square %d×%d", m, c))
 	}
-	if n == 0 {
-		return &EigSym{Values: nil, V: matrix.New(0, 0)}, nil
+	e.values, e.order = e.values[:0], e.order[:0]
+	if m == 0 {
+		return nil
 	}
-	diag, off, zt := tridiagonalize(s, true)
-	if err := qlImplicit(diag, off, zt); err != nil {
-		return nil, err
+	diag, off, h := tridiagonalize(s)
+	e.a, e.h = s, h
+	// 0.95–1.08·m² rotations on the FD and SVS Grams, two trailer words
+	// per sweep: one allocation almost always suffices.
+	e.rot = make(rotations, 0, m*m+m*m/8+8*m)
+	if err := qlImplicit(diag, off, &e.rot); err != nil {
+		e.release()
+		return err
 	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	for i := range diag {
+		e.order = append(e.order, i)
 	}
-	sort.SliceStable(order, func(i, j int) bool { return diag[order[i]] > diag[order[j]] })
-	values := make([]float64, n)
-	v := matrix.New(n, n)
-	vd := v.Data()
-	for out, j := range order {
-		values[out] = diag[j]
-		for i, x := range zt.Row(j) {
-			vd[i*n+out] = x
+	slices.SortStableFunc(e.order, func(i, j int) int { return cmp.Compare(diag[j], diag[i]) })
+	for _, i := range e.order {
+		e.values = append(e.values, diag[i])
+	}
+	return nil
+}
+
+// release drops the reflectors and the rotation record; values stay.
+func (e *symEig) release() { e.a, e.h, e.rot = nil, nil, nil }
+
+// vectors writes v_{js[i]}ᵀ into row i of z (len(js)×m). With Qᵀ·S·Q = T
+// for Q = P_{m−1}⋯P_1 and the QL rotations R_1, …, R_K diagonalizing T,
+// v_j = Q·R_1ᵀ⋯R_Kᵀ·e_{order[j]}: the record is replayed backwards, then
+// P_1, …, P_{m−1} are applied in turn, on an m×len(js) block whose row i
+// holds coordinate i of every requested vector. z is written last, so it
+// may reuse the reflectors' storage.
+func (e *symEig) vectors(z *matrix.Dense, js []int) {
+	w := len(js)
+	if w == 0 {
+		return
+	}
+	m := len(e.h)
+	y := make([]float64, m*w)
+	for c, j := range js {
+		y[e.order[j]*w+c] = 1
+	}
+	for end := len(e.rot); end > 0; {
+		top, k := int(e.rot[end-2]), int(e.rot[end-1])
+		end -= k + 2
+		// Backwards, rotation q of the sweep (rows top−q, top−q+1) runs
+		// last-to-first and with s negated.
+		for q := k - 1; q >= 0; q-- {
+			c, s := decodeRot(e.rot[end+q])
+			i := (top - q) * w
+			rotateRows(y[i:i+w], y[i+w:i+2*w], c, -s)
 		}
 	}
-	return &EigSym{Values: values, V: v}, nil
-}
-
-// Reconstruct returns V·diag(Values)·Vᵀ.
-func (e *EigSym) Reconstruct() *matrix.Dense {
-	n, _ := e.V.Dims()
-	out := matrix.New(n, n)
-	for j, lambda := range e.Values {
-		if lambda == 0 {
+	ad := e.a.Data()
+	t := make([]float64, w)
+	for i, h := range e.h {
+		if h == 0 {
 			continue
 		}
-		for i := 0; i < n; i++ {
-			vij := e.V.At(i, j) * lambda
-			if vij == 0 {
-				continue
-			}
-			row := out.Row(i)
-			for l := 0; l < n; l++ {
-				row[l] += vij * e.V.At(l, j)
-			}
+		u := ad[i*m : i*m+i]
+		clear(t)
+		for k, uk := range u {
+			axpy(t, uk, y[k*w:(k+1)*w])
+		}
+		for k, uk := range u {
+			axpy(y[k*w:(k+1)*w], -uk/h, t)
 		}
 	}
-	return out
+	zd := z.Data()
+	for i := 0; i < m; i++ {
+		for c, v := range y[i*w : (i+1)*w] {
+			zd[c*m+i] = v
+		}
+	}
 }
 
-// tridiagonalize reduces a symmetric matrix to tridiagonal form by
-// Householder reflections (Numerical Recipes tred2), returning the diagonal
-// and subdiagonal. Only the lower triangle of s is read.
-//
-// With vectors set it also accumulates the orthogonal transform Q and
-// returns its transpose qt, so that row j of qt is column j of Q and the QL
-// rotations touch two contiguous rows. The reduction stores the scaled
-// Householder vectors in the upper triangle, which the values-only
-// reduction never reads, so diag and off are the same bits either way.
-func tridiagonalize(s *matrix.Dense, vectors bool) (diag, off []float64, qt *matrix.Dense) {
-	n, _ := s.Dims()
-	a := s.Clone()
+// rotations records the QL's Givens rotations for a backward replay: each
+// sweep's rotations, one number each (encodeRot), then a trailer holding
+// the row of the sweep's first rotation and the sweep's count.
+type rotations []float64
+
+// encodeRot stores the rotation (c, s), c² + s² = 1, as the tangent t of
+// its half angle, computed on the side without cancellation: s/(1+c) for
+// c ≥ 0, else (1−c)/s (±Inf at s = 0).
+func encodeRot(c, s float64) float64 {
+	if c >= 0 {
+		return s / (1 + c)
+	}
+	return (1 - c) / s
+}
+
+// decodeRot inverts encodeRot to rounding: c = (1−t²)/(1+t²) and
+// s = 2t/(1+t²), through 1/t when |t| > 1.
+func decodeRot(t float64) (c, s float64) {
+	if math.Abs(t) <= 1 {
+		t2 := t * t
+		d := 1 / (1 + t2)
+		return (1 - t2) * d, 2 * t * d
+	}
+	u := 1 / t
+	u2 := u * u
+	d := 1 / (1 + u2)
+	return (u2 - 1) * d, 2 * u * d
+}
+
+// tridiagonalize reduces a symmetric matrix to tridiagonal form in place by
+// Householder reflections (Numerical Recipes tred2, without accumulating
+// Q), returning the diagonal, the subdiagonal and h. Only the lower
+// triangle of a is read. Reflector i (h_i ≠ 0) is P_i = I − u_i·u_iᵀ/h_i
+// with u_i left in row i, columns < i, and Qᵀ·A·Q is the tridiagonal for
+// Q = P_{n−1}⋯P_1.
+func tridiagonalize(a *matrix.Dense) (diag, off, h []float64) {
+	n, _ := a.Dims()
 	ad := a.Data()
 	diag = make([]float64, n)
 	off = make([]float64, n)
+	h = make([]float64, n)
 	for i := n - 1; i >= 1; i-- {
 		l := i - 1
 		ri := ad[i*n : i*n+i] // the lower part of row i, columns 0..l
-		h, scale := 0.0, 0.0
+		hi, scale := 0.0, 0.0
 		if l > 0 {
 			for k := 0; k <= l; k++ {
 				scale += math.Abs(ri[k])
@@ -124,21 +188,18 @@ func tridiagonalize(s *matrix.Dense, vectors bool) (diag, off []float64, qt *mat
 				for k := 0; k <= l; k++ {
 					v := ri[k] / scale
 					ri[k] = v
-					h += v * v
+					hi += v * v
 				}
 				f := ri[l]
-				g := math.Sqrt(h)
+				g := math.Sqrt(hi)
 				if f > 0 {
 					g = -g
 				}
 				off[i] = scale * g
-				h -= f * g
+				hi -= f * g
 				ri[l] = f - g
 				f = 0
 				for j := 0; j <= l; j++ {
-					if vectors {
-						ad[j*n+i] = ri[j] / h
-					}
 					g := 0.0
 					rj := ad[j*n : j*n+j+1]
 					for k, v := range rj {
@@ -147,10 +208,10 @@ func tridiagonalize(s *matrix.Dense, vectors bool) (diag, off []float64, qt *mat
 					for k := j + 1; k <= l; k++ {
 						g += ad[k*n+j] * ri[k]
 					}
-					off[j] = g / h
+					off[j] = g / hi
 					f += off[j] * ri[j]
 				}
-				hh := f / (h + h)
+				hh := f / (hi + hi)
 				for j := 0; j <= l; j++ {
 					f := ri[j]
 					g := off[j] - hh*f
@@ -164,44 +225,13 @@ func tridiagonalize(s *matrix.Dense, vectors bool) (diag, off []float64, qt *mat
 		} else {
 			off[i] = ri[l]
 		}
-		diag[i] = h
+		h[i] = hi
 	}
 	off[0] = 0
-	if !vectors {
-		for i := 0; i < n; i++ {
-			diag[i] = ad[i*n+i]
-		}
-		return diag, off, nil
-	}
-	// Accumulate Q from the stored reflections: for each i with a
-	// non-trivial reflection (diag[i] still holds its h), Q[:i,:i] −=
-	// (u/h)·(uᵀQ[:i,:i]), with u in row i and u/h in column i. The product
-	// uᵀQ is formed row by row so every pass is contiguous.
-	g := make([]float64, n)
 	for i := 0; i < n; i++ {
-		if diag[i] != 0 {
-			gi := g[:i]
-			for j := range gi {
-				gi[j] = 0
-			}
-			for k := 0; k < i; k++ {
-				if v := ad[i*n+k]; v != 0 {
-					axpy(gi, v, ad[k*n:k*n+i])
-				}
-			}
-			for k := 0; k < i; k++ {
-				if v := ad[k*n+i]; v != 0 {
-					axpy(ad[k*n:k*n+i], -v, gi)
-				}
-			}
-		}
 		diag[i] = ad[i*n+i]
-		ad[i*n+i] = 1
-		for j := 0; j < i; j++ {
-			ad[j*n+i], ad[i*n+j] = 0, 0
-		}
 	}
-	return diag, off, a.T()
+	return diag, off, h
 }
 
 // axpy sets y += a·x.
@@ -214,11 +244,10 @@ func axpy(y []float64, a float64, x []float64) {
 
 // qlImplicit runs the implicit-shift QL iteration on a tridiagonal matrix
 // given by diag (modified in place to the eigenvalues) and off (the
-// subdiagonal, off[0] unused). When zt is non-nil each rotation is also
-// applied to rows i, i+1 of zt, so that on entry Qᵀ from tridiagonalize
-// becomes the eigenvectors, row j belonging to diag[j]. Non-convergence and
-// a non-finite result (a NaN or Inf input) are ErrNoConvergence.
-func qlImplicit(diag, off []float64, zt *matrix.Dense) error {
+// subdiagonal, off[0] unused). When rec is non-nil every rotation is
+// appended to it, each sweep closed by its trailer. Non-convergence and a
+// non-finite result (a NaN or Inf input) are ErrNoConvergence.
+func qlImplicit(diag, off []float64, rec *rotations) error {
 	n := len(diag)
 	if n == 0 {
 		return nil
@@ -244,6 +273,7 @@ func qlImplicit(diag, off []float64, zt *matrix.Dense) error {
 			if iter == maxIter {
 				return ErrNoConvergence
 			}
+			k := 0 // rotations this sweep has recorded
 			// Implicit shift from the trailing 2×2.
 			g := (diag[l+1] - diag[l]) / (2 * e[l])
 			r := math.Hypot(g, 1)
@@ -260,6 +290,7 @@ func qlImplicit(diag, off []float64, zt *matrix.Dense) error {
 					// sweep without the final update (tqli's "continue").
 					diag[i+1] -= p
 					e[m] = 0
+					rec.endSweep(m-1, k)
 					continue iterate
 				}
 				s = f / r
@@ -269,10 +300,12 @@ func qlImplicit(diag, off []float64, zt *matrix.Dense) error {
 				p = s * r
 				diag[i+1] = g + p
 				g = c*r - b
-				if zt != nil {
-					rotateRows(zt.Row(i), zt.Row(i+1), c, s)
+				if rec != nil {
+					*rec = append(*rec, encodeRot(c, s))
+					k++
 				}
 			}
+			rec.endSweep(m-1, k)
 			diag[l] -= p
 			e[l] = g
 			e[m] = 0
@@ -284,6 +317,14 @@ func qlImplicit(diag, off []float64, zt *matrix.Dense) error {
 		}
 	}
 	return nil
+}
+
+// endSweep closes a sweep of k rotations, its first on rows top, top+1. A
+// nil record and an empty sweep are left alone.
+func (rec *rotations) endSweep(top, k int) {
+	if rec != nil && k > 0 {
+		*rec = append(*rec, float64(top), float64(k))
+	}
 }
 
 // SpectralNormSymFast returns ‖S‖₂ via the tridiagonal eigenvalue path for
@@ -310,8 +351,11 @@ func SpectralNormSymFast(s *matrix.Dense) (float64, error) {
 // for j < r = min(n,d): every sketch row the FD shrink, SVS, Decomp, PCA and
 // the exact protocol emit. Factor eigendecomposes the Gram of A's smaller
 // side, AᵀA (the v_j) or AAᵀ (the u_j, v_j = Aᵀu_j/σ_j); squaring loses
-// accuracy only below √(max(n,d)·u)·σ₁, where the cutoff zeroes λ_j. The
-// zero value is ready; reusing one allocates a constant count per Factor.
+// accuracy only below √(max(n,d)·u)·σ₁, where the cutoff zeroes λ_j.
+// Factor yields every λ_j; the eigenvectors are built on request, by one
+// Rows call for just the rows the caller reads. The zero value is ready;
+// reusing one allocates a constant count per Factor, and keeps nothing
+// between calls beyond Ā and the λ_j.
 type RightFactor struct {
 	// Lambda holds λ_j = σ_j²·4^−Exp in non-increasing order, r entries;
 	// λ_j ≤ max(n,m)·u·λ₁ (an m×m Gram's rounding noise) is exactly 0.
@@ -323,9 +367,10 @@ type RightFactor struct {
 	Exp int
 
 	d    int
-	vecs *matrix.Dense // v_j in columns (d×r); u_j (n×n) when wide is set
+	eig  symEig        // of the Gram; v_j (tall) or u_j (wide) on request
 	wide *matrix.Dense // Ā when A is wide; it aliases buf
 	buf  matrix.Dense  // Ā's reused backing
+	v    *matrix.Dense // v_j in columns, when read off a Jacobi SVD
 }
 
 // prescaleExp bounds the exponent of max|a_ij| squared as it is: AᵀA then
@@ -353,17 +398,20 @@ func (f *RightFactor) Factor(a *matrix.Dense) error {
 }
 
 // FactorGram computes agg(A) for an A with n rows known only through its
-// Gram g = AᵀA, which determines agg(A). Only g's lower triangle is read.
+// Gram g = AᵀA, which determines agg(A). Only g's lower triangle is read;
+// g is not modified.
 func (f *RightFactor) FactorGram(g *matrix.Dense, n int) error {
 	f.Exp = 0
-	return f.fromGram(g, n, nil)
+	return f.fromGram(g.Clone(), n, nil)
 }
 
 // fromGram eigendecomposes the m×m Gram s of a matrix with n rows (ĀᵀĀ, or
-// ĀĀᵀ with wide set to Ā) and keeps r = min(n,m) pairs under the cutoff.
+// ĀĀᵀ with wide set to Ā), overwriting s, and keeps r = min(n,m) values
+// under the cutoff.
 func (f *RightFactor) fromGram(s *matrix.Dense, n int, wide *matrix.Dense) error {
 	m := s.Rows()
-	f.d, f.wide, f.vecs, f.Lambda = m, wide, nil, nil
+	f.d, f.wide, f.v, f.Lambda = m, wide, nil, nil
+	f.eig.release()
 	if wide != nil {
 		f.d = wide.Cols()
 	}
@@ -371,11 +419,10 @@ func (f *RightFactor) fromGram(s *matrix.Dense, n int, wide *matrix.Dense) error
 	if r == 0 {
 		return nil
 	}
-	e, err := ComputeEigSym(s)
-	if err != nil {
+	if err := f.eig.factor(s); err != nil {
 		return err
 	}
-	f.vecs, f.Lambda = e.V, e.Values[:r]
+	f.Lambda = f.eig.values[:r]
 	tol := float64(max(n, m)) * 0x1p-52 * f.Lambda[0]
 	for j, l := range f.Lambda {
 		if l <= tol {
@@ -387,7 +434,7 @@ func (f *RightFactor) fromGram(s *matrix.Dense, n int, wide *matrix.Dense) error
 
 // RightFactor returns agg(A) read off this SVD, without the cutoff.
 func (s *SVD) RightFactor() *RightFactor {
-	f := &RightFactor{d: s.V.Rows(), vecs: s.V}
+	f := &RightFactor{d: s.V.Rows(), v: s.V}
 	for _, x := range s.Sigma {
 		f.Lambda = append(f.Lambda, x*x)
 	}
@@ -406,36 +453,64 @@ func (f *RightFactor) Rank() int {
 	return r
 }
 
-// Row writes w·v_jᵀ into dst (length d): w = c·σ_j gives c times row
-// j of agg(A), w = 1 the right singular vector. A wide A has no v_j where
-// σ_j = 0; dst is then zero.
-func (f *RightFactor) Row(dst []float64, j int, w float64) {
-	if f.wide == nil {
-		for l := range dst {
-			dst[l] = w * f.vecs.At(l, j)
-		}
-		return
-	}
-	clear(dst)
-	if w == 0 || f.Lambda[j] == 0 {
-		return
-	}
-	// √Lambda[j] = 2^−Exp·σ_j, so c·Ā = (w/σ_j)·A.
-	c := w / math.Sqrt(f.Lambda[j])
-	for i := 0; i < f.wide.Rows(); i++ {
-		if x := c * f.vecs.At(i, j); x != 0 {
-			for l, y := range f.wide.Row(i) {
-				dst[l] += x * y
+// Rows writes w[i]·v_jᵀ, j = js[i], into row i of dst (len(js)×d): w[i] =
+// c·σ_j gives c times row j of agg(A), w[i] = 1 the right singular vector.
+// A wide A has no v_j where σ_j = 0; that row is then zero. Only the
+// requested v_j are built, each bit-identical to the same row of any other
+// request. Rows is the factorization's one vector pass: it releases the
+// reflectors and the rotation record, so it runs once per Factor. dst may
+// share storage with the matrix Factor read.
+func (f *RightFactor) Rows(dst *matrix.Dense, js []int, w []float64) {
+	if f.v != nil {
+		for i, j := range js {
+			row := dst.Row(i)
+			for l := range row {
+				row[l] = w[i] * f.v.At(l, j)
 			}
 		}
+		return
 	}
+	if len(js) == 0 {
+		f.eig.release()
+		return
+	}
+	if f.eig.a == nil {
+		panic("linalg: RightFactor.Rows without a Factor since the last call")
+	}
+	if f.wide == nil {
+		f.eig.vectors(dst, js)
+		for i := range js {
+			matrix.ScaleVec(dst.Row(i), w[i])
+		}
+	} else {
+		// √Lambda[j] = 2^−Exp·σ_j, so (w/σ_j)·Aᵀu_j = (w/√Lambda[j])·Āᵀu_j.
+		// The u_j take the reflectors' storage when they fit in it.
+		m := f.wide.Rows()
+		buf := f.eig.a.Data()
+		if len(js)*m > len(buf) {
+			buf = make([]float64, len(js)*m)
+		}
+		u := matrix.NewFromData(len(js), m, buf[:len(js)*m])
+		f.eig.vectors(u, js)
+		for i, j := range js {
+			c := 0.0
+			if w[i] != 0 && f.Lambda[j] != 0 {
+				c = w[i] / math.Sqrt(f.Lambda[j])
+			}
+			matrix.ScaleVec(u.Row(i), c)
+		}
+		u.MulInto(dst, f.wide)
+	}
+	f.eig.release()
 }
 
-// Rows returns rows [from, to) of agg(A) as a new matrix.
-func (f *RightFactor) Rows(from, to int) *matrix.Dense {
-	out := matrix.New(to-from, f.d)
-	for j := from; j < to; j++ {
-		f.Row(out.Row(j-from), j, f.Sigma(j))
+// Top returns rows [0, k) of agg(A) as a new matrix.
+func (f *RightFactor) Top(k int) *matrix.Dense {
+	out := matrix.New(k, f.d)
+	js, w := make([]int, k), make([]float64, k)
+	for j := range js {
+		js[j], w[j] = j, f.Sigma(j)
 	}
+	f.Rows(out, js, w)
 	return out
 }

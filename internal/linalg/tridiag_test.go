@@ -164,8 +164,62 @@ func BenchmarkEigSym256(b *testing.B) {
 	s := randSym(rng, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ComputeEigSym(s); err != nil {
+		if _, err := computeEigSym(s); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestRowsSubsetBitIdentical: RightFactor builds each requested v_j alone,
+// so any subset of positions, in any order and with repeats, yields rows
+// bit-identical to the same rows of a request for every position, tall and
+// wide, from A or from its Gram.
+func TestRowsSubsetBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	subset := []int{5, 0, 7, 7, 2, 11}
+	for _, dims := range [][2]int{{40, 12}, {12, 40}, {12, 12}} {
+		a := randDense(rng, dims[0], dims[1])
+		factors := map[string]func(f *RightFactor) error{
+			"A":    func(f *RightFactor) error { return f.Factor(a) },
+			"Gram": func(f *RightFactor) error { return f.FactorGram(a.Gram(), dims[0]) },
+		}
+		for name, factor := range factors {
+			var f RightFactor
+			if err := factor(&f); err != nil {
+				t.Fatal(err)
+			}
+			full := f.Top(len(f.Lambda))
+			if err := factor(&f); err != nil {
+				t.Fatal(err)
+			}
+			ws := make([]float64, len(subset))
+			for i, j := range subset {
+				ws[i] = f.Sigma(j)
+			}
+			part := matrix.New(len(subset), dims[1])
+			f.Rows(part, subset, ws)
+			for i, j := range subset {
+				if !denseBitsEqual(part.SliceRows(i, i+1), full.SliceRows(j, j+1)) {
+					t.Fatalf("%v from %s: row %d of the subset differs from row %d of the full request", dims, name, i, j)
+				}
+			}
+		}
+	}
+}
+
+// TestRotationRecordRoundTrip: a recorded rotation decodes to itself within
+// a few ulps at every angle, the sign of each component included, and at
+// the edges s = ±0 with c = −1 (t = ±Inf) and c = 0.
+func TestRotationRecordRoundTrip(t *testing.T) {
+	cases := [][2]float64{{1, 0}, {-1, 0}, {-1, math.Copysign(0, -1)}, {0, 1}, {0, -1}, {-1, 1e-300}, {1, -1e-300}}
+	for k := 0; k < 64; k++ {
+		s, c := math.Sincos(2 * math.Pi * float64(k) / 64)
+		cases = append(cases, [2]float64{c, s})
+	}
+	for _, cs := range cases {
+		c, s := decodeRot(encodeRot(cs[0], cs[1]))
+		if math.Abs(c-cs[0]) > 4*unitRoundoff || math.Abs(s-cs[1]) > 4*unitRoundoff {
+			t.Errorf("(c, s) = (%v, %v) decodes to (%v, %v)", cs[0], cs[1], c, s)
 		}
 	}
 }

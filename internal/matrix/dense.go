@@ -258,10 +258,21 @@ func (m *Dense) Mul(b *Dense) *Dense {
 		panic(fmt.Sprintf("matrix: Mul dimension mismatch %d×%d · %d×%d", m.rows, m.cols, b.rows, b.cols))
 	}
 	out := New(m.rows, b.cols)
+	m.MulInto(out, b)
+	return out
+}
+
+// MulInto is Mul writing m · b into out, which must be m.Rows()×b.Cols()
+// and share no storage with m or b: the same bits as Mul at every pool
+// width.
+func (m *Dense) MulInto(out, b *Dense) {
+	if m.cols != b.rows || out.rows != m.rows || out.cols != b.cols {
+		panic(fmt.Sprintf("matrix: MulInto %d×%d · %d×%d into %d×%d", m.rows, m.cols, b.rows, b.cols, out.rows, out.cols))
+	}
+	clear(out.data)
 	parallel.For(m.rows, parallel.Grain(2*m.cols*b.cols), func(lo, hi int) {
 		mulRange(out, m, b, lo, hi)
 	})
-	return out
 }
 
 // MulVec returns the matrix-vector product m · x, four rows per pass over

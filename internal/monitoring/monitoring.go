@@ -153,8 +153,9 @@ type Upload struct {
 	// Mass is the server's exact local mass at upload time (one word).
 	Mass float64
 	// Shrinkage is the accumulated FD shrink charge of the shipped block
-	// (one word): the full sketch's Σδ under PolicyFullSketch, the delta
-	// sketch's Σδ under the delta policies. Shipping it lets the
+	// (one word): the full sketch's Σδ under PolicyFullSketch and in a
+	// restored server's replace block, the delta sketch's Σδ under the
+	// delta policies, each including the shrink that produced the rows. Shipping it lets the
 	// coordinator maintain a live covariance-error certificate
 	// (Coordinator.ErrorBound) instead of only an empirical audit.
 	Shrinkage float64
@@ -286,7 +287,7 @@ func (s *Server) FlushPending() (*Upload, error) {
 // deduplicating the pre-crash upload schedule. The pending delta resets —
 // post-resume uploads cover new rows only.
 func (s *Server) ResumeUpload() (*Upload, error) {
-	b, err := s.full.Snapshot()
+	b, shrinkage, err := s.full.Snapshot()
 	if err != nil {
 		return nil, err
 	}
@@ -298,7 +299,7 @@ func (s *Server) ResumeUpload() (*Upload, error) {
 		Rows:      b,
 		Replace:   true,
 		Mass:      s.localMass,
-		Shrinkage: s.full.TotalShrinkage(),
+		Shrinkage: shrinkage,
 		Words:     float64(b.Rows()*s.cfg.D) + 2,
 	}, nil
 }
@@ -463,7 +464,7 @@ func (c *Coordinator) Sketch() (*matrix.Dense, error) {
 	parts := make([]*matrix.Dense, 0, c.cfg.S)
 	for i := 0; i < c.cfg.S; i++ {
 		if sk, ok := c.perServer[i]; ok {
-			b, err := sk.Snapshot()
+			b, _, err := sk.Snapshot()
 			if err != nil {
 				return nil, err
 			}

@@ -468,3 +468,33 @@ func TestEmptyCoordinatorSketch(t *testing.T) {
 		t.Fatalf("empty sketch: %v %d×%d", err, b.Rows(), b.Cols())
 	}
 }
+
+// TestResumeUploadCertifiesShippedRows: the replace block a restored server
+// ships carries the certificate of the rows it ships. When the full
+// sketch's buffer holds more than ℓ rows, Snapshot shrinks a private copy,
+// and that shrink's charge must be in Shrinkage, or the coordinator's
+// ErrorBound sits below the block's covariance error. The error is
+// measured by the Jacobi oracle after every row.
+func TestResumeUploadCertifiesShippedRows(t *testing.T) {
+	const d = 12
+	cfg := Config{Eps: 0.5, S: 1, D: d, Policy: PolicyFullSketch, Seed: 1}
+	s := NewServer(cfg, 0)
+	rows := workload.Gaussian(rand.New(rand.NewSource(3)), 60, d)
+	for i := 0; i < rows.Rows(); i++ {
+		if _, err := s.Offer(rows.Row(i)); err != nil {
+			t.Fatal(err)
+		}
+		up, err := s.ResumeUpload()
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := rows.SliceRows(0, i+1)
+		coverr, err := linalg.SpectralNormSym(a.Gram().Sub(up.Rows.Gram()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if coverr > up.Shrinkage+1e-12*a.Frob2() {
+			t.Fatalf("after %d rows: block coverr %.4g above its shipped Shrinkage %.4g", i+1, coverr, up.Shrinkage)
+		}
+	}
+}

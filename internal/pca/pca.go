@@ -25,13 +25,13 @@ func TopKRightSV(a *matrix.Dense, k int) (*matrix.Dense, error) {
 		return nil, err
 	}
 	k = min(k, len(agg.Lambda))
-	v := matrix.New(a.Cols(), k)
-	col := make([]float64, a.Cols())
-	for j := 0; j < k; j++ {
-		agg.Row(col, j, 1)
-		v.SetCol(j, col)
+	vt := matrix.New(k, a.Cols())
+	js, ones := make([]int, k), make([]float64, k)
+	for j := range js {
+		js[j], ones[j] = j, 1
 	}
-	return v, nil
+	agg.Rows(vt, js, ones)
+	return vt.T(), nil
 }
 
 // ProjectionCost returns ‖A − A·V·Vᵀ‖F² for an orthonormal d×k matrix V —

@@ -183,6 +183,13 @@ func (c *Coordinator) handleMessage(ctx context.Context, node distributed.Node, 
 	lastEpoch map[int]int64, known map[int]bool, winPending map[int64]*winPend) {
 	ob := c.cfg.observer()
 	from := msg.From
+	if d := c.cfg.Monitoring.D; msg.Matrix != nil && msg.Matrix.Cols() != d {
+		// A server started with another -d, or a malformed frame: the block
+		// cannot join a d-column sketch. It is dropped uncharged.
+		ob.Note(fmt.Sprintf("dropped %q from server %d: %d columns, want d=%d", msg.Kind, from, msg.Matrix.Cols(), d))
+		msg.Release()
+		return
+	}
 	known[from] = true
 	switch msg.Kind {
 	case KindAnnounce:

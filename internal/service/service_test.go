@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/comm"
 	"repro/internal/distributed"
 	"repro/internal/fd"
 	"repro/internal/linalg"
@@ -668,5 +669,34 @@ func TestConfigValidationService(t *testing.T) {
 	}
 	if _, err := NewServer(cfg, 0, workload.NewDenseSource(matrix.New(3, 4))); err == nil {
 		t.Fatal("server accepted eps 1.5")
+	}
+}
+
+// TestCoordinatorDropsWrongWidthUpload: an upload whose block has another
+// width than the coordinator's d (a server started with another -d, or a
+// malformed frame) is dropped with a note. The daemon keeps serving, and
+// neither /status nor the reported mass moves.
+func TestCoordinatorDropsWrongWidthUpload(t *testing.T) {
+	coord, err := NewCoordinator(testConfig(2, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	known := map[int]bool{}
+	before := *coord.status(known)
+	for _, kind := range []string{KindDelta, KindReplace} {
+		msg := &comm.Message{
+			Kind: kind, From: 0,
+			Matrix:  workload.Gaussian(rand.New(rand.NewSource(1)), 2, 10),
+			Scalars: []float64{5, 0}, Ints: []int64{0},
+		}
+		coord.handleMessage(context.Background(), nil, msg, map[int]int64{}, known, nil)
+	}
+	after := *coord.status(known)
+	before.UptimeSec, after.UptimeSec = 0, 0
+	if after != before || coord.track.ReportedMass() != 0 {
+		t.Fatalf("status %+v after the dropped uploads, want %+v (reported mass %v)", after, before, coord.track.ReportedMass())
+	}
+	if len(known) != 0 {
+		t.Fatalf("the sender of a dropped upload became known: %v", known)
 	}
 }

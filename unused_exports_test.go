@@ -52,7 +52,6 @@ var testOnlyMethods = []string{
 	"distributed.(*MemNetwork).MailboxCapacity", // TestMailboxBackpressure reads the installed capacity
 	"fd.(*WindowSketch).BucketRows",             // window tests check the bucket geometry
 	"fd.(*WindowSketch).LiveBuckets",            // window tests check bucket expiry
-	"linalg.(*EigSym).Reconstruct",              // eigensolver accuracy tests rebuild the input
 	"linalg.(*SVD).Reconstruct",                 // Jacobi oracle accuracy tests rebuild the input
 	"matrix.(*Dense).EqualApprox",               // the tolerance comparison most tests use
 	"matrix.(*Dense).Frob",                      // tests report relative errors in ‖·‖F
