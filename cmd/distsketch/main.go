@@ -151,7 +151,7 @@ func main() {
 		os.Exit(1)
 	}
 	if o.role == roleCheckTrace {
-		// Runs before setupObservability, which would open -trace for writing.
+		// Runs before InstallObserver, which would open -trace for writing.
 		if err := run(context.Background(), o); err != nil {
 			fmt.Fprintln(os.Stderr, "distsketch:", err)
 			os.Exit(1)
@@ -162,10 +162,14 @@ func main() {
 	if o.parallel > 0 {
 		distsketch.SetParallelism(o.parallel)
 	}
-	finish, err := setupObservability(o)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "distsketch:", err)
-		os.Exit(1)
+	// Every runtime layer falls back to the process-wide observer, so
+	// installing it is all the -trace/-metrics/-debug plumbing there is.
+	finish := func() error { return nil }
+	if o.trace != "" || o.metrics != "" || o.debug != "" {
+		if finish, err = distsketch.InstallObserver(o.trace, o.metrics); err != nil {
+			fmt.Fprintln(os.Stderr, "distsketch:", err)
+			os.Exit(1)
+		}
 	}
 	ctx := context.Background()
 	if o.serve {
@@ -224,7 +228,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	fs.BoolVar(&o.serve, "serve", false, "long-lived service mode: daemon servers + HTTP query coordinator")
 	fs.StringVar(&o.policy, "policy", "fd-delta", "service tracking policy: full-sketch, fd-delta, or svs-delta")
 	fs.IntVar(&o.window, "window", 0, "sliding-window size W in rows (0 = windowing off; service mode)")
-	fs.IntVar(&o.windowBuckets, "window-buckets", 4, "sub-sketch buckets per window (service mode)")
+	fs.IntVar(&o.windowBuckets, "window-buckets", 0, "sub-sketch buckets per window (service mode; 0 = the window sketch's default)")
 	fs.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint file (.dskm) for the server's sketch state (service mode)")
 	fs.DurationVar(&o.checkpointEvery, "checkpoint-every", 0, "checkpoint on this timer (service mode; 0 = off)")
 	fs.IntVar(&o.checkpointRows, "checkpoint-rows", 0, "checkpoint every N ingested rows (service mode; 0 = off)")
@@ -290,50 +294,6 @@ func runCheckTrace(_ context.Context, o options) error {
 	return nil
 }
 
-// setupObservability installs the process-wide observer when any of the
-// -trace/-metrics/-debug flags ask for one. Every runtime layer falls back
-// to the default observer, so no further plumbing is needed; the returned
-// finish flushes the trace and writes the metrics snapshot.
-func setupObservability(o options) (finish func() error, err error) {
-	if o.trace == "" && o.metrics == "" && o.debug == "" {
-		return func() error { return nil }, nil
-	}
-	reg := distsketch.NewRegistry()
-	reg.PublishExpvar("distsketch")
-	var tr *distsketch.Tracer
-	if o.trace != "" {
-		tr, err = distsketch.NewTracerFile(o.trace)
-		if err != nil {
-			return nil, err
-		}
-	}
-	distsketch.SetDefaultObserver(distsketch.NewObserver(reg, tr))
-	return func() error {
-		var first error
-		if tr != nil {
-			first = tr.Close()
-		}
-		if o.metrics != "" {
-			out := os.Stdout
-			if o.metrics != "-" {
-				f, err := os.Create(o.metrics)
-				if err != nil {
-					if first == nil {
-						first = err
-					}
-					return first
-				}
-				defer f.Close()
-				out = f
-			}
-			if err := reg.WriteJSON(out); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}, nil
-}
-
 // plan materializes the -topology/-fanout flags for -servers servers. Every
 // role derives the same plan from the same flags, so the processes agree on
 // node IDs, parents, and children without any coordination.
@@ -353,9 +313,6 @@ func (o options) plan() (*distsketch.Plan, error) {
 // in; the same value serves every role. It validates the value, so every
 // role fails on a bad parameter before it opens a socket.
 func (o options) buildProtocol(plan *distsketch.Plan) (distsketch.Protocol, error) {
-	if !plan.IsStar() && o.protocol != "fd" {
-		return nil, fmt.Errorf("protocol %q does not support -topology tree (only fd merges at interior nodes)", o.protocol)
-	}
 	cfg := distsketch.Config{Seed: o.seed, Alpha: o.alpha}
 	if o.wirePrec != "" {
 		p, err := distsketch.ParseWirePrecision(o.wirePrec)

@@ -46,13 +46,18 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sketchbench: unknown format %q\n", *format)
 		os.Exit(1)
 	}
-	finish, err := setupObservability(*trace, *metrics)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sketchbench:", err)
-		os.Exit(1)
+	// Every protocol run the experiments launch reports into the
+	// process-wide observer, so installing it is all the plumbing there is.
+	finish := func() error { return nil }
+	if *trace != "" || *metrics != "" {
+		var err error
+		if finish, err = distsketch.InstallObserver(*trace, *metrics); err != nil {
+			fmt.Fprintln(os.Stderr, "sketchbench:", err)
+			os.Exit(1)
+		}
 	}
 	cfg := bench.Config{Seed: *seed, N: *n, D: *d, S: *s, K: *k, Eps: *eps}
-	err = bench.Write(os.Stdout, strings.ToLower(*experiment), cfg, *format == "csv")
+	err := bench.Write(os.Stdout, strings.ToLower(*experiment), cfg, *format == "csv")
 	if ferr := finish(); err == nil {
 		err = ferr
 	}
@@ -60,47 +65,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sketchbench:", err)
 		os.Exit(1)
 	}
-}
-
-// setupObservability installs a process-wide observer when -trace or
-// -metrics is given; every protocol run the experiments launch reports into
-// it through the default-observer fallback. The returned finish flushes the
-// trace and writes the metrics snapshot.
-func setupObservability(trace, metrics string) (finish func() error, err error) {
-	if trace == "" && metrics == "" {
-		return func() error { return nil }, nil
-	}
-	reg := distsketch.NewRegistry()
-	var tr *distsketch.Tracer
-	if trace != "" {
-		tr, err = distsketch.NewTracerFile(trace)
-		if err != nil {
-			return nil, err
-		}
-	}
-	distsketch.SetDefaultObserver(distsketch.NewObserver(reg, tr))
-	return func() error {
-		var first error
-		if tr != nil {
-			first = tr.Close()
-		}
-		if metrics != "" {
-			out := os.Stdout
-			if metrics != "-" {
-				f, err := os.Create(metrics)
-				if err != nil {
-					if first == nil {
-						first = err
-					}
-					return first
-				}
-				defer f.Close()
-				out = f
-			}
-			if err := reg.WriteJSON(out); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}, nil
 }

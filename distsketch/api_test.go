@@ -5,13 +5,75 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/distsketch"
 )
 
-// TestPublicSurfaceMatchesAPIFile pins the facade's exported identifiers to
-// the committed api.txt, so the public surface cannot grow (or lose a name)
+// facadeTypes holds every exported type of the facade, so the test can
+// reflect over the fields of its structs. The test fails on a type missing
+// here, so the table cannot fall behind the package.
+var facadeTypes = map[string]reflect.Type{
+	"Adaptive":            reflect.TypeFor[distsketch.Adaptive](),
+	"AdaptiveParams":      reflect.TypeFor[distsketch.AdaptiveParams](),
+	"BWZ":                 reflect.TypeFor[distsketch.BWZ](),
+	"Config":              reflect.TypeFor[distsketch.Config](),
+	"CoordinatedProduct":  reflect.TypeFor[distsketch.CoordinatedProduct](),
+	"Dense":               reflect.TypeFor[distsketch.Dense](),
+	"Env":                 reflect.TypeFor[distsketch.Env](),
+	"Estimand":            reflect.TypeFor[distsketch.Estimand](),
+	"FDMerge":             reflect.TypeFor[distsketch.FDMerge](),
+	"FaultNetwork":        reflect.TypeFor[distsketch.FaultNetwork](),
+	"FaultPlan":           reflect.TypeFor[distsketch.FaultPlan](),
+	"Input":               reflect.TypeFor[distsketch.Input](),
+	"LowRankExact":        reflect.TypeFor[distsketch.LowRankExact](),
+	"MemNetwork":          reflect.TypeFor[distsketch.MemNetwork](),
+	"MemOption":           reflect.TypeFor[distsketch.MemOption](),
+	"Message":             reflect.TypeFor[distsketch.Message](),
+	"Meter":               reflect.TypeFor[distsketch.Meter](),
+	"Network":             reflect.TypeFor[distsketch.Network](),
+	"Node":                reflect.TypeFor[distsketch.Node](),
+	"Observer":            reflect.TypeFor[distsketch.Observer](),
+	"PCACombined":         reflect.TypeFor[distsketch.PCACombined](),
+	"PCAParams":           reflect.TypeFor[distsketch.PCAParams](),
+	"Partition":           reflect.TypeFor[distsketch.Partition](),
+	"Plan":                reflect.TypeFor[distsketch.Plan](),
+	"Protocol":            reflect.TypeFor[distsketch.Protocol](),
+	"Registry":            reflect.TypeFor[distsketch.Registry](),
+	"RegistrySnapshot":    reflect.TypeFor[distsketch.RegistrySnapshot](),
+	"Result":              reflect.TypeFor[distsketch.Result](),
+	"Role":                reflect.TypeFor[distsketch.Role](),
+	"RowSampling":         reflect.TypeFor[distsketch.RowSampling](),
+	"RowSource":           reflect.TypeFor[distsketch.RowSource](),
+	"RunOption":           reflect.TypeFor[distsketch.RunOption](),
+	"SVS":                 reflect.TypeFor[distsketch.SVS](),
+	"SamplingFn":          reflect.TypeFor[distsketch.SamplingFn](),
+	"ServiceConfig":       reflect.TypeFor[distsketch.ServiceConfig](),
+	"ServiceCoordinator":  reflect.TypeFor[distsketch.ServiceCoordinator](),
+	"ServiceServer":       reflect.TypeFor[distsketch.ServiceServer](),
+	"ServiceStatus":       reflect.TypeFor[distsketch.ServiceStatus](),
+	"ServiceWindowResult": reflect.TypeFor[distsketch.ServiceWindowResult](),
+	"SketchPCA":           reflect.TypeFor[distsketch.SketchPCA](),
+	"SparseRowSource":     reflect.TypeFor[distsketch.SparseRowSource](),
+	"StragglerPolicy":     reflect.TypeFor[distsketch.StragglerPolicy](),
+	"TCPAggregator":       reflect.TypeFor[distsketch.TCPAggregator](),
+	"TCPCoordinator":      reflect.TypeFor[distsketch.TCPCoordinator](),
+	"TCPOptions":          reflect.TypeFor[distsketch.TCPOptions](),
+	"TCPServer":           reflect.TypeFor[distsketch.TCPServer](),
+	"Topology":            reflect.TypeFor[distsketch.Topology](),
+	"TraceEvent":          reflect.TypeFor[distsketch.TraceEvent](),
+	"Tracer":              reflect.TypeFor[distsketch.Tracer](),
+	"TrackingConfig":      reflect.TypeFor[distsketch.TrackingConfig](),
+	"TrackingPolicy":      reflect.TypeFor[distsketch.TrackingPolicy](),
+	"WirePrecision":       reflect.TypeFor[distsketch.WirePrecision](),
+}
+
+// TestPublicSurfaceMatchesAPIFile pins the facade's exported identifiers,
+// and the exported fields of its struct types, to the committed api.txt, so
+// the public surface cannot grow (or lose a name or a settable field)
 // without the change showing up in review as a diff of that file.
 func TestPublicSurfaceMatchesAPIFile(t *testing.T) {
 	entries, err := os.ReadDir(".")
@@ -50,6 +112,30 @@ func TestPublicSurfaceMatchesAPIFile(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+
+	for name := range got {
+		typ, ok := strings.CutSuffix(name, " type")
+		if !ok {
+			continue
+		}
+		rt := facadeTypes[typ]
+		if rt == nil {
+			t.Fatalf("exported type %s has no entry in facadeTypes; add one", typ)
+		}
+		if rt.Kind() != reflect.Struct {
+			continue
+		}
+		for _, f := range reflect.VisibleFields(rt) {
+			if len(f.Index) == 1 && f.IsExported() {
+				got[typ+"."+f.Name+" field"] = true
+			}
+		}
+	}
+	for typ := range facadeTypes {
+		if !got[typ+" type"] {
+			t.Errorf("facadeTypes lists %s, which the package does not export", typ)
 		}
 	}
 

@@ -1,6 +1,8 @@
 package distsketch
 
 import (
+	"os"
+
 	"repro/internal/distributed"
 	"repro/internal/obs"
 )
@@ -52,3 +54,45 @@ var (
 	// WithObserver attaches an observer to one Run call.
 	WithObserver = distributed.WithObserver
 )
+
+// InstallObserver installs a process-wide observer over a fresh metrics
+// registry, published under the expvar name "distsketch" so a debug
+// endpoint shows it. A non-empty trace names the JSONL trace file. The
+// returned finish closes the trace and, for a non-empty metrics, writes the
+// registry snapshot as JSON to that file ("-" for stdout).
+func InstallObserver(trace, metrics string) (finish func() error, err error) {
+	reg := obs.NewRegistry()
+	reg.PublishExpvar("distsketch")
+	var tr *obs.Tracer
+	if trace != "" {
+		if tr, err = obs.NewTracerFile(trace); err != nil {
+			return nil, err
+		}
+	}
+	obs.SetDefault(obs.NewObserver(reg, tr))
+	return func() error {
+		var first error
+		if tr != nil {
+			first = tr.Close()
+		}
+		if metrics == "" {
+			return first
+		}
+		out := os.Stdout
+		if metrics != "-" {
+			f, err := os.Create(metrics)
+			if err != nil {
+				if first == nil {
+					first = err
+				}
+				return first
+			}
+			defer f.Close()
+			out = f
+		}
+		if err := reg.WriteJSON(out); err != nil && first == nil {
+			first = err
+		}
+		return first
+	}, nil
+}

@@ -53,8 +53,9 @@ type (
 var NewFaultNetwork = distributed.NewFaultNetwork
 
 // TCP transport: a TCPCoordinator listens for s servers; each server
-// process dials in with DialTCPServerContext. TCPOptions adds dial
-// retries with exponential backoff and per-operation read/write deadlines.
+// process dials in with DialTCPServerContext, which retries with
+// exponential backoff; every socket read and write carries the context's
+// deadline. TCPOptions attaches an observer and a debug endpoint.
 // Tree deployments use NewTCPRoot (the root's hub under a Plan),
 // TCPAggregator (interior node: child-facing hub plus parent uplink), and
 // DialTCPUplink (leaf dialing its aggregator).

@@ -15,9 +15,9 @@
 //   - fd                — Frequent Directions streaming sketch (Theorem 1/2)
 //   - core              — the paper's contribution: SVS sampling
 //     (Algorithm 1, Theorems 4–6), Decomp (Lemma 6), the
-//     sketch predicates; coordinated product sampling
-//   - rowsample         — squared-norm row-sampling baseline [10]: streaming
-//     sampler and multinomial split
+//     sketch predicates; coordinated product sampling; the
+//     squared-norm row-sampling baseline [10] (streaming
+//     sampler and multinomial split)
 //   - comm              — word/bit accounting, wire codec, §3.3 quantizer
 //   - distributed       — server/coordinator protocols over channels or TCP,
 //     the one implementation of every algorithm (FD merge,

@@ -15,7 +15,6 @@ import (
 	"repro/internal/lowerbound"
 	"repro/internal/matrix"
 	"repro/internal/pca"
-	"repro/internal/rowsample"
 	"repro/internal/workload"
 )
 
@@ -389,7 +388,7 @@ func StreamingSpace(cfg Config) ([]Row, error) {
 		{
 			Experiment: "F9", Algorithm: "reservoir server (stream)",
 			S: cfg.S, D: cfg.D, K: cfg.K, Eps: cfg.Eps,
-			Words: float64(rowsample.SampleSize(cfg.Eps) * cfg.D),
+			Words: float64(core.SampleSize(cfg.Eps) * cfg.D),
 			OK:    true, Note: "O(1/ε²) rows",
 		},
 		{

@@ -102,7 +102,7 @@ func ProductFrontier(cfg Config) ([]Row, error) {
 			// (4α,0) bounds ‖WᵀW − SᵀS‖₂ ≤ 4α‖W‖F²; the d_A×d_B block has
 			// rank ≤ min(d_A,d_B), so its Frobenius error is bounded by the
 			// spectral bound times √min(d_A,d_B).
-			relBudget := 4 * alpha * wFrob2 * math.Sqrt(float64(minInt(dA, dB))) / scale
+			relBudget := 4 * alpha * wFrob2 * math.Sqrt(float64(min(dA, dB))) / scale
 			rows = append(rows, Row{
 				Experiment: "c1",
 				Algorithm:  fmt.Sprintf("svs [A|B] α=%.3g", alpha),
@@ -253,13 +253,6 @@ func offDiagonalBlock(g *matrix.Dense, dA, dB int) *matrix.Dense {
 		copy(out.Row(i), g.Row(i)[dA:dA+dB])
 	}
 	return out
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // CheckProductHeadline verifies the C1 acceptance claim on a finished

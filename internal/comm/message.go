@@ -48,7 +48,7 @@ const WordBits = 64
 // Message is one protocol message. Any subset of the payload fields may be
 // set; cost accounting covers exactly the fields present.
 type Message struct {
-	// Kind tags the protocol step (e.g. "frob2", "sketch", "pcs").
+	// Kind tags the protocol step (e.g. "frob2", "fd-sketch", "bwz-u").
 	Kind string
 	// From and To are endpoint IDs (CoordinatorID for the coordinator).
 	From, To int

@@ -2,7 +2,8 @@
 // Singular Value Sampling (SVS) sketch (Algorithm 1), the linear and
 // quadratic sampling functions of Theorems 5 and 6, the Decomp split of
 // Lemma 6, and the adaptive (ε,k)-sketch of §3.2 (Theorem 7) that combines
-// local Frequent Directions sketches with SVS on their tails.
+// local Frequent Directions sketches with SVS on their tails, plus the
+// squared-norm row-sampling baseline ([10]) the paper compares against.
 //
 // The algorithms here are the per-server computations; the protocols in
 // internal/distributed orchestrate them across servers with exact

@@ -15,26 +15,17 @@ import (
 type AdaptiveParams struct {
 	Eps           float64
 	K             int
-	Delta         float64
 	Sampling      SamplingFn
 	FinalCompress bool
 }
 
-func (p AdaptiveParams) withDefaults() AdaptiveParams {
-	if p.Delta == 0 {
-		p.Delta = 0.1
-	}
-	return p
-}
+// adaptiveDelta is the failure probability δ the Theorem 7 sketch sizes its
+// SVS tail sample for.
+const adaptiveDelta = 0.1
 
-// check rejects parameters outside the Theorem 7 ranges: ε in (0,1), k ≥ 1
-// (the tail is sampled at α = ε/k), δ in (0,1) with 0 selecting the default.
-func (p AdaptiveParams) check(proto string) error {
-	if err := checkEpsK(proto, p.Eps, p.K, 1); err != nil {
-		return err
-	}
-	return checkUnit(proto, "delta", p.withDefaults().Delta)
-}
+// check rejects parameters outside the Theorem 7 ranges: ε in (0,1) and
+// k ≥ 1 (the tail is sampled at α = ε/k).
+func (p AdaptiveParams) check(proto string) error { return checkEpsK(proto, p.Eps, p.K, 1) }
 
 // Adaptive is the §3.2 / Theorem 7 adaptive (ε,k)-sketch protocol. Expected
 // communication: O(s·d·k + √s·k·d·√log(d/δ)/ε) words plus 2s calibration
@@ -73,7 +64,6 @@ func (p Adaptive) validate() error { return p.AdaptiveParams.check(p.Name()) }
 // whether to ship Q_i (the Adaptive protocol) or to keep it local and run a
 // distributed solve on it (PCACombined — Theorem 9).
 func serverAdaptiveLocal(ctx context.Context, node Node, local workload.RowSource, s int, p AdaptiveParams, cfg Config) (*matrix.Dense, error) {
-	p = p.withDefaults()
 	_, d := local.Dims()
 	// Stream the local rows through FD so the input never materializes,
 	// then split the sketch.
@@ -91,24 +81,20 @@ func serverAdaptiveLocal(ctx context.Context, node Node, local workload.RowSourc
 	if err != nil {
 		return nil, fmt.Errorf("server %d: %w", node.ID(), err)
 	}
-	if err := node.Send(ctx, comm.CoordinatorID, &comm.Message{Kind: "tail-frob2", Scalars: []float64{r.Frob2()}}); err != nil {
-		return nil, err
-	}
-	msg, err := expectKind(ctx, node, "tail-total")
+	tailTotal, err := calibrate(ctx, node, "tail-frob2", "tail-total", r.Frob2())
 	if err != nil {
 		return nil, err
 	}
-	tailTotal := msg.Scalars[0]
 	alpha := p.Eps / float64(p.K)
 	if alpha >= 1 {
 		alpha = 0.999999
 	}
-	g := p.Sampling.Build(s, d, alpha, p.Delta, tailTotal)
+	g := p.Sampling.Build(s, d, alpha, adaptiveDelta, tailTotal)
 	w, err := core.SVS(r, g, cfg.rng(node.ID()))
 	if err != nil {
 		return nil, fmt.Errorf("server %d SVS: %w", node.ID(), err)
 	}
-	cfg.observer().SVSSampled(w.Rows(), minDim(r))
+	cfg.observer().SVSSampled(w.Rows(), min(r.Rows(), r.Cols())) // candidates: r's singular triples
 	return t.Stack(w), nil
 }
 
@@ -125,41 +111,17 @@ func (p Adaptive) Server(ctx context.Context, node Node, in Input) error {
 	return p.Env.Config.sendMatrix(ctx, node, comm.CoordinatorID, "adaptive-sketch", q)
 }
 
-// coordTailRelay performs the coordinator's half of the tail-mass exchange
-// every serverAdaptiveLocal caller needs: gather each server's ‖R_i‖F²,
-// broadcast the sum.
-func coordTailRelay(ctx context.Context, node Node, s int, cfg Config) error {
-	tails, err := gatherAll(ctx, node, s, "tail-frob2", cfg)
-	if err != nil {
-		return err
-	}
-	total := 0.0
-	for _, m := range tails {
-		total += m.Scalars[0]
-	}
-	return broadcast(ctx, node, s, &comm.Message{Kind: "tail-total", Scalars: []float64{total}}, cfg.observer())
-}
-
 // Coordinator implements Protocol: relay the tail-mass total, stack the
 // Q_i, and optionally FD-compress to the optimal O(k/ε) rows.
 func (p Adaptive) Coordinator(ctx context.Context, node Node) (*Result, error) {
 	s, cfg := p.Env.Servers, p.Env.Config
-	if err := coordTailRelay(ctx, node, s, cfg); err != nil {
+	if err := sumRound(ctx, node, s, "tail-frob2", "tail-total", cfg); err != nil {
 		return nil, err
 	}
-	msgs, err := gatherAll(ctx, node, s, "adaptive-sketch", cfg)
+	q, err := gatherStack(ctx, node, s, "adaptive-sketch", cfg)
 	if err != nil {
 		return nil, err
 	}
-	parts := make([]*matrix.Dense, 0, s)
-	for _, msg := range msgs {
-		m, err := recvMatrix(msg)
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, m)
-	}
-	q := matrix.Stack(parts...)
 	if p.FinalCompress {
 		if q, err = fd.SketchEpsK(q, p.Eps, p.K); err != nil {
 			return nil, err

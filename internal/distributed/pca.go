@@ -17,17 +17,11 @@ type PCAParams struct {
 	K int
 	// Eps is the target (1+ε) approximation factor.
 	Eps float64
-	// Delta is the randomized-sketch failure probability (default 0.1).
-	Delta float64
 	// EmbeddingRows overrides the subspace-embedding size m of the batch
 	// solve (default ⌈4k/ε²⌉ capped below by 4k+8 — the theory wants
 	// Θ(k/ε²)). Only tests set it: to force the dense or the sparse
 	// CountSketch wire form, and to size small instances.
 	EmbeddingRows int
-	// Broadcast makes the coordinator send the resulting PCs back to every
-	// server (the O(skd) term that makes the answer common knowledge, per
-	// the discussion under Definition 4).
-	Broadcast bool
 }
 
 // check rejects parameters outside the §4 ranges: k ≥ 1 and ε in (0,1).
@@ -39,9 +33,6 @@ func (p PCAParams) check(proto string) error { return checkEpsK(proto, p.Eps, p.
 func (p PCAParams) withDefaults() PCAParams {
 	if err := p.check("PCA"); err != nil {
 		panic(err.Error())
-	}
-	if p.Delta == 0 {
-		p.Delta = 0.1
 	}
 	if p.EmbeddingRows == 0 {
 		m := int(math.Ceil(4 * float64(p.K) / (p.Eps * p.Eps)))
@@ -56,25 +47,7 @@ func (p PCAParams) withDefaults() PCAParams {
 // adaptive parameterizes the Theorem 7 (ε/2,k)-sketch PCACombined builds
 // first.
 func (p PCAParams) adaptive() AdaptiveParams {
-	p = p.withDefaults()
-	return AdaptiveParams{Eps: p.Eps / 2, K: p.K, Delta: p.Delta}
-}
-
-// coordBroadcastPCs optionally ships the answer to all servers (s·k·d words)
-// so every server knows it, matching the all-servers output model of [5].
-func coordBroadcastPCs(ctx context.Context, node Node, s int, send bool, v *matrix.Dense, cfg Config) error {
-	if !send {
-		return nil
-	}
-	return broadcast(ctx, node, s, &comm.Message{Kind: "pcs", Matrix: v}, cfg.observer())
-}
-
-func serverMaybeRecvPCs(ctx context.Context, node Node, recv bool) error {
-	if !recv {
-		return nil
-	}
-	_, err := expectKind(ctx, node, "pcs")
-	return err
+	return AdaptiveParams{Eps: p.Eps / 2, K: p.K}
 }
 
 // ---------------------------------------------------------------------------
@@ -89,16 +62,13 @@ func serverMaybeRecvPCs(ctx context.Context, node Node, recv bool) error {
 //	SketchPCA{Sketch: Adaptive{…ε/2, k…}, K: k}  // Theorem 9: O(sdk + √s·kd·√log d/ε) words
 //	SketchPCA{Sketch: FDMerge{ε/2, k}, K: k}     // the pre-[5] baseline [22]: O(sdk/ε) words
 //
-// The wrapper sends exactly the inner protocol's messages, plus s·k·d words
-// when Broadcast ships the PCs back to every server (as
-// PCAParams.Broadcast). It owns Env and installs it on the inner protocol,
-// so a TCP caller sets Env once. PCA needs every server's sketch, so a
-// straggler quorum is rejected up front.
+// The wrapper sends exactly the inner protocol's messages. It owns Env and
+// installs it on the inner protocol, so a TCP caller sets Env once. PCA
+// needs every server's sketch, so a straggler quorum is rejected up front.
 type SketchPCA struct {
-	Sketch    Protocol
-	K         int
-	Broadcast bool
-	Env       Env
+	Sketch Protocol
+	K      int
+	Env    Env
 }
 
 // Name implements Protocol: "pca-" plus the inner protocol's name.
@@ -142,13 +112,9 @@ func (p SketchPCA) validate() error {
 	return p.inner().validate()
 }
 
-// Server implements Protocol: the inner server, then (with Broadcast) the
-// PCs.
+// Server implements Protocol: the inner server.
 func (p SketchPCA) Server(ctx context.Context, node Node, in Input) error {
-	if err := p.inner().Server(ctx, node, in); err != nil {
-		return err
-	}
-	return serverMaybeRecvPCs(ctx, node, p.Broadcast)
+	return p.inner().Server(ctx, node, in)
 }
 
 // Coordinator implements Protocol: the inner coordinator, then the top-k
@@ -159,9 +125,6 @@ func (p SketchPCA) Coordinator(ctx context.Context, node Node) (*Result, error) 
 		return nil, err
 	}
 	if res.PCs, err = pca.SketchPCs(res.Sketch, p.K); err != nil {
-		return nil, err
-	}
-	if err := coordBroadcastPCs(ctx, node, p.Env.Servers, p.Broadcast, res.PCs, p.Env.Config); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -195,6 +158,7 @@ func serverBWZSolve(ctx context.Context, node Node, local *matrix.Dense, p PCAPa
 		return err
 	}
 	offset := int(off.Ints[0])
+	off.Release()
 	d := local.Cols()
 	m := p.EmbeddingRows
 	sk := pca.NewCountSketch(cfg.Seed^0x5ca1ab1e, m)
@@ -229,6 +193,7 @@ func serverBWZSolve(ctx context.Context, node Node, local *matrix.Dense, p PCAPa
 		return err
 	}
 	g := u.TMul(y) // k×d
+	uMsg.Release()
 	return cfg.sendMatrix(ctx, node, comm.CoordinatorID, "bwz-g", g)
 }
 
@@ -301,7 +266,11 @@ func coordBWZBody(ctx context.Context, node Node, s, d int, p PCAParams, cfg Con
 		if err != nil {
 			return nil, err
 		}
+		if r, c := mm.Dims(); r != u.Cols() || c != d {
+			return nil, fmt.Errorf("distributed: \"bwz-g\" payload from %d is %d×%d, want %d×%d", msg.From, r, c, u.Cols(), d)
+		}
 		g = g.Add(mm)
+		msg.Release()
 	}
 	return pca.TopKRightSV(g, p.K)
 }
@@ -325,13 +294,18 @@ func gatherEmbedded(ctx context.Context, node Node, s int, kind string, frame *m
 			for i, v := range mm.Data() {
 				dst[i] += v
 			}
+			msg.Release()
 			return nil
 		case kind + "-sparse":
 			mm, err := recvMatrix(msg)
 			if err != nil {
 				return err
 			}
-			return scatterSparse(frame, msg.Ints, mm)
+			if err := scatterSparse(frame, msg.Ints, mm); err != nil {
+				return err
+			}
+			msg.Release()
+			return nil
 		default:
 			return fmt.Errorf("distributed: expected %q message, got %q from %d", kind, msg.Kind, msg.From)
 		}
@@ -366,15 +340,11 @@ func (p BWZ) Server(ctx context.Context, node Node, in Input) error {
 	if err != nil {
 		return err
 	}
-	pp := p.PCAParams.withDefaults()
-	if err := serverBWZSolve(ctx, node, local, pp, p.Env.Config); err != nil {
-		return err
-	}
-	return serverMaybeRecvPCs(ctx, node, pp.Broadcast)
+	return serverBWZSolve(ctx, node, local, p.PCAParams.withDefaults(), p.Env.Config)
 }
 
 // Coordinator implements Protocol: answer the row-count round with each
-// server's global row offset, run the solve, optionally broadcast the PCs.
+// server's global row offset, then run the solve.
 func (p BWZ) Coordinator(ctx context.Context, node Node) (*Result, error) {
 	pp := p.PCAParams.withDefaults()
 	s, cfg := p.Env.Servers, p.Env.Config
@@ -388,12 +358,10 @@ func (p BWZ) Coordinator(ctx context.Context, node Node) (*Result, error) {
 			return nil, err
 		}
 		offset += counts[i].Ints[0]
+		counts[i].Release()
 	}
 	v, err := coordBWZBody(ctx, node, s, p.Env.Dim, pp, cfg)
 	if err != nil {
-		return nil, err
-	}
-	if err := coordBroadcastPCs(ctx, node, s, pp.Broadcast, v, cfg); err != nil {
 		return nil, err
 	}
 	return &Result{PCs: v}, nil
@@ -439,16 +407,13 @@ func (p PCACombined) Server(ctx context.Context, node Node, in Input) error {
 	if err != nil {
 		return err
 	}
-	if err := serverBWZSolve(ctx, node, q, pp, p.Env.Config); err != nil {
-		return err
-	}
-	return serverMaybeRecvPCs(ctx, node, pp.Broadcast)
+	return serverBWZSolve(ctx, node, q, pp, p.Env.Config)
 }
 
 // Coordinator implements Protocol: relay the tail-mass total, then run the
 // BWZ coordinator against the servers' local sketches.
 func (p PCACombined) Coordinator(ctx context.Context, node Node) (*Result, error) {
-	if err := coordTailRelay(ctx, node, p.Env.Servers, p.Env.Config); err != nil {
+	if err := sumRound(ctx, node, p.Env.Servers, "tail-frob2", "tail-total", p.Env.Config); err != nil {
 		return nil, err
 	}
 	return BWZ{PCAParams: p.PCAParams, Env: p.Env}.Coordinator(ctx, node)

@@ -213,26 +213,6 @@ func TestSketchPCAIsInnerPlusOneSVD(t *testing.T) {
 	}
 }
 
-func TestPCABroadcastCost(t *testing.T) {
-	// Broadcast adds exactly s·k·d words.
-	eps, k := 0.25, 2
-	_, parts := pcaInput(8, 240, 12, k, 4)
-	noB, err := Run(context.Background(), fdPCA(eps, k), parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withB := fdPCA(eps, k)
-	withB.Broadcast = true
-	resB, err := Run(context.Background(), withB, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := noB.Words + float64(4*k*12)
-	if resB.Words != want {
-		t.Fatalf("broadcast words = %v, want %v", resB.Words, want)
-	}
-}
-
 // TestPCAParamsValidation: the batch-solve protocols reject k < 1 and ε
 // outside (0,1).
 func TestPCAParamsValidation(t *testing.T) {

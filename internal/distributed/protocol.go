@@ -64,14 +64,19 @@ type Protocol interface {
 	validate() error
 }
 
-// Validate returns the first out-of-range parameter of p — its own fields
-// and the Env.Config options it reads — as an error. RunWorkload calls it
-// before any party goroutine exists; a caller that drives the roles
-// directly over TCP calls it before opening a socket, so a bad parameter is
-// one error line instead of a panic in a half-connected process.
+// Validate returns the first out-of-range parameter of p — its own fields,
+// the Env.Config options it reads, and a tree Env.Topology under a
+// star-only protocol — as an error. RunWorkload calls it before any party
+// goroutine exists; a caller that drives the roles directly over TCP calls
+// it before opening a socket, so a bad parameter is one error line instead
+// of a panic in a half-connected process.
 func Validate(p Protocol) error {
-	if err := p.env().Config.checkQuantStep(p.Name()); err != nil {
+	env := p.env()
+	if err := env.Config.checkQuantStep(p.Name()); err != nil {
 		return err
+	}
+	if _, ok := p.(treeAggregator); !ok && env.Topology != nil && !env.Topology.IsStar() {
+		return errStarOnly(p)
 	}
 	return p.validate()
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/fd"
 	"repro/internal/matrix"
 	"repro/internal/obs"
-	"repro/internal/rowsample"
 )
 
 // Config holds options common to all sketch protocols.
@@ -121,15 +120,6 @@ func recvMatrix(msg *comm.Message) (*matrix.Dense, error) {
 
 func (c Config) rng(serverID int) *rand.Rand {
 	return rand.New(rand.NewSource(c.Seed + int64(serverID) + 1))
-}
-
-// minDim is the number of singular triples of m — the SVS candidate count.
-func minDim(m *matrix.Dense) int {
-	r, c := m.Dims()
-	if r < c {
-		return r
-	}
-	return c
 }
 
 func finish(res *Result, meter *comm.Meter) *Result {
@@ -276,15 +266,10 @@ func (p SVS) Server(ctx context.Context, node Node, in Input) error {
 		return fmt.Errorf("server %d: %w", node.ID(), err)
 	}
 	cfg.observer().RowsIngested(int64(n), sparse)
-	if err := node.Send(ctx, comm.CoordinatorID, &comm.Message{Kind: "frob2", Scalars: []float64{acc.Frob2()}}); err != nil {
-		return err
-	}
-	msg, err := expectKind(ctx, node, "frob2-total")
+	frob2, err := calibrate(ctx, node, "frob2", "frob2-total", acc.Frob2())
 	if err != nil {
 		return err
 	}
-	frob2 := msg.Scalars[0]
-	msg.Release()
 	g := p.Sampling.Build(s, d, alpha, delta, frob2)
 	b, err := core.SVSGram(acc.Gram(), n, g, cfg.rng(node.ID()))
 	if err != nil {
@@ -299,33 +284,12 @@ func (p SVS) Server(ctx context.Context, node Node, in Input) error {
 // arrive), so stragglers are always fail-fast here.
 func (p SVS) Coordinator(ctx context.Context, node Node) (*Result, error) {
 	s, cfg := p.Env.Servers, p.Env.Config
-	masses, err := gatherAll(ctx, node, s, "frob2", cfg)
+	if err := sumRound(ctx, node, s, "frob2", "frob2-total", cfg); err != nil {
+		return nil, err
+	}
+	stacked, err := gatherStack(ctx, node, s, "svs-sketch", cfg)
 	if err != nil {
 		return nil, err
-	}
-	total := 0.0
-	for _, m := range masses {
-		total += m.Scalars[0]
-		m.Release()
-	}
-	if err := broadcast(ctx, node, s, &comm.Message{Kind: "frob2-total", Scalars: []float64{total}}, cfg.observer()); err != nil {
-		return nil, err
-	}
-	sketches, err := gatherAll(ctx, node, s, "svs-sketch", cfg)
-	if err != nil {
-		return nil, err
-	}
-	parts := make([]*matrix.Dense, 0, s)
-	for _, msg := range sketches {
-		m, err := recvMatrix(msg)
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, m)
-	}
-	stacked := matrix.Stack(parts...)
-	for _, msg := range sketches {
-		msg.Release() // Stack copied every part
 	}
 	return &Result{Sketch: stacked}, nil
 }
@@ -361,7 +325,7 @@ func (p RowSampling) validate() error { return checkUnit(p.Name(), "eps", p.Eps)
 //
 // It runs in two streaming passes over the source — pass 1 accumulates
 // ‖A_i‖F² for the calibration round, Reset, pass 2 draws the assigned count
-// of rows with rowsample.SampleStream — so working space is O(count·d)
+// of rows with core.SampleStream — so working space is O(count·d)
 // regardless of the local block's size. Each sampled row is rescaled by
 // 1/√(m·p_global) directly against the global mass.
 func (p RowSampling) Server(ctx context.Context, node Node, in Input) error {
@@ -403,7 +367,7 @@ func (p RowSampling) Server(ctx context.Context, node Node, in Input) error {
 			}
 			return row, ok
 		}
-		out = rowsample.SampleStream(next, d, count, m, frob2, total, cfg.rng(node.ID()))
+		out = core.SampleStream(next, d, count, m, frob2, total, cfg.rng(node.ID()))
 		if err := local.Err(); err != nil {
 			return fmt.Errorf("server %d: %w", node.ID(), err)
 		}
@@ -416,22 +380,19 @@ func (p RowSampling) Server(ctx context.Context, node Node, in Input) error {
 // samples across servers proportionally (multinomially, seeded by
 // Config.Seed), then stack the returned rows.
 func (p RowSampling) Coordinator(ctx context.Context, node Node) (*Result, error) {
-	s, m, cfg := p.Env.Servers, rowsample.SampleSize(p.Eps), p.Env.Config
-	masses, err := gatherAll(ctx, node, s, "mass", cfg)
+	s, m, cfg := p.Env.Servers, core.SampleSize(p.Eps), p.Env.Config
+	vals, err := gatherScalars(ctx, node, s, "mass", cfg)
 	if err != nil {
 		return nil, err
 	}
 	total := 0.0
-	vals := make([]float64, s)
-	for i, msg := range masses {
-		vals[i] = msg.Scalars[0]
-		total += vals[i]
-		msg.Release()
+	for _, v := range vals {
+		total += v
 	}
 	// The proportional split is the same multinomial walk the estimator
-	// uses locally; rowsample.MultinomialSplit handles the rounding and
+	// uses locally; core.MultinomialSplit handles the rounding and
 	// zero-mass edge cases (a hand-rolled copy here used to drop samples).
-	split := rowsample.MultinomialSplit(vals, m, rand.New(rand.NewSource(cfg.Seed)))
+	split := core.MultinomialSplit(vals, m, rand.New(rand.NewSource(cfg.Seed)))
 	counts := make([]int64, s)
 	for i, c := range split {
 		counts[i] = int64(c)
@@ -445,21 +406,9 @@ func (p RowSampling) Coordinator(ctx context.Context, node Node) (*Result, error
 			return nil, err
 		}
 	}
-	rowsMsgs, err := gatherAll(ctx, node, s, "sample-rows", cfg)
+	stacked, err := gatherStack(ctx, node, s, "sample-rows", cfg)
 	if err != nil {
 		return nil, err
-	}
-	parts := make([]*matrix.Dense, 0, s)
-	for _, msg := range rowsMsgs {
-		mm, err := recvMatrix(msg)
-		if err != nil {
-			return nil, err
-		}
-		parts = append(parts, mm)
-	}
-	stacked := matrix.Stack(parts...)
-	for _, msg := range rowsMsgs {
-		msg.Release() // Stack copied every part
 	}
 	return &Result{Sketch: stacked}, nil
 }

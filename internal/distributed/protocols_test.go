@@ -2,8 +2,10 @@ package distributed
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -11,7 +13,6 @@ import (
 	"repro/internal/fd"
 	"repro/internal/linalg"
 	"repro/internal/matrix"
-	"repro/internal/rowsample"
 	"repro/internal/workload"
 )
 
@@ -116,7 +117,7 @@ func TestRunRowSamplingGuarantee(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Exactly m samples come back, each a rescaled positive-norm row.
-		if m := rowsample.SampleSize(eps); res.Sketch.Rows() != m {
+		if m := core.SampleSize(eps); res.Sketch.Rows() != m {
 			t.Fatalf("trial %d: %d of %d samples returned", trial, res.Sketch.Rows(), m)
 		}
 		for r := 0; r < res.Sketch.Rows(); r++ {
@@ -397,6 +398,59 @@ func TestGatherRejectsWrongKind(t *testing.T) {
 	if _, err := gatherAll(context.Background(), net.Coordinator(), 1, "right", Config{}); err == nil {
 		t.Fatal("expected kind mismatch error")
 	}
+}
+
+// TestShortCalibrationFrameFailsItsRound sends SVS's calibration messages
+// without their scalar: a frob2 to the coordinator and a frob2-total to a
+// server. Each party must fail the round with an error that names the
+// sender and the kind. Over TCP such a frame comes off the wire, so a panic
+// on the missing payload would kill the process.
+func TestShortCalibrationFrameFailsItsRound(t *testing.T) {
+	ctx := context.Background()
+	_, parts := split(t, 3, 40, 4, 2)
+	p := SVS{Alpha: 0.2, Delta: 0.1, Env: Env{Servers: 2, Dim: 4}}
+	noPanic := func(t *testing.T, run func() error) (err error) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("panicked instead of returning an error: %v", r)
+			}
+		}()
+		return run()
+	}
+	wantErr := func(t *testing.T, err error, parts ...string) {
+		t.Helper()
+		if err == nil {
+			t.Fatal("expected an error")
+		}
+		for _, part := range parts {
+			if !strings.Contains(err.Error(), part) {
+				t.Fatalf("error %q does not name %s", err, part)
+			}
+		}
+	}
+
+	t.Run("coordinator", func(t *testing.T) {
+		net := NewMemNetwork(2, nil)
+		defer net.Close()
+		go net.Node(0).Send(ctx, comm.CoordinatorID, &comm.Message{Kind: "frob2", Scalars: []float64{parts[0].Frob2()}})
+		go net.Node(1).Send(ctx, comm.CoordinatorID, &comm.Message{Kind: "frob2"})
+		err := noPanic(t, func() error { _, err := p.Coordinator(ctx, net.Coordinator()); return err })
+		wantErr(t, err, `"frob2"`, "from 1")
+	})
+
+	t.Run("server", func(t *testing.T) {
+		net := NewMemNetwork(2, nil)
+		defer net.Close()
+		go func() {
+			if _, err := net.Coordinator().Recv(ctx); err == nil {
+				net.Coordinator().Send(ctx, 0, &comm.Message{Kind: "frob2-total"})
+			}
+		}()
+		in := CovarianceInput(workload.NewDenseSource(parts[0]))
+		err := noPanic(t, func() error { return p.Server(ctx, net.Node(0), in) })
+		wantErr(t, err, `"frob2-total"`, fmt.Sprintf("from %d", comm.CoordinatorID))
+	})
 }
 
 func TestPartitionInvariance(t *testing.T) {

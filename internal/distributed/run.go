@@ -66,8 +66,8 @@ func WithStragglers(pol StragglerPolicy) RunOption {
 // every server reports straight to the coordinator) or Tree(fanout), which
 // interposes aggregator nodes that each merge their subtree's summaries and
 // forward one summary upward. Trees require a protocol whose summaries
-// merge at interior nodes (FDMerge); other protocols reject the option with
-// a descriptive error. Straggler quorums apply per subtree
+// merge at interior nodes (FDMerge); other protocols fail Validate with a
+// descriptive error. Straggler quorums apply per subtree
 // (Plan.SubtreeQuorum), and each aggregation level adds one communication
 // round.
 func WithTopology(t Topology) RunOption {
@@ -181,12 +181,10 @@ func RunWorkload(ctx context.Context, proto Protocol, inputs []Input, opts ...Ru
 		}
 	}
 	if !plan.IsStar() {
-		// The type assertion runs after withEnv: withEnv returns a fresh
-		// protocol value and the aggregator must read the installed Env.
-		ta, ok := proto.(treeAggregator)
-		if !ok {
-			return nil, fmt.Errorf("distributed: protocol %s does not support tree aggregation (it is star-only); drop WithTopology or use fd-merge", proto.Name())
-		}
+		// Validate admitted the tree plan, so proto aggregates. The
+		// assertion runs after withEnv: withEnv returns a fresh protocol
+		// value and the aggregator must read the installed Env.
+		ta := proto.(treeAggregator)
 		for _, id := range plan.Aggregators() {
 			id := id
 			serverFns = append(serverFns, func() error {

@@ -23,27 +23,21 @@ import (
 //
 // Unlike the failure-free model the paper analyses, the transport is built
 // for real networks: dials retry with exponential backoff, every read and
-// write carries a deadline derived from the caller's context (plus the
-// optional per-operation timeouts in TCPOptions), and cancelling the
+// write carries the deadline of the caller's context, and cancelling the
 // context aborts in-flight socket operations.
 
-// TCPOptions tunes the fault-tolerance knobs of the TCP transport. The zero
-// value means "defaults" (see withDefaults).
+// The dial policy: each attempt is bounded by dialTimeout, and a failed
+// dial is retried dialRetries times, pausing retryBackoff before the first
+// retry and twice as long before each further one.
+const (
+	dialTimeout  = 5 * time.Second
+	dialRetries  = 4
+	retryBackoff = 100 * time.Millisecond
+)
+
+// TCPOptions attaches observability to a TCP endpoint. The zero value
+// reports to the process-wide obs.Default() and serves no debug endpoint.
 type TCPOptions struct {
-	// DialTimeout bounds each individual dial attempt (default 5s).
-	DialTimeout time.Duration
-	// DialRetries is how many times a failed dial is retried before giving
-	// up (default 4; set negative for no retries).
-	DialRetries int
-	// RetryBackoff is the initial pause between dial attempts; it doubles
-	// after every failure (default 100ms).
-	RetryBackoff time.Duration
-	// ReadTimeout bounds each message read when the caller's context has no
-	// earlier deadline; 0 means no per-read timeout.
-	ReadTimeout time.Duration
-	// WriteTimeout bounds each message write when the caller's context has
-	// no earlier deadline; 0 means no per-write timeout.
-	WriteTimeout time.Duration
 	// Obs is the observability sink: the endpoint's meter is mirrored into
 	// it (per-message metrics + trace), raw wire bytes are counted, and dial
 	// retries are reported. Nil falls back to the process-wide obs.Default().
@@ -69,37 +63,12 @@ func (o TCPOptions) observer() *obs.Observer {
 	return obs.Default()
 }
 
-func (o TCPOptions) withDefaults() TCPOptions {
-	if o.DialTimeout == 0 {
-		o.DialTimeout = 5 * time.Second
-	}
-	if o.DialRetries == 0 {
-		o.DialRetries = 4
-	}
-	if o.DialRetries < 0 {
-		o.DialRetries = 0
-	}
-	if o.RetryBackoff == 0 {
-		o.RetryBackoff = 100 * time.Millisecond
-	}
-	return o
-}
-
-// ioDeadline arms conn's read or write deadline from ctx and the fallback
-// per-operation timeout, and returns a release function that must run after
-// the operation: it stops the cancellation watcher and clears the deadline.
-func ioDeadline(ctx context.Context, timeout time.Duration, set func(time.Time) error) func() {
-	deadline, ok := ctx.Deadline()
-	if timeout > 0 {
-		if t := time.Now().Add(timeout); !ok || t.Before(deadline) {
-			deadline, ok = t, true
-		}
-	}
-	if ok {
-		set(deadline)
-	} else {
-		set(time.Time{})
-	}
+// ioDeadline arms conn's read or write deadline from ctx and returns a
+// release function that must run after the operation: it stops the
+// cancellation watcher and clears the deadline.
+func ioDeadline(ctx context.Context, set func(time.Time) error) func() {
+	deadline, _ := ctx.Deadline() // the zero time when ctx has none: no deadline
+	set(deadline)
 	// A cancel (not just a deadline) must also abort the blocked syscall:
 	// retract the deadline to the past the moment ctx is done.
 	stop := context.AfterFunc(ctx, func() { set(time.Unix(1, 0)) })
@@ -132,7 +101,6 @@ type TCPCoordinator struct {
 	expect map[int]bool
 	meter  *comm.Meter
 	ln     net.Listener
-	opts   TCPOptions
 	ob     *obs.Observer
 
 	mu    sync.Mutex
@@ -149,9 +117,8 @@ type recvResult struct {
 	err error
 }
 
-// NewTCPCoordinatorOpts listens on addr (e.g. "127.0.0.1:0") for s servers;
-// the zero TCPOptions selects the defaults. Call Accept before running a
-// protocol.
+// NewTCPCoordinatorOpts listens on addr (e.g. "127.0.0.1:0") for s servers.
+// Call Accept before running a protocol.
 func NewTCPCoordinatorOpts(addr string, s int, meter *comm.Meter, opts TCPOptions) (*TCPCoordinator, error) {
 	if s <= 0 {
 		panic(fmt.Sprintf("distributed: TCP coordinator with s=%d", s))
@@ -184,8 +151,7 @@ func newTCPNodeHub(addr string, self int, children []int, meter *comm.Meter, opt
 		expect[id] = true
 	}
 	c := &TCPCoordinator{
-		self: self, expect: expect, meter: meter, ln: ln, opts: opts.withDefaults(),
-		ob:    opts.observer(),
+		self: self, expect: expect, meter: meter, ln: ln, ob: opts.observer(),
 		conns: make(map[int]net.Conn),
 		inbox: make(chan recvResult, 16*len(children)),
 		done:  make(chan struct{}),
@@ -257,7 +223,7 @@ func (c *TCPCoordinator) acceptOne(ctx context.Context) (id int, conn net.Conn, 
 		return 0, nil, true, fmt.Errorf("distributed: accept: %w", err)
 	}
 	conn = countedConn(raw, c.ob)
-	release := ioDeadline(ctx, c.opts.ReadTimeout, conn.SetReadDeadline)
+	release := ioDeadline(ctx, conn.SetReadDeadline)
 	hello, err := comm.Decode(conn)
 	release()
 	if err != nil {
@@ -391,7 +357,7 @@ func (n *tcpCoordNode) Send(ctx context.Context, to int, msg *comm.Message) erro
 	}
 	msg.From, msg.To = n.c.self, to
 	n.c.meter.Record(msg)
-	release := ioDeadline(ctx, n.c.opts.WriteTimeout, conn.SetWriteDeadline)
+	release := ioDeadline(ctx, conn.SetWriteDeadline)
 	defer release()
 	return wrapIOErr(ctx, msg.Encode(conn))
 }
@@ -414,12 +380,11 @@ type TCPServer struct {
 	peer  int
 	meter *comm.Meter
 	conn  net.Conn
-	opts  TCPOptions
 }
 
 // DialTCPServerContext connects server id to the coordinator at addr,
-// retrying failed dials with exponential backoff (opts.DialRetries /
-// opts.RetryBackoff) — servers in a real deployment routinely start before
+// retrying failed dials with exponential backoff (dialRetries,
+// retryBackoff) — servers in a real deployment routinely start before
 // the coordinator's listener is up.
 func DialTCPServerContext(ctx context.Context, addr string, id int, meter *comm.Meter, opts TCPOptions) (*TCPServer, error) {
 	return DialTCPUplink(ctx, addr, id, comm.CoordinatorID, meter, opts)
@@ -433,21 +398,20 @@ func DialTCPUplink(ctx context.Context, addr string, id, parent int, meter *comm
 	if meter == nil {
 		meter = comm.NewMeter()
 	}
-	opts = opts.withDefaults()
 	ob := opts.observer()
 	if ob != nil {
 		meter.SetRecorder(ob)
 	}
 	var conn net.Conn
 	var err error
-	backoff := opts.RetryBackoff
+	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
-		d := net.Dialer{Timeout: opts.DialTimeout}
+		d := net.Dialer{Timeout: dialTimeout}
 		conn, err = d.DialContext(ctx, "tcp", addr)
 		if err == nil {
 			break
 		}
-		if ctx.Err() != nil || attempt >= opts.DialRetries {
+		if ctx.Err() != nil || attempt >= dialRetries {
 			return nil, fmt.Errorf("distributed: dial %s (attempt %d): %w", addr, attempt+1, err)
 		}
 		ob.DialRetry(attempt + 1)
@@ -457,10 +421,10 @@ func DialTCPUplink(ctx context.Context, addr string, id, parent int, meter *comm
 		backoff *= 2
 	}
 	conn = countedConn(conn, ob)
-	srv := &TCPServer{id: id, peer: parent, meter: meter, conn: conn, opts: opts}
+	srv := &TCPServer{id: id, peer: parent, meter: meter, conn: conn}
 	hello := &comm.Message{Kind: "hello", Ints: []int64{int64(id)}}
 	hello.From, hello.To = id, parent
-	release := ioDeadline(ctx, opts.WriteTimeout, conn.SetWriteDeadline)
+	release := ioDeadline(ctx, conn.SetWriteDeadline)
 	err = hello.Encode(conn)
 	release()
 	if err != nil {
@@ -490,7 +454,7 @@ func (s *TCPServer) Send(ctx context.Context, to int, msg *comm.Message) error {
 	}
 	msg.From, msg.To = s.id, to
 	s.meter.Record(msg)
-	release := ioDeadline(ctx, s.opts.WriteTimeout, s.conn.SetWriteDeadline)
+	release := ioDeadline(ctx, s.conn.SetWriteDeadline)
 	defer release()
 	return wrapIOErr(ctx, msg.Encode(s.conn))
 }
@@ -500,7 +464,7 @@ func (s *TCPServer) Recv(ctx context.Context) (*comm.Message, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	release := ioDeadline(ctx, s.opts.ReadTimeout, s.conn.SetReadDeadline)
+	release := ioDeadline(ctx, s.conn.SetReadDeadline)
 	defer release()
 	msg, err := comm.Decode(s.conn)
 	if err != nil {

@@ -30,9 +30,7 @@ type TCPAggregator struct {
 	hub  *TCPCoordinator
 	up   *TCPServer
 
-	parentAddr string
-	meter      *comm.Meter
-	opts       TCPOptions
+	meter *comm.Meter
 }
 
 // NewTCPAggregator starts listening on addr as aggregator id of plan. The
@@ -48,7 +46,7 @@ func NewTCPAggregator(addr string, id int, plan *Plan, meter *comm.Meter, opts T
 	if err != nil {
 		return nil, err
 	}
-	return &TCPAggregator{id: id, plan: plan, hub: hub, meter: meter, opts: opts}, nil
+	return &TCPAggregator{id: id, plan: plan, hub: hub, meter: meter}, nil
 }
 
 // Addr returns the hub's listen address (useful with ":0" listeners).
@@ -58,9 +56,9 @@ func (a *TCPAggregator) Addr() string { return a.hub.Addr() }
 func (a *TCPAggregator) Meter() *comm.Meter { return a.meter }
 
 // DialParent connects the uplink to the parent hub at addr, retrying with
-// backoff per the aggregator's TCPOptions.
+// backoff, and reports to the hub's observer.
 func (a *TCPAggregator) DialParent(ctx context.Context, addr string) error {
-	up, err := DialTCPUplink(ctx, addr, a.id, a.plan.Parent(a.id), a.meter, a.opts)
+	up, err := DialTCPUplink(ctx, addr, a.id, a.plan.Parent(a.id), a.meter, TCPOptions{Obs: a.hub.ob})
 	if err != nil {
 		return err
 	}

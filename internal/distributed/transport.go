@@ -431,17 +431,20 @@ func serverPeers(s int) []int {
 }
 
 // gatherAll receives exactly one message of the given kind from every
-// server, returning them indexed by server ID. Messages of other kinds are
-// an error (protocols are lockstep). The gather is strict: under
-// cfg.Stragglers with a timeout, each receive waits at most the policy's
-// Timeout, and a server that misses it fails the gather with ErrStraggler
-// (reported to the config's observer). The quorum-tolerant gather is
-// fdSubtreeGather.
+// server, returning them indexed by server ID. Messages of other kinds, and
+// control messages of the wrong shape (checkShape), are an error (protocols
+// are lockstep). The gather is strict: under cfg.Stragglers with a timeout,
+// each receive waits at most the policy's Timeout, and a server that misses
+// it fails the gather with ErrStraggler (reported to the config's
+// observer). The quorum-tolerant gather is fdSubtreeGather.
 func gatherAll(ctx context.Context, node Node, s int, kind string, cfg Config) ([]*comm.Message, error) {
 	out := make([]*comm.Message, s)
 	_, err := gatherFrom(ctx, node, cfg, gatherSpec{Label: kind, Peers: serverPeers(s)}, func(msg *comm.Message) error {
 		if msg.Kind != kind {
 			return fmt.Errorf("distributed: expected %q message, got %q from %d", kind, msg.Kind, msg.From)
+		}
+		if err := checkShape(msg); err != nil {
+			return err
 		}
 		out[msg.From] = msg
 		return nil
@@ -482,7 +485,8 @@ func broadcast(ctx context.Context, node Node, s int, msg *comm.Message, ob *obs
 	return nil
 }
 
-// expectKind receives one message and checks its kind.
+// expectKind receives one message and checks its kind and, for a control
+// message, its shape (checkShape).
 func expectKind(ctx context.Context, node Node, kind string) (*comm.Message, error) {
 	msg, err := node.Recv(ctx)
 	if err != nil {
@@ -491,5 +495,111 @@ func expectKind(ctx context.Context, node Node, kind string) (*comm.Message, err
 	if msg.Kind != kind {
 		return nil, fmt.Errorf("distributed: expected %q message, got %q", kind, msg.Kind)
 	}
+	if err := checkShape(msg); err != nil {
+		return nil, err
+	}
 	return msg, nil
+}
+
+// controlShapes holds the number of scalars and ints each control message
+// kind carries; the protocols index those payloads directly.
+var controlShapes = map[string]struct{ scalars, ints int }{
+	"frob2":       {1, 0}, // SVS calibration: ‖A_i‖F², answered by ‖A‖F²
+	"frob2-total": {1, 0},
+	"tail-frob2":  {1, 0}, // adaptive calibration: ‖R_i‖F², answered by Σ‖R_i‖F²
+	"tail-total":  {1, 0},
+	"mass":        {1, 0}, // row sampling: ‖A_i‖F², answered by (‖A‖F²; count_i, m)
+	"sample-plan": {1, 2},
+	"nrows":       {0, 1}, // batch PCA solve: n_i, answered by the global row offset
+	"row-offset":  {0, 1},
+}
+
+// checkShape rejects a control message whose payload does not have its
+// kind's shape. gatherAll and expectKind apply it before handing a message
+// on, so a short frame off the wire fails its round with an error naming
+// the sender instead of panicking the reader on an index.
+func checkShape(msg *comm.Message) error {
+	want, ok := controlShapes[msg.Kind]
+	if ok && (len(msg.Scalars) != want.scalars || len(msg.Ints) != want.ints) {
+		return fmt.Errorf("distributed: %q message from %d carries %d scalars and %d ints, want %d and %d",
+			msg.Kind, msg.From, len(msg.Scalars), len(msg.Ints), want.scalars, want.ints)
+	}
+	return nil
+}
+
+// releaseAll recycles gathered messages' pooled buffers (a no-op off the
+// socket transport) once their payloads are consumed.
+func releaseAll(msgs []*comm.Message) {
+	for _, msg := range msgs {
+		msg.Release()
+	}
+}
+
+// gatherScalars gathers the one scalar every server sends as kind, indexed
+// by server ID.
+func gatherScalars(ctx context.Context, node Node, s int, kind string, cfg Config) ([]float64, error) {
+	msgs, err := gatherAll(ctx, node, s, kind, cfg)
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]float64, s)
+	for i, msg := range msgs {
+		vals[i] = msg.Scalars[0]
+	}
+	releaseAll(msgs)
+	return vals, nil
+}
+
+// sumRound is the coordinator's half of a calibration round: gather one
+// scalar of kind from every server and broadcast their sum, added in server
+// order so the total does not depend on arrival order, as totalKind.
+func sumRound(ctx context.Context, node Node, s int, kind, totalKind string, cfg Config) error {
+	vals, err := gatherScalars(ctx, node, s, kind, cfg)
+	if err != nil {
+		return err
+	}
+	total := 0.0
+	for _, v := range vals {
+		total += v
+	}
+	return broadcast(ctx, node, s, &comm.Message{Kind: totalKind, Scalars: []float64{total}}, cfg.observer())
+}
+
+// calibrate is a server's half of a calibration round (sumRound): send the
+// local value as kind and return the total the coordinator answers with.
+func calibrate(ctx context.Context, node Node, kind, totalKind string, local float64) (float64, error) {
+	if err := node.Send(ctx, comm.CoordinatorID, &comm.Message{Kind: kind, Scalars: []float64{local}}); err != nil {
+		return 0, err
+	}
+	msg, err := expectKind(ctx, node, totalKind)
+	if err != nil {
+		return 0, err
+	}
+	total := msg.Scalars[0]
+	msg.Release()
+	return total, nil
+}
+
+// gatherStack gathers one matrix of kind from every server and stacks them
+// in server order. Parts with columns must agree on how many.
+func gatherStack(ctx context.Context, node Node, s int, kind string, cfg Config) (*matrix.Dense, error) {
+	msgs, err := gatherAll(ctx, node, s, kind, cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer releaseAll(msgs) // Stack copies every part
+	parts := make([]*matrix.Dense, s)
+	cols := 0
+	for i, msg := range msgs {
+		if parts[i], err = recvMatrix(msg); err != nil {
+			return nil, err
+		}
+		if c := parts[i].Cols(); c > 0 {
+			if cols > 0 && c != cols {
+				return nil, fmt.Errorf("distributed: %q message from %d has %d columns, want %d", kind, i, c, cols)
+			}
+			cols = c
+		}
+	}
+	return matrix.Stack(parts...), nil
 }

@@ -14,9 +14,14 @@ import (
 // at intermediate nodes and can therefore run under a tree Topology.
 // Aggregate is the role of one aggregator: gather the child summaries,
 // merge, forward one summary to the parent. Protocols without it are
-// star-only and WithTopology(Tree(f)) rejects them up front.
+// star-only, and Validate rejects them under a tree topology.
 type treeAggregator interface {
 	Aggregate(ctx context.Context, node Node, plan *Plan) error
+}
+
+// errStarOnly is the error for a tree run of a star-only protocol.
+func errStarOnly(p Protocol) error {
+	return fmt.Errorf("distributed: protocol %s does not support tree aggregation (it is star-only: only fd-merge merges summaries at interior nodes)", p.Name())
 }
 
 // AggregateTree runs proto's aggregator role on node under plan — the entry
@@ -25,7 +30,7 @@ type treeAggregator interface {
 func AggregateTree(ctx context.Context, proto Protocol, node Node, plan *Plan) error {
 	ta, ok := proto.(treeAggregator)
 	if !ok {
-		return fmt.Errorf("distributed: protocol %s does not support tree aggregation (it is star-only)", proto.Name())
+		return errStarOnly(proto)
 	}
 	return ta.Aggregate(ctx, node, plan)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -37,7 +38,8 @@ func (s touchedSource) Reset() error {
 // inner sketch's ε, a straggler quorum (PCA needs every server), k = 0, a
 // tree topology, a nil sketch and a product protocol as the sketch. The
 // last rows pass a quantization step that is 0, negative, NaN or infinite,
-// which the quantizer inside a server's send would panic on.
+// which the quantizer inside a server's send would panic on. The checks
+// after the rows call Validate directly, as a role-by-role TCP caller does.
 func TestIllegalParamsFailInCaller(t *testing.T) {
 	a, parts := split(t, 71, 60, 8, 3)
 	var touched atomic.Bool
@@ -109,12 +111,21 @@ func TestIllegalParamsFailInCaller(t *testing.T) {
 			}
 		})
 	}
-	// Role-by-role callers install Config on the Env themselves; Validate
-	// must reject the same steps there.
+	// Role-by-role callers install Config and Topology on the Env
+	// themselves; Validate must reject the same steps there, and a tree
+	// plan under a star-only protocol.
 	for _, step := range []float64{-1e-3, math.NaN(), math.Inf(1)} {
 		p := FDMerge{Eps: 0.3, K: 1, Env: Env{Servers: 3, Dim: 8, Config: Config{QuantStep: step}}}
 		if err := Validate(p); err == nil {
 			t.Errorf("Validate accepted quantization step %v", step)
 		}
+	}
+	tree, err := Tree(2).Plan(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svs := SVS{Alpha: 0.2, Delta: 0.1, Env: Env{Servers: 4, Dim: 8, Topology: tree}}
+	if err := Validate(svs); err == nil || !strings.Contains(err.Error(), "does not support tree aggregation") {
+		t.Errorf("Validate(SVS under %s) = %v, want a star-only error", tree, err)
 	}
 }

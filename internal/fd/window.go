@@ -39,9 +39,13 @@ type winBucket struct {
 	sk    *Sketch
 }
 
+// defaultWindowBuckets is the bucket count NewWindow picks for
+// numBuckets <= 0.
+const defaultWindowBuckets = 4
+
 // NewWindow returns a sliding-window sketch over the last window rows,
-// split into numBuckets bucketed sub-sketches (numBuckets <= 0 selects 8,
-// clamped so buckets hold at least one row). opts.Alpha may be any legal
+// split into numBuckets bucketed sub-sketches (numBuckets <= 0 selects
+// defaultWindowBuckets, clamped so buckets hold at least one row). opts.Alpha may be any legal
 // α: query-time bucket merging rests on FD mergeability, which holds at
 // every α.
 func NewWindow(d, ell, window, numBuckets int, opts Options) (*WindowSketch, error) {
@@ -55,7 +59,7 @@ func NewWindow(d, ell, window, numBuckets int, opts Options) (*WindowSketch, err
 		return nil, fmt.Errorf("fd: window sketch: %w", err)
 	}
 	if numBuckets <= 0 {
-		numBuckets = 8
+		numBuckets = defaultWindowBuckets
 	}
 	if numBuckets > window {
 		numBuckets = window

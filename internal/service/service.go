@@ -60,7 +60,8 @@ type Config struct {
 	// coordinator's /window endpoint, which pulls a snapshot round from
 	// the servers. Zero disables windowing.
 	Window int
-	// WindowBuckets is the number of sub-sketch buckets (0 = default 8).
+	// WindowBuckets is the number of sub-sketch buckets (0 = fd.NewWindow's
+	// default).
 	// More buckets mean finer expiry granularity at more merge work.
 	WindowBuckets int
 
