@@ -206,6 +206,13 @@ func (p LowRankExact) Coordinator(ctx context.Context, node Node) (*Result, erro
 	}); err != nil {
 		return nil, err
 	}
+	for i := 0; i < s; i++ {
+		// Q_i⁺·Y_i·Q_i⁺ᵀ needs Q_i r×d and Y_i r×r.
+		if r := qs[i].Rows(); qs[i].Cols() != d || ys[i].Rows() != r || ys[i].Cols() != r {
+			return nil, fmt.Errorf("distributed: server %d sent a %d×%d \"lr-q\" and a %d×%d \"lr-y\", want r×%d and r×r",
+				i, r, qs[i].Cols(), ys[i].Rows(), ys[i].Cols(), d)
+		}
+	}
 	gram := matrix.New(d, d)
 	for i := 0; i < s; i++ {
 		if qs[i].Rows() == 0 {

@@ -50,7 +50,7 @@ func AggregateTree(ctx context.Context, proto Protocol, node Node, plan *Plan) e
 // them (mergePair always allocates), but a single part passes through
 // fd.MergeCanonical by reference, so callers must skip release in that
 // case and let the GC reclaim the message.
-func fdSubtreeGather(ctx context.Context, node Node, plan *Plan, cfg Config) (parts []*matrix.Dense, missing []int, release func(), err error) {
+func fdSubtreeGather(ctx context.Context, node Node, plan *Plan, d int, cfg Config) (parts []*matrix.Dense, missing []int, release func(), err error) {
 	self := node.ID()
 	children := plan.Children(self)
 	byChild := make(map[int]*comm.Message, len(children))
@@ -94,6 +94,9 @@ func fdSubtreeGather(ctx context.Context, node Node, plan *Plan, cfg Config) (pa
 		if err != nil {
 			return nil, nil, nil, err
 		}
+		if m.Cols() != d {
+			return nil, nil, nil, fmt.Errorf("distributed: %q message from %d has %d columns, want %d", msg.Kind, c, m.Cols(), d)
+		}
 		parts = append(parts, m)
 	}
 	sort.Ints(missing)
@@ -112,7 +115,7 @@ func fdSubtreeGather(ctx context.Context, node Node, plan *Plan, cfg Config) (pa
 // power-of-two groups (see fd.MergeCanonical), the result is bit-identical
 // across star and every power-of-two fan-out.
 func coordFDGather(ctx context.Context, node Node, plan *Plan, d, ell int, cfg Config) (*matrix.Dense, []int, error) {
-	parts, missing, release, err := fdSubtreeGather(ctx, node, plan, cfg)
+	parts, missing, release, err := fdSubtreeGather(ctx, node, plan, d, cfg)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -292,5 +293,32 @@ func TestExtremeScales(t *testing.T) {
 		if diff := got.Scale(1 / scale).Sub(want).Frob(); diff > 1e-12*want.Frob() {
 			t.Fatalf("scale %g: ‖B/scale − B₁‖F = %.3e, above 1e-12·‖B₁‖F = %.3e", scale, diff, 1e-12*want.Frob())
 		}
+	}
+}
+
+// BenchmarkShrink times one shrink of a full 2ℓ-row buffer at the shapes
+// of the reference workloads: fd-dense-mem (d=256), fd-sparse-tcp-tree
+// (d=512) and the service (d=64). The buffer refill is not timed.
+func BenchmarkShrink(b *testing.B) {
+	for _, shape := range []struct{ d, ell int }{{256, 88}, {512, 88}, {64, 40}} {
+		b.Run(fmt.Sprintf("d=%d/ell=%d", shape.d, shape.ell), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(shape.d)))
+			rows := workload.Gaussian(rng, 4*shape.ell, shape.d)
+			s := New(shape.d, shape.ell, Options{})
+			next := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for s.used < s.bufferRows {
+					s.buf.SetRow(s.used, rows.Row(next%rows.Rows()))
+					s.used++
+					next++
+				}
+				b.StartTimer()
+				if err := s.shrink(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -237,8 +237,8 @@ func jacobiRotatePair(w, vt *matrix.Dense, p, q int, negligible2 float64) bool {
 	t := math.Copysign(1, zeta) / (math.Abs(zeta) + math.Sqrt(1+zeta*zeta))
 	c := 1 / math.Sqrt(1+t*t)
 	s := c * t
-	rotateRows(wp, wq, c, s)
-	rotateRows(vt.Row(p), vt.Row(q), c, s)
+	matrix.RotateVec(wp, wq, c, s)
+	matrix.RotateVec(vt.Row(p), vt.Row(q), c, s)
 	return true
 }
 
@@ -256,16 +256,6 @@ func dropNegligible(v []float64, thresh2 float64) bool {
 		return true
 	}
 	return false
-}
-
-// rotateRows applies the Givens rotation [c −s; s c] to the row pair (x, y):
-// x' = c·x − s·y, y' = s·x + c·y.
-func rotateRows(x, y []float64, c, s float64) {
-	for i := range x {
-		xi, yi := x[i], y[i]
-		x[i] = c*xi - s*yi
-		y[i] = s*xi + c*yi
-	}
 }
 
 // SingularValues returns the singular values of a in non-increasing order.

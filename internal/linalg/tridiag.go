@@ -107,7 +107,7 @@ func (e *symEig) vectors(z *matrix.Dense, js []int) {
 		for q := k - 1; q >= 0; q-- {
 			c, s := decodeRot(e.rot[end+q])
 			i := (top - q) * w
-			rotateRows(y[i:i+w], y[i+w:i+2*w], c, -s)
+			matrix.RotateVec(y[i:i+w], y[i+w:i+2*w], c, -s)
 		}
 	}
 	ad := e.a.Data()
@@ -119,10 +119,10 @@ func (e *symEig) vectors(z *matrix.Dense, js []int) {
 		u := ad[i*m : i*m+i]
 		clear(t)
 		for k, uk := range u {
-			axpy(t, uk, y[k*w:(k+1)*w])
+			matrix.AxpyVec(t, uk, y[k*w:(k+1)*w])
 		}
 		for k, uk := range u {
-			axpy(y[k*w:(k+1)*w], -uk/h, t)
+			matrix.AxpyVec(y[k*w:(k+1)*w], -uk/h, t)
 		}
 	}
 	zd := z.Data()
@@ -198,28 +198,30 @@ func tridiagonalize(a *matrix.Dense) (diag, off, h []float64) {
 				off[i] = scale * g
 				hi -= f * g
 				ri[l] = f - g
+				// p = A·u/h into off[:i] by rows of the lower triangle:
+				// row j's dot with u seeds p_j, then u_j·row j adds the
+				// upper part of column j to every p_k, k < j. Each p_k sums
+				// a_kk'·u_k' in ascending k', as a column walk would.
+				for j := 0; j <= l; j++ {
+					rj := ad[j*n : j*n+j+1]
+					off[j] = matrix.Dot(rj, ri[:j+1])
+					matrix.AxpyVec(off[:j], ri[j], rj[:j])
+				}
 				f = 0
 				for j := 0; j <= l; j++ {
-					g := 0.0
-					rj := ad[j*n : j*n+j+1]
-					for k, v := range rj {
-						g += v * ri[k]
-					}
-					for k := j + 1; k <= l; k++ {
-						g += ad[k*n+j] * ri[k]
-					}
-					off[j] = g / hi
+					off[j] /= hi
 					f += off[j] * ri[j]
 				}
 				hh := f / (hi + hi)
+				// A −= u·qᵀ + q·uᵀ for q = p − hh·u, as two axpys per row:
+				// a + (−f)·o is a − f·o in IEEE arithmetic.
 				for j := 0; j <= l; j++ {
 					f := ri[j]
 					g := off[j] - hh*f
 					off[j] = g
 					rj := ad[j*n : j*n+j+1]
-					for k := range rj {
-						rj[k] = rj[k] - f*off[k] - g*ri[k]
-					}
+					matrix.AxpyVec(rj, -f, off[:j+1])
+					matrix.AxpyVec(rj, -g, ri[:j+1])
 				}
 			}
 		} else {
@@ -232,14 +234,6 @@ func tridiagonalize(a *matrix.Dense) (diag, off, h []float64) {
 		diag[i] = ad[i*n+i]
 	}
 	return diag, off, h
-}
-
-// axpy sets y += a·x.
-func axpy(y []float64, a float64, x []float64) {
-	x = x[:len(y)]
-	for i, v := range x {
-		y[i] += a * v
-	}
 }
 
 // qlImplicit runs the implicit-shift QL iteration on a tridiagonal matrix
@@ -394,7 +388,7 @@ func (f *RightFactor) Factor(a *matrix.Dense) error {
 	if n >= d {
 		return f.fromGram(f.buf.Gram(), n, nil)
 	}
-	return f.fromGram(f.buf.MulT(&f.buf), n, &f.buf)
+	return f.fromGram(f.buf.RowGramLower(), n, &f.buf)
 }
 
 // FactorGram computes agg(A) for an A with n rows known only through its

@@ -23,8 +23,24 @@ func axpy4(dst, r0, r1, r2, r3 []float64, v0, v1, v2, v3 float64) {
 	axpy4Generic(dst, r0, r1, r2, r3, v0, v1, v2, v3)
 }
 
+// axpy4Exact is axpy4 with every product rounded before it is added: four
+// AxpyVec calls in row order r0→r3, bit for bit on every path, with one
+// pass over dst. On amd64 with AVX it runs a 4-lane multiply-then-add
+// kernel, elsewhere axpy4Generic.
+func axpy4Exact(dst, r0, r1, r2, r3 []float64, v0, v1, v2, v3 float64) {
+	if len(dst) == 0 {
+		return
+	}
+	if simdEnabled {
+		axpy4ExactSIMD(dst, r0, r1, r2, r3, v0, v1, v2, v3)
+		return
+	}
+	axpy4Generic(dst, r0, r1, r2, r3, v0, v1, v2, v3)
+}
+
 // axpy4Generic is the portable micro-kernel. Exactly one multiply and one
-// add per product, chained r0→r3 per entry.
+// add per product, chained r0→r3 per entry; the conversions round each
+// product, so no compiler fuses it into the add.
 func axpy4Generic(dst, r0, r1, r2, r3 []float64, v0, v1, v2, v3 float64) {
 	if len(dst) == 0 {
 		return
@@ -35,10 +51,10 @@ func axpy4Generic(dst, r0, r1, r2, r3 []float64, v0, v1, v2, v3 float64) {
 	_ = r3[len(dst)-1]
 	for j := range dst {
 		t := dst[j]
-		t += v0 * r0[j]
-		t += v1 * r1[j]
-		t += v2 * r2[j]
-		t += v3 * r3[j]
+		t += float64(v0 * r0[j])
+		t += float64(v1 * r1[j])
+		t += float64(v2 * r2[j])
+		t += float64(v3 * r3[j])
 		dst[j] = t
 	}
 }

@@ -21,6 +21,20 @@ func axpy4AVX(dst, r0, r1, r2, r3 *float64, n int, v *[4]float64)
 //go:noescape
 func gramGroup4AVX(out, rows *float64, d, lo, hi int)
 
+// axpyAVX and rotAVX are the exact (FMA-free) vector kernels in
+// axpy_amd64.s behind AxpyVec and RotateVec. n must be > 0.
+//
+//go:noescape
+func axpyAVX(y, x *float64, n int, a float64)
+
+//go:noescape
+func rotAVX(x, y *float64, n int, c, s float64)
+
+// axpy4ExactAVX is axpy4AVX with VMULPD+VADDPD in place of the FMA.
+//
+//go:noescape
+func axpy4ExactAVX(dst, r0, r1, r2, r3 *float64, n int, v *[4]float64)
+
 // simdAvailable is true when the CPU and OS support the AVX+FMA kernel:
 // CPUID.1:ECX must advertise FMA, OSXSAVE and AVX, and XCR0 must show the
 // OS saves XMM+YMM state on context switch.
@@ -46,4 +60,22 @@ func axpy4SIMD(dst, r0, r1, r2, r3 []float64, v0, v1, v2, v3 float64) {
 	_ = r3[n-1]
 	v := [4]float64{v0, v1, v2, v3}
 	axpy4AVX(&dst[0], &r0[0], &r1[0], &r2[0], &r3[0], n, &v)
+}
+
+func axpySIMD(y, x []float64, a float64) {
+	axpyAVX(&y[0], &x[0], len(y), a)
+}
+
+func rotSIMD(x, y []float64, c, s float64) {
+	rotAVX(&x[0], &y[0], len(x), c, s)
+}
+
+func axpy4ExactSIMD(dst, r0, r1, r2, r3 []float64, v0, v1, v2, v3 float64) {
+	n := len(dst)
+	_ = r0[n-1]
+	_ = r1[n-1]
+	_ = r2[n-1]
+	_ = r3[n-1]
+	v := [4]float64{v0, v1, v2, v3}
+	axpy4ExactAVX(&dst[0], &r0[0], &r1[0], &r2[0], &r3[0], n, &v)
 }

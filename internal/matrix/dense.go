@@ -385,6 +385,17 @@ func (m *Dense) MulT(b *Dense) *Dense {
 	return out
 }
 
+// RowGramLower returns the lower triangle of m · mᵀ, the Gram of m's rows,
+// with the strict upper triangle left zero: each entry is bit-identical to
+// the same entry of m.MulT(m), for half the work.
+func (m *Dense) RowGramLower() *Dense {
+	out := New(m.rows, m.rows)
+	parallel.For(m.rows, parallel.Grain(m.cols*m.rows), func(lo, hi int) {
+		rowGramLowerRange(out, m, lo, hi)
+	})
+	return out
+}
+
 // Add returns m + b.
 func (m *Dense) Add(b *Dense) *Dense {
 	m.sameDims(b, "Add")

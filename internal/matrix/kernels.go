@@ -20,13 +20,16 @@ package matrix
 //     the width-invariance promises of dense.go are preserved: blocking
 //     changes which entries are computed together, not how any single
 //     entry is summed.
-//   - No kernel allocates beyond its output: rows are read in place (no
-//     packing buffers), which keeps the Gram steady path alloc-flat (see
-//     BenchmarkGram and the CI alloc smoke).
+//   - No blocked kernel allocates beyond its output: rows are read in
+//     place (no packing buffers), which keeps the Gram steady path
+//     alloc-flat (see BenchmarkGram and the CI alloc smoke).
 //
 // MulT and MulVec are dot-shaped (both operands stream contiguously along
 // the summation dimension), where folding rows buys nothing: they keep
 // per-row dot loops, unrolled four output rows per pass to share streams.
+// RowGramLower, the eigen route's half of m·mᵀ, is the exception: it packs
+// four columns at a time into a transposed panel, so that it can fold them
+// with axpy4Exact and still sum each entry exactly as MulT does.
 
 const (
 	// groupRows is the micro-kernel depth: axpy4 folds this many input
@@ -185,6 +188,37 @@ func mulTRange(out, m, b *Dense, lo, hi int) {
 		}
 		for ; j < n; j++ {
 			oi[j] = Dot(mi, bd[j*kk:(j+1)*kk])
+		}
+	}
+}
+
+// rowGramLowerRange computes rows [lo, hi) of the lower triangle of
+// out = m·mᵀ, axpy-shaped: each pass copies four columns of m's rows
+// [0, hi) into a transposed panel and folds them into every output row
+// with axpy4Exact. Entry (i, j) is then 0 + m_i0·m_j0 + m_i1·m_j1 + … in
+// ascending k with every product rounded, which is MulT's dot bit for bit.
+func rowGramLowerRange(out, m *Dense, lo, hi int) {
+	kk, n := m.cols, m.rows
+	md, od := m.data, out.data
+	panel := make([]float64, groupRows*hi)
+	p0, p1, p2, p3 := panel[:hi], panel[hi:2*hi], panel[2*hi:3*hi], panel[3*hi:]
+	k := 0
+	for ; k+groupRows <= kk; k += groupRows {
+		for j := 0; j < hi; j++ {
+			c := md[j*kk+k : j*kk+k+groupRows]
+			p0[j], p1[j], p2[j], p3[j] = c[0], c[1], c[2], c[3]
+		}
+		for i := lo; i < hi; i++ {
+			c := md[i*kk+k : i*kk+k+groupRows]
+			axpy4Exact(od[i*n:i*n+i+1], p0[:i+1], p1[:i+1], p2[:i+1], p3[:i+1], c[0], c[1], c[2], c[3])
+		}
+	}
+	for ; k < kk; k++ {
+		for j := 0; j < hi; j++ {
+			p0[j] = md[j*kk+k]
+		}
+		for i := lo; i < hi; i++ {
+			AxpyVec(od[i*n:i*n+i+1], md[i*kk+k], p0[:i+1])
 		}
 	}
 }

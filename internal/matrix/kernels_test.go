@@ -167,6 +167,27 @@ func TestKernelsGenericPathMatches(t *testing.T) {
 	relTol(t, "Mul(generic)", m.Mul(k), RefMul(m, k), 1e-13)
 }
 
+// TestRowGramLowerMatchesMulT: each lower-triangle entry is MulT's dot bit
+// for bit, across row counts that end mid-group, and the strict upper
+// triangle stays zero.
+func TestRowGramLowerMatchesMulT(t *testing.T) {
+	for _, n := range []int{0, 1, 3, 4, 7, 33} {
+		m := kernelRand(n, 19, int64(n))
+		got, want := m.RowGramLower(), m.MulT(m)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				w := want.At(i, j)
+				if j > i {
+					w = 0
+				}
+				if g := got.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("n=%d (%d,%d): %v, want %v", n, i, j, g, w)
+				}
+			}
+		}
+	}
+}
+
 // TestGramSymmetric: the mirrored lower triangle must equal the computed
 // upper triangle exactly (it is copied, not recomputed).
 func TestGramSymmetric(t *testing.T) {

@@ -34,15 +34,65 @@ func ScaleVec(x []float64, c float64) []float64 {
 	return x
 }
 
-// AxpyVec computes y += a·x in place and returns y.
+// AxpyVec computes y += a·x in place and returns y. Each entry is one
+// multiply and one add, each rounded, never fused: the 4-lane SIMD kernel
+// and the portable loop give the same bits (see RotateVec).
 func AxpyVec(y []float64, a float64, x []float64) []float64 {
 	if len(x) != len(y) {
 		panic("matrix: Axpy length mismatch")
 	}
-	for i, v := range x {
-		y[i] += a * v
+	if len(y) == 0 {
+		return y
+	}
+	if simdEnabled {
+		axpySIMD(y, x, a)
+	} else {
+		axpyGeneric(y, x, a)
 	}
 	return y
+}
+
+// RotateVec applies the Givens rotation [c −s; s c] to the pair (x, y) in
+// place: x_i, y_i = c·x_i − s·y_i, s·x_i + c·y_i. x and y must have equal
+// length and not overlap.
+//
+// RotateVec and AxpyVec are the exact kernels of the eigen route (the
+// Householder reduction, the QL replay and the back-transform). Every
+// product is rounded before it is added, on the 4-lane AVX path and on the
+// portable one alike, so an entry's bits depend on neither the ISA nor the
+// lane it lands in. The blocked kernels (axpy4, Mul, Gram) fuse instead.
+func RotateVec(x, y []float64, c, s float64) {
+	if len(x) != len(y) {
+		panic("matrix: Rotate length mismatch")
+	}
+	if len(x) == 0 {
+		return
+	}
+	if simdEnabled {
+		rotSIMD(x, y, c, s)
+	} else {
+		rotGeneric(x, y, c, s)
+	}
+}
+
+// axpyGeneric is AxpyVec's portable loop. The explicit conversion rounds
+// the product, so no compiler fuses it into the add.
+func axpyGeneric(y, x []float64, a float64) {
+	x = x[:len(y)]
+	for i, v := range x {
+		y[i] += float64(a * v)
+	}
+}
+
+// rotGeneric is RotateVec's portable loop, rounding every product as
+// axpyGeneric does.
+func rotGeneric(x, y []float64, c, s float64) {
+	y = y[:len(x)]
+	for i, xi := range x {
+		yi := y[i]
+		x[i] = float64(c*xi) - float64(s*yi)
+		y[i] = float64(s*xi) + float64(c*yi)
+	}
 }
 
 // Normalize scales x to unit Euclidean norm in place and returns its original

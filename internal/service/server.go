@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/comm"
@@ -247,6 +248,11 @@ func (s *Server) Run(ctx context.Context, uplink *distributed.TCPServer) error {
 			case <-t.C:
 			}
 		}
+		// Ingest never blocks. When servers share a process with the
+		// coordinator, a yield per row keeps the coordinator's loop and its
+		// HTTP queries from waiting out whole time slices behind them;
+		// without it the coordinator falls behind the uploads.
+		runtime.Gosched()
 	}
 }
 
