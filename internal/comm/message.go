@@ -157,6 +157,132 @@ func (m *Message) Release() {
 	msgPool.Put(m)
 }
 
+// Schema is the wire format of every message kind, the one place a
+// payload's shape is declared. CheckShape applies it where a message
+// reaches a role, so the code past that point indexes Scalars and Ints and
+// combines matrices unchecked. Rules on values, and the one rule across
+// messages (LowRankExact's lr-y is r×r for lr-q's r rows), stay with the
+// code that reads them.
+var Schema = map[string]Shape{
+	// Control rounds and the TCP handshake.
+	"frob2":       {Scalars: 1},
+	"frob2-total": {Scalars: 1},
+	"tail-frob2":  {Scalars: 1},
+	"tail-total":  {Scalars: 1},
+	"mass":        {Scalars: 1},
+	"sample-plan": {Scalars: 1, Ints: 2}, // ‖A‖F²; count_i, m
+	"nrows":       {Ints: 1},
+	"row-offset":  {Ints: 1},
+	"hello":       {Ints: 1},
+	// Sketches; an fd-sketch's Ints are the leaves a tree node went on without.
+	"fd-sketch":       {Ints: IntsAny, Cols: DimD, Forms: FormSketch},
+	"svs-sketch":      {Cols: DimD, Forms: FormSketch},
+	"adaptive-sketch": {Cols: DimD, Forms: FormSketch},
+	"sample-rows":     {Cols: DimD, Forms: FormSketch},
+	"lr-q":            {Cols: DimD, Forms: FormSketch},
+	"lr-y":            {Rows: DimAny, Cols: DimAny, Forms: FormSketch},
+	// The batch PCA solve; a sparse form's Ints are its rows' buckets.
+	"bwz-y":        {Rows: DimM, Cols: DimD, Forms: FormSketch},
+	"bwz-y-sparse": {Ints: IntsPerRow, Cols: DimD, Forms: FormDense},
+	"bwz-w":        {Rows: DimM, Cols: DimM, Forms: FormSketch},
+	"bwz-w-sparse": {Ints: IntsPerRow, Cols: DimM, Forms: FormDense},
+	"bwz-u":        {Rows: DimM, Cols: DimK, Forms: FormDense},
+	"bwz-g":        {Rows: DimK, Cols: DimD, Forms: FormSketch},
+	// Product samples: ‖·‖F² and the kept rows, sparse or with row IDs.
+	"ps-a": {Scalars: 1, Ints: IntsPerRow, Cols: DimD, Forms: FormDense | FormSamples},
+	"ps-b": {Scalars: 1, Ints: IntsPerRow, Cols: DimDB, Forms: FormDense | FormSamples},
+	// The daemon: uploads (mass, Σδ; epoch), window replies (Σδ; qid, covered).
+	"svc-announce":  {Scalars: 1},
+	"svc-delta":     {Scalars: 2, Ints: 1, Cols: DimD, Forms: FormDense | FormAbsent},
+	"svc-replace":   {Scalars: 2, Ints: 1, Cols: DimD, Forms: FormDense | FormAbsent},
+	"svc-threshold": {Scalars: 1},
+	"win-query":     {Ints: 1},
+	"win-sketch":    {Scalars: 1, Ints: 2, Cols: DimD, Forms: FormDense | FormAbsent},
+}
+
+// Shape is one kind's payload layout: exact Scalars and Ints counts (or
+// IntsPerRow, IntsAny), the matrix's Rows and Cols, and the matrix forms
+// it may take (none for 0).
+type Shape struct {
+	Scalars, Ints int
+	Rows, Cols    Dim
+	Forms         Form
+}
+
+const (
+	IntsPerRow = -1 // one per row of a dense or quantized matrix
+	IntsAny    = -2
+)
+
+// Dim is a symbolic matrix dimension, resolved by the receiver's Dims.
+type Dim uint8
+
+const (
+	DimAny Dim = iota
+	DimD       // columns of A
+	DimDB      // columns of B
+	DimM       // embedding rows of the batch PCA solve
+	DimK       // its rank
+)
+
+// Dims is a receiver's value of each symbolic dimension.
+type Dims struct{ D, DB, M, K int }
+
+// Form is a set of matrix payload forms.
+type Form uint8
+
+const (
+	FormDense     Form = 1 << iota // Matrix, at either Precision
+	FormQuantized                  // Quantized
+	FormSamples                    // Samples
+	FormAbsent                     // no matrix payload, where the others are allowed
+
+	FormSketch = FormDense | FormQuantized // what distributed's Config.sendMatrix sends
+)
+
+// CheckShape reports, naming the sender and the kind, how msg departs from
+// its kind's Schema entry under the receiver's dims.
+func CheckShape(msg *Message, dims Dims) error {
+	sh, ok := Schema[msg.Kind]
+	if !ok {
+		return fmt.Errorf("comm: unknown message kind %q from %d", msg.Kind, msg.From)
+	}
+	bad := func(got int, what string, want any) error {
+		return fmt.Errorf("comm: %q message from %d has %d %s, want %v", msg.Kind, msg.From, got, what, want)
+	}
+	var form Form // one bit per payload present
+	rows, cols, what := 0, 0, "no matrix"
+	if msg.Matrix != nil {
+		form, rows, cols, what = FormDense, msg.Matrix.Rows(), msg.Matrix.Cols(), "a dense matrix"
+	}
+	if q := msg.Quantized; q != nil {
+		form, rows, cols, what = form|FormQuantized, q.Rows, q.Cols, "a quantized matrix"
+	}
+	if s := msg.Samples; s != nil { // rows stays 0: the IDs ride inside, and no kind pins them
+		form, cols, what = form|FormSamples, s.Cols, "sample rows"
+	}
+	want := [...]int{DimD: dims.D, DimDB: dims.DB, DimM: dims.M, DimK: dims.K}
+	switch {
+	case form&(form-1) != 0:
+		return fmt.Errorf("comm: %q message from %d carries more than one matrix payload", msg.Kind, msg.From)
+	case form == 0 && sh.Forms != 0 && sh.Forms&FormAbsent == 0, form != 0 && sh.Forms&form == 0:
+		return fmt.Errorf("comm: %q message from %d carries %s, which its kind does not take", msg.Kind, msg.From, what)
+	case len(msg.Scalars) != sh.Scalars:
+		return bad(len(msg.Scalars), "scalars", sh.Scalars)
+	case sh.Ints == IntsPerRow && len(msg.Ints) != rows:
+		return bad(len(msg.Ints), "ints", fmt.Sprintf("one per row (%d)", rows))
+	case sh.Ints >= 0 && len(msg.Ints) != sh.Ints:
+		return bad(len(msg.Ints), "ints", sh.Ints)
+	case form == 0:
+		return nil
+	case sh.Rows != DimAny && rows != want[sh.Rows]:
+		return bad(rows, "rows", want[sh.Rows])
+	case sh.Cols != DimAny && cols != want[sh.Cols]:
+		return bad(cols, "columns", want[sh.Cols])
+	}
+	return nil
+}
+
 const (
 	msgMagic = uint32(0x444d5347) // "DMSG"
 
@@ -510,11 +636,20 @@ func decodeFrame(frame []byte) (*Message, error) {
 	}
 	m := msgPool.Get().(*Message)
 	*m = Message{Kind: internKind(kindBytes), From: int(int32(from)), To: int(int32(to)), pooled: true}
+	var seen uint8 // field tags read so far; the two matrix tags share one
 	for {
 		field, err := c.u8()
 		if err != nil {
 			return m, err
 		}
+		bit := uint8(1) << field // 0 past tag 7; those are unknown tags
+		if field == fieldMatrix32 {
+			bit = 1 << fieldMatrix
+		}
+		if seen&bit != 0 {
+			return m, fmt.Errorf("comm: field tag %d repeated", field)
+		}
+		seen |= bit
 		switch field {
 		case fieldEnd:
 			return m, nil
@@ -603,6 +738,9 @@ func decodeFrame(frame []byte) (*Message, error) {
 			}
 			if bpe == 0 || uint64(n)*uint64(bpe) > 8*maxFrameBytes {
 				return m, fmt.Errorf("comm: quantized payload %d×%d bits malformed", n, bpe)
+			}
+			if uint64(n) != uint64(r32)*uint64(c32) {
+				return m, fmt.Errorf("comm: quantized %d×%d matrix carries %d values", r32, c32, n)
 			}
 			packed, err := c.bytes((int(n)*int(bpe) + 7) / 8)
 			if err != nil {

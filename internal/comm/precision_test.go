@@ -240,24 +240,42 @@ func TestDecodeRejectsCraftedFloat32Frames(t *testing.T) {
 		out := le.AppendUint32(nil, uint32(len(body)))
 		return append(out, body...)
 	}
-	// Dims whose product overflows the frame limit at 4 bytes/entry.
-	huge := append(header(), fieldMatrix32)
-	huge = le.AppendUint32(huge, 1<<16)
-	huge = le.AppendUint32(huge, 1<<14)
-	if _, err := Decode(bytes.NewReader(frame(huge))); err == nil {
-		t.Fatal("expected too-large error for crafted float32 dims")
+	matrix32 := func(b []byte, rows, cols uint32, vals ...float32) []byte {
+		b = append(b, fieldMatrix32)
+		b = le.AppendUint32(b, rows)
+		b = le.AppendUint32(b, cols)
+		for _, v := range vals {
+			b = le.AppendUint32(b, math.Float32bits(v))
+		}
+		return b
 	}
-	// Truncated float32 payload: claims 4 entries, carries 1.
-	trunc := append(header(), fieldMatrix32)
-	trunc = le.AppendUint32(trunc, 2)
-	trunc = le.AppendUint32(trunc, 2)
-	trunc = le.AppendUint32(trunc, math.Float32bits(1.5))
-	if _, err := Decode(bytes.NewReader(frame(trunc))); err == nil {
-		t.Fatal("expected truncation error")
+	quantized := func(rows, cols, n uint32) []byte {
+		b := append(header(), fieldQuantized)
+		b = le.AppendUint32(b, rows)
+		b = le.AppendUint32(b, cols)
+		b = le.AppendUint64(b, math.Float64bits(0.5))
+		b = append(b, 8) // bits per entry
+		b = le.AppendUint32(b, n)
+		return append(append(b, make([]byte, n)...), fieldEnd)
 	}
-	// Unknown field tag.
-	unk := append(header(), uint8(9))
-	if _, err := Decode(bytes.NewReader(frame(unk))); err == nil {
-		t.Fatal("expected unknown-tag error")
+	for _, tc := range []struct {
+		name string
+		body []byte
+	}{
+		// Dims whose product overflows the frame limit at 4 bytes/entry.
+		{"too large", matrix32(header(), 1<<16, 1<<14)},
+		// Claims 4 entries, carries 1.
+		{"truncated", matrix32(header(), 2, 2, 1.5)},
+		{"unknown tag", append(header(), uint8(9))},
+		// A value count that is not rows·cols: Dequantize would index past
+		// its rows·cols matrix, or allocate rows·cols from a short frame.
+		{"quantized 1×1 with 3 values", quantized(1, 1, 3)},
+		{"quantized 1000×1000 with 1 value", quantized(1000, 1000, 1)},
+		// A second matrix field: the message holds one matrix.
+		{"repeated matrix", append(matrix32(matrix32(header(), 1, 1, 1), 1, 1, 2), fieldEnd)},
+	} {
+		if m, err := Decode(bytes.NewReader(frame(tc.body))); err == nil {
+			t.Errorf("%s: decoded %+v", tc.name, m)
+		}
 	}
 }

@@ -114,11 +114,10 @@ func (p Adaptive) Server(ctx context.Context, node Node, in Input) error {
 // Coordinator implements Protocol: relay the tail-mass total, stack the
 // Q_i, and optionally FD-compress to the optimal O(k/ε) rows.
 func (p Adaptive) Coordinator(ctx context.Context, node Node) (*Result, error) {
-	s, cfg := p.Env.Servers, p.Env.Config
-	if err := sumRound(ctx, node, s, "tail-frob2", "tail-total", cfg); err != nil {
+	if err := sumRound(ctx, node, p.Env.Servers, "tail-frob2", "tail-total", p.Env.Config); err != nil {
 		return nil, err
 	}
-	q, err := gatherStack(ctx, node, s, "adaptive-sketch", cfg)
+	q, err := gatherStack(ctx, node, p.Env, "adaptive-sketch")
 	if err != nil {
 		return nil, err
 	}

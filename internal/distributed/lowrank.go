@@ -182,33 +182,17 @@ func (p LowRankExact) Coordinator(ctx context.Context, node Node) (*Result, erro
 	s, d, cfg := p.Env.Servers, p.Env.Dim, p.Env.Config
 	qs := make([]*matrix.Dense, s)
 	ys := make([]*matrix.Dense, s)
-	spec := gatherSpec{Label: "lr-q/lr-y", Peers: serverPeers(s), Each: 2}
+	spec := gatherSpec{Kinds: []string{"lr-q", "lr-y"}, Dims: comm.Dims{D: d}, Peers: serverPeers(s), Each: 2}
+	byKind := map[string][]*matrix.Dense{"lr-q": qs, "lr-y": ys}
 	if _, err := gatherFrom(ctx, node, cfg, spec, func(msg *comm.Message) error {
-		m, err := recvMatrix(msg)
-		if err != nil {
-			return err
-		}
-		switch msg.Kind {
-		case "lr-q":
-			if qs[msg.From] != nil {
-				return fmt.Errorf("distributed: duplicate %q message from %d", msg.Kind, msg.From)
-			}
-			qs[msg.From] = m
-		case "lr-y":
-			if ys[msg.From] != nil {
-				return fmt.Errorf("distributed: duplicate %q message from %d", msg.Kind, msg.From)
-			}
-			ys[msg.From] = m
-		default:
-			return fmt.Errorf("distributed: unexpected %q message", msg.Kind)
-		}
+		byKind[msg.Kind][msg.From] = recvMatrix(msg)
 		return nil
 	}); err != nil {
 		return nil, err
 	}
 	for i := 0; i < s; i++ {
-		// Q_i⁺·Y_i·Q_i⁺ᵀ needs Q_i r×d and Y_i r×r.
-		if r := qs[i].Rows(); qs[i].Cols() != d || ys[i].Rows() != r || ys[i].Cols() != r {
+		// Q_i⁺·Y_i·Q_i⁺ᵀ needs Y_i r×r for Q_i's r rows.
+		if r := qs[i].Rows(); ys[i].Rows() != r || ys[i].Cols() != r {
 			return nil, fmt.Errorf("distributed: server %d sent a %d×%d \"lr-q\" and a %d×%d \"lr-y\", want r×%d and r×r",
 				i, r, qs[i].Cols(), ys[i].Rows(), ys[i].Cols(), d)
 		}

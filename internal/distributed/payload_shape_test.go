@@ -2,12 +2,15 @@ package distributed
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/comm"
+	"repro/internal/core"
 	"repro/internal/matrix"
+	"repro/internal/workload"
 )
 
 // sendAll sends each message from its From node to dst and reports the
@@ -93,4 +96,110 @@ func TestFDMergeRejectsWrongWidthSketch(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// wantShapeError fails t unless err names the sender and the kind the way
+// comm.CheckShape does.
+func wantShapeError(t *testing.T, err error, kind string, from int) {
+	t.Helper()
+	if want := fmt.Sprintf("%q message from %d", kind, from); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("got %v, want an error naming %s", err, want)
+	}
+}
+
+// A BWZ coordinator at d = 4 rejects a bwz-y-sparse block 5 columns wide
+// instead of scattering it into its m×4 frame.
+func TestBWZCoordinatorRejectsWideSparseBlock(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	net := NewMemNetwork(1, nil)
+	defer net.Close()
+	proto := BWZ{PCAParams: PCAParams{K: 1, Eps: 0.5, EmbeddingRows: 8}, Env: Env{Servers: 1, Dim: 4}}
+	errc := sendAll(ctx, net, comm.CoordinatorID,
+		&comm.Message{From: 0, Kind: "nrows", Ints: []int64{2}},
+		&comm.Message{From: 0, Kind: "bwz-y-sparse", Ints: []int64{0, 1}, Matrix: matrix.New(2, 5)})
+	_, err := proto.Coordinator(ctx, net.Coordinator())
+	wantShapeError(t, err, "bwz-y-sparse", 0)
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A BWZ server in the two-sided regime (m = 8 < d = 12) rejects a bwz-u
+// that is not m×k instead of multiplying by it.
+func TestBWZServerRejectsMisshapenU(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	net := NewMemNetwork(1, nil)
+	defer net.Close()
+	proto := BWZ{PCAParams: PCAParams{K: 1, Eps: 0.5, EmbeddingRows: 8}, Env: Env{Servers: 1, Dim: 12}}
+	coord := net.Coordinator()
+	for _, msg := range []*comm.Message{
+		{Kind: "row-offset", Ints: []int64{0}},
+		{Kind: "bwz-u", Matrix: matrix.New(3, 1)},
+	} {
+		if err := coord.Send(ctx, 0, msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, parts := split(t, 5, 20, 12, 1)
+	err := proto.Server(ctx, net.Node(0), CovarianceInput(workload.NewDenseSource(parts[0])))
+	wantShapeError(t, err, "bwz-u", comm.CoordinatorID)
+}
+
+// The SVS, adaptive and row-sampling coordinators at Dim 4 fail on sketches
+// 5 columns wide instead of returning them stacked.
+func TestStackingCoordinatorsRejectWrongWidth(t *testing.T) {
+	env := Env{Servers: 2, Dim: 4}
+	for _, tc := range []struct {
+		proto  Protocol
+		prefix *comm.Message // the calibration message each server sends first
+		kind   string
+	}{
+		{SVS{Alpha: 0.5, Delta: 0.1, Env: env}, &comm.Message{Kind: "frob2", Scalars: []float64{1}}, "svs-sketch"},
+		{Adaptive{AdaptiveParams: AdaptiveParams{Eps: 0.5, K: 1}, Env: env}, &comm.Message{Kind: "tail-frob2", Scalars: []float64{1}}, "adaptive-sketch"},
+		{RowSampling{Eps: 0.5, Env: env}, &comm.Message{Kind: "mass", Scalars: []float64{1}}, "sample-rows"},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			net := NewMemNetwork(2, nil)
+			defer net.Close()
+			p0, p1 := *tc.prefix, *tc.prefix
+			p1.From = 1
+			errc := sendAll(ctx, net, comm.CoordinatorID, &p0, &p1,
+				&comm.Message{From: 0, Kind: tc.kind, Matrix: matrix.New(2, 5)},
+				&comm.Message{From: 1, Kind: tc.kind, Matrix: matrix.New(2, 5)})
+			res, err := tc.proto.Coordinator(ctx, net.Coordinator())
+			if err == nil {
+				t.Fatalf("returned a %d×%d sketch", res.Sketch.Rows(), res.Sketch.Cols())
+			}
+			wantShapeError(t, err, tc.kind, 0)
+			if err := <-errc; err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// A row-sampling server rejects a plan that does not fit its own m, before
+// the count sizes its sample.
+func TestRowSamplingServerRejectsBadPlan(t *testing.T) {
+	proto := RowSampling{Eps: 0.5, Env: Env{Servers: 1, Dim: 4}}
+	m := int64(core.SampleSize(proto.Eps))
+	_, parts := split(t, 6, 20, 4, 1)
+	for _, plan := range [][2]int64{{m + 1, m}, {-1, m}, {1, m + 1}} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		net := NewMemNetwork(1, nil)
+		msg := &comm.Message{Kind: "sample-plan", Scalars: []float64{1}, Ints: plan[:]}
+		if err := net.Coordinator().Send(ctx, 0, msg); err != nil {
+			t.Fatal(err)
+		}
+		err := proto.Server(ctx, net.Node(0), CovarianceInput(workload.NewDenseSource(parts[0])))
+		if err == nil || !strings.Contains(err.Error(), `"sample-plan" message from -1`) {
+			t.Errorf("plan of %d of %d samples (m = %d): %v", plan[0], plan[1], m, err)
+		}
+		net.Close()
+		cancel()
+	}
 }

@@ -153,7 +153,7 @@ func serverBWZSolve(ctx context.Context, node Node, local *matrix.Dense, p PCAPa
 	if err := node.Send(ctx, comm.CoordinatorID, &comm.Message{Kind: "nrows", Ints: []int64{int64(local.Rows())}}); err != nil {
 		return err
 	}
-	off, err := expectKind(ctx, node, "row-offset")
+	off, err := expectKind(ctx, node, "row-offset", comm.Dims{})
 	if err != nil {
 		return err
 	}
@@ -184,15 +184,11 @@ func serverBWZSolve(ctx context.Context, node Node, local *matrix.Dense, p PCAPa
 			return err
 		}
 	}
-	uMsg, err := expectKind(ctx, node, "bwz-u")
+	uMsg, err := expectKind(ctx, node, "bwz-u", comm.Dims{M: m, K: p.K})
 	if err != nil {
 		return err
 	}
-	u, err := recvMatrix(uMsg)
-	if err != nil {
-		return err
-	}
-	g := u.TMul(y) // k×d
+	g := uMsg.Matrix.TMul(y) // k×d
 	uMsg.Release()
 	return cfg.sendMatrix(ctx, node, comm.CoordinatorID, "bwz-g", g)
 }
@@ -214,12 +210,9 @@ func sparseCountSketch(sk *pca.CountSketch, local *matrix.Dense, offset int) ([]
 	return buckets, signed
 }
 
-// scatterSparse accumulates a sparse-form CountSketch message into the m×d
-// (or m×m) frame.
+// scatterSparse accumulates a sparse-form CountSketch message, one bucket
+// per row, into the m×d (or m×m) frame.
 func scatterSparse(frame *matrix.Dense, buckets []int64, rows *matrix.Dense) error {
-	if len(buckets) != rows.Rows() {
-		return fmt.Errorf("distributed: sparse scatter mismatch: %d buckets, %d rows", len(buckets), rows.Rows())
-	}
 	m := frame.Rows()
 	for r, b := range buckets {
 		if b < 0 || int(b) >= m {
@@ -234,9 +227,10 @@ func scatterSparse(frame *matrix.Dense, buckets []int64, rows *matrix.Dense) err
 // dimension of the inputs. Returns the d×k approximate PCs.
 func coordBWZBody(ctx context.Context, node Node, s, d int, p PCAParams, cfg Config) (*matrix.Dense, error) {
 	m := p.EmbeddingRows
+	dims := comm.Dims{D: d, M: m, K: p.K}
 	if d <= m {
 		y := matrix.New(m, d)
-		if err := gatherEmbedded(ctx, node, s, "bwz-y", y, cfg); err != nil {
+		if err := gatherEmbedded(ctx, node, s, "bwz-y", y, dims, cfg); err != nil {
 			return nil, err
 		}
 		return pca.TopKRightSV(y, p.K)
@@ -245,7 +239,7 @@ func coordBWZBody(ctx context.Context, node Node, s, d int, p PCAParams, cfg Con
 	// then G = Ũᵀ·S·A (assembled from the servers' G_i) and V = top-k right
 	// singular vectors of G.
 	w := matrix.New(m, m)
-	if err := gatherEmbedded(ctx, node, s, "bwz-w", w, cfg); err != nil {
+	if err := gatherEmbedded(ctx, node, s, "bwz-w", w, dims, cfg); err != nil {
 		return nil, err
 	}
 	// Left singular vectors of W = right singular vectors of Wᵀ.
@@ -256,59 +250,33 @@ func coordBWZBody(ctx context.Context, node Node, s, d int, p PCAParams, cfg Con
 	if err := broadcast(ctx, node, s, &comm.Message{Kind: "bwz-u", Matrix: u}, cfg.observer()); err != nil {
 		return nil, err
 	}
-	gs, err := gatherAll(ctx, node, s, "bwz-g", cfg)
+	gs, err := gatherAll(ctx, node, s, "bwz-g", dims, cfg)
 	if err != nil {
 		return nil, err
 	}
-	g := matrix.New(u.Cols(), d)
+	g := matrix.New(p.K, d)
 	for _, msg := range gs {
-		mm, err := recvMatrix(msg)
-		if err != nil {
-			return nil, err
-		}
-		if r, c := mm.Dims(); r != u.Cols() || c != d {
-			return nil, fmt.Errorf("distributed: \"bwz-g\" payload from %d is %d×%d, want %d×%d", msg.From, r, c, u.Cols(), d)
-		}
-		g = g.Add(mm)
+		g = g.Add(recvMatrix(msg))
 		msg.Release()
 	}
 	return pca.TopKRightSV(g, p.K)
 }
 
 // gatherEmbedded receives one embedding message per server — dense
-// ("<kind>") or sparse ("<kind>-sparse", bucket indices + signed rows) —
-// and accumulates all of them into frame.
-func gatherEmbedded(ctx context.Context, node Node, s int, kind string, frame *matrix.Dense, cfg Config) error {
-	_, err := gatherFrom(ctx, node, cfg, gatherSpec{Label: kind, Peers: serverPeers(s)}, func(msg *comm.Message) error {
-		switch msg.Kind {
-		case kind:
-			mm, err := recvMatrix(msg)
-			if err != nil {
-				return err
-			}
-			fr, fc := frame.Dims()
-			if r, c := mm.Dims(); r != fr || c != fc {
-				return fmt.Errorf("distributed: %q payload is %d×%d, want %d×%d", kind, r, c, fr, fc)
-			}
+// ("<kind>", frame-shaped) or sparse ("<kind>-sparse", bucket indices +
+// signed rows) — and accumulates all of them into frame.
+func gatherEmbedded(ctx context.Context, node Node, s int, kind string, frame *matrix.Dense, dims comm.Dims, cfg Config) error {
+	spec := gatherSpec{Kinds: []string{kind, kind + "-sparse"}, Dims: dims, Peers: serverPeers(s)}
+	_, err := gatherFrom(ctx, node, cfg, spec, func(msg *comm.Message) error {
+		defer msg.Release()
+		if msg.Kind == kind {
 			dst := frame.Data()
-			for i, v := range mm.Data() {
+			for i, v := range recvMatrix(msg).Data() {
 				dst[i] += v
 			}
-			msg.Release()
 			return nil
-		case kind + "-sparse":
-			mm, err := recvMatrix(msg)
-			if err != nil {
-				return err
-			}
-			if err := scatterSparse(frame, msg.Ints, mm); err != nil {
-				return err
-			}
-			msg.Release()
-			return nil
-		default:
-			return fmt.Errorf("distributed: expected %q message, got %q from %d", kind, msg.Kind, msg.From)
 		}
+		return scatterSparse(frame, msg.Ints, msg.Matrix)
 	})
 	return err
 }
@@ -348,7 +316,7 @@ func (p BWZ) Server(ctx context.Context, node Node, in Input) error {
 func (p BWZ) Coordinator(ctx context.Context, node Node) (*Result, error) {
 	pp := p.PCAParams.withDefaults()
 	s, cfg := p.Env.Servers, p.Env.Config
-	counts, err := gatherAll(ctx, node, s, "nrows", cfg)
+	counts, err := gatherAll(ctx, node, s, "nrows", comm.Dims{}, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -168,42 +168,27 @@ func sampleMessage(kind string, frob2 float64, kept []core.SampledRow, d int) *c
 	return msg
 }
 
-// decodeSample rebuilds a message's sampled rows, recomputing norms and
-// priorities from the shared seed (they are derived data, never shipped).
-// All returned vectors are freshly allocated — safe after msg.Release.
-func decodeSample(msg *comm.Message, d int, seed int64) ([]core.SampledRow, error) {
-	switch {
-	case msg.Samples != nil:
-		s := msg.Samples
-		if s.Cols != d {
-			return nil, fmt.Errorf("distributed: %q sample has %d columns, want %d", msg.Kind, s.Cols, d)
-		}
+// decodeSample rebuilds the sampled rows of a message that passed
+// comm.CheckShape, recomputing norms and priorities from the shared seed
+// (they are derived data, never shipped). All returned vectors are freshly
+// allocated — safe after msg.Release.
+func decodeSample(msg *comm.Message, seed int64) []core.SampledRow {
+	row := func(id int64, vec *matrix.SparseVector) core.SampledRow {
+		n2 := vec.Norm2()
+		return core.SampledRow{Index: id, Norm2: n2, Priority: n2 / core.SharedUniform(seed, id), Vec: vec}
+	}
+	if s := msg.Samples; s != nil {
 		out := make([]core.SampledRow, s.Rows())
 		for i := range out {
-			id, vec := s.RowVec(i)
-			n2 := vec.Norm2()
-			out[i] = core.SampledRow{Index: id, Norm2: n2, Priority: n2 / core.SharedUniform(seed, id), Vec: vec}
+			out[i] = row(s.RowVec(i))
 		}
-		return out, nil
-	case msg.Matrix != nil:
-		r, c := msg.Matrix.Dims()
-		if c != d {
-			return nil, fmt.Errorf("distributed: %q sample has %d columns, want %d", msg.Kind, c, d)
-		}
-		if len(msg.Ints) != r {
-			return nil, fmt.Errorf("distributed: %q sample has %d rows but %d row IDs", msg.Kind, r, len(msg.Ints))
-		}
-		out := make([]core.SampledRow, r)
-		for i := range out {
-			id := msg.Ints[i]
-			vec := matrix.SparseFromDense(msg.Matrix.Row(i), 0)
-			n2 := vec.Norm2()
-			out[i] = core.SampledRow{Index: id, Norm2: n2, Priority: n2 / core.SharedUniform(seed, id), Vec: vec}
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("distributed: %q message carries no sample payload", msg.Kind)
+		return out
 	}
+	out := make([]core.SampledRow, len(msg.Ints))
+	for i, id := range msg.Ints {
+		out[i] = row(id, matrix.SparseFromDense(msg.Matrix.Row(i), 0))
+	}
+	return out
 }
 
 // Coordinator implements Protocol: one strict gather of two messages per
@@ -226,38 +211,15 @@ func (p CoordinatedProduct) Coordinator(ctx context.Context, node Node) (*Result
 	// would make the certificate depend on goroutine scheduling.
 	frobA2s := make([]float64, s)
 	frobB2s := make([]float64, s)
-	seen := make(map[int]int, s)
-	const gotA, gotB = 1, 2
-	_, err := gatherFrom(ctx, node, cfg, gatherSpec{Label: "product-sample", Peers: serverPeers(s), Each: 2}, func(msg *comm.Message) error {
+	spec := gatherSpec{Kinds: []string{"ps-a", "ps-b"}, Dims: comm.Dims{D: dA, DB: dB}, Peers: serverPeers(s), Each: 2}
+	_, err := gatherFrom(ctx, node, cfg, spec, func(msg *comm.Message) error {
 		defer msg.Release()
-		var side int
-		var d int
-		switch msg.Kind {
-		case "ps-a":
-			side, d = gotA, dA
-		case "ps-b":
-			side, d = gotB, dB
-		default:
-			return fmt.Errorf("distributed: expected \"ps-a\" or \"ps-b\" message, got %q from %d", msg.Kind, msg.From)
+		frob2s, cand := frobA2s, &candA
+		if msg.Kind == "ps-b" {
+			frob2s, cand = frobB2s, &candB
 		}
-		if seen[msg.From]&side != 0 {
-			return fmt.Errorf("distributed: duplicate %q message from %d", msg.Kind, msg.From)
-		}
-		seen[msg.From] |= side
-		if len(msg.Scalars) != 1 {
-			return fmt.Errorf("distributed: %q message from %d carries %d scalars, want 1 (the shard's squared Frobenius norm)", msg.Kind, msg.From, len(msg.Scalars))
-		}
-		rows, err := decodeSample(msg, d, cfg.Seed)
-		if err != nil {
-			return err
-		}
-		if side == gotA {
-			frobA2s[msg.From] = msg.Scalars[0]
-			candA = append(candA, rows...)
-		} else {
-			frobB2s[msg.From] = msg.Scalars[0]
-			candB = append(candB, rows...)
-		}
+		frob2s[msg.From] = msg.Scalars[0]
+		*cand = append(*cand, decodeSample(msg, cfg.Seed)...)
 		return nil
 	})
 	if err != nil {

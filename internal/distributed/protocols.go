@@ -106,16 +106,14 @@ func (c Config) sendMatrix(ctx context.Context, node Node, to int, kind string, 
 	return node.Send(ctx, to, msg)
 }
 
-// recvMatrix extracts the matrix payload regardless of quantization.
-func recvMatrix(msg *comm.Message) (*matrix.Dense, error) {
-	switch {
-	case msg.Matrix != nil:
-		return msg.Matrix, nil
-	case msg.Quantized != nil:
-		return msg.Quantized.Dequantize(), nil
-	default:
-		return nil, fmt.Errorf("distributed: message %q carries no matrix", msg.Kind)
+// recvMatrix extracts the matrix payload of a message that passed
+// comm.CheckShape for a kind sent through sendMatrix, dequantizing it if
+// need be.
+func recvMatrix(msg *comm.Message) *matrix.Dense {
+	if msg.Quantized != nil {
+		return msg.Quantized.Dequantize()
 	}
+	return msg.Matrix
 }
 
 func (c Config) rng(serverID int) *rand.Rand {
@@ -283,11 +281,10 @@ func (p SVS) Server(ctx context.Context, node Node, in Input) error {
 // merge unsound (the broadcast mass would include servers whose rows never
 // arrive), so stragglers are always fail-fast here.
 func (p SVS) Coordinator(ctx context.Context, node Node) (*Result, error) {
-	s, cfg := p.Env.Servers, p.Env.Config
-	if err := sumRound(ctx, node, s, "frob2", "frob2-total", cfg); err != nil {
+	if err := sumRound(ctx, node, p.Env.Servers, "frob2", "frob2-total", p.Env.Config); err != nil {
 		return nil, err
 	}
-	stacked, err := gatherStack(ctx, node, s, "svs-sketch", cfg)
+	stacked, err := gatherStack(ctx, node, p.Env, "svs-sketch")
 	if err != nil {
 		return nil, err
 	}
@@ -348,12 +345,16 @@ func (p RowSampling) Server(ctx context.Context, node Node, in Input) error {
 	if err := node.Send(ctx, comm.CoordinatorID, &comm.Message{Kind: "mass", Scalars: []float64{frob2}}); err != nil {
 		return err
 	}
-	msg, err := expectKind(ctx, node, "sample-plan")
+	msg, err := expectKind(ctx, node, "sample-plan", comm.Dims{})
 	if err != nil {
 		return err
 	}
-	total, count, m := msg.Scalars[0], int(msg.Ints[0]), int(msg.Ints[1])
+	total, count, m, from := msg.Scalars[0], msg.Ints[0], msg.Ints[1], msg.From
 	msg.Release()
+	// count sizes SampleStream's reservoir: it must lie within this run's m.
+	if want := int64(core.SampleSize(p.Eps)); m != want || count < 0 || count > m {
+		return fmt.Errorf("distributed: \"sample-plan\" message from %d plans %d of %d samples, want at most %d of %d", from, count, m, want, want)
+	}
 	out := matrix.New(0, d)
 	if count > 0 && frob2 > 0 {
 		if err := local.Reset(); err != nil {
@@ -367,7 +368,7 @@ func (p RowSampling) Server(ctx context.Context, node Node, in Input) error {
 			}
 			return row, ok
 		}
-		out = core.SampleStream(next, d, count, m, frob2, total, cfg.rng(node.ID()))
+		out = core.SampleStream(next, d, int(count), int(m), frob2, total, cfg.rng(node.ID()))
 		if err := local.Err(); err != nil {
 			return fmt.Errorf("server %d: %w", node.ID(), err)
 		}
@@ -406,7 +407,7 @@ func (p RowSampling) Coordinator(ctx context.Context, node Node) (*Result, error
 			return nil, err
 		}
 	}
-	stacked, err := gatherStack(ctx, node, s, "sample-rows", cfg)
+	stacked, err := gatherStack(ctx, node, p.Env, "sample-rows")
 	if err != nil {
 		return nil, err
 	}

@@ -395,7 +395,7 @@ func TestGatherRejectsWrongKind(t *testing.T) {
 	net := NewMemNetwork(1, nil)
 	defer net.Close()
 	go net.Node(0).Send(context.Background(), comm.CoordinatorID, &comm.Message{Kind: "wrong"})
-	if _, err := gatherAll(context.Background(), net.Coordinator(), 1, "right", Config{}); err == nil {
+	if _, err := gatherAll(context.Background(), net.Coordinator(), 1, "right", comm.Dims{}, Config{}); err == nil {
 		t.Fatal("expected kind mismatch error")
 	}
 }

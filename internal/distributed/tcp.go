@@ -230,9 +230,13 @@ func (c *TCPCoordinator) acceptOne(ctx context.Context) (id int, conn net.Conn, 
 		conn.Close()
 		return 0, nil, false, fmt.Errorf("distributed: bad hello: %w", wrapIOErr(ctx, err))
 	}
-	if hello.Kind != "hello" || len(hello.Ints) != 1 {
+	err = comm.CheckShape(hello, comm.Dims{})
+	if hello.Kind != "hello" {
+		err = fmt.Errorf("kind %q", hello.Kind)
+	}
+	if err != nil {
 		conn.Close()
-		return 0, nil, false, fmt.Errorf("distributed: malformed hello %q", hello.Kind)
+		return 0, nil, false, fmt.Errorf("distributed: malformed hello: %w", err)
 	}
 	id = int(hello.Ints[0])
 	hello.Release()

@@ -19,6 +19,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -329,10 +332,13 @@ func runParties(ctx context.Context, net Network, serverFns []func() error, coor
 }
 
 // gatherSpec describes one policy-aware gather: which peers must deliver how
-// many messages, and under what quorum rule the gather may end early.
+// many messages of which kinds, and when the gather may end early.
 type gatherSpec struct {
-	// Label names the expected payload in straggler events and errors.
-	Label string
+	// Kinds are the message kinds the gather accepts, each at most once per
+	// peer; joined by "/", they name the gather in straggler events.
+	Kinds []string
+	// Dims resolves the kinds' symbolic payload dimensions (comm.Schema).
+	Dims comm.Dims
 	// Peers are the endpoint IDs the gather expects messages from.
 	Peers []int
 	// Each is the number of messages every peer must deliver (default 1).
@@ -346,42 +352,40 @@ type gatherSpec struct {
 }
 
 // gatherFrom is the single policy-aware receive loop behind every
-// coordinator- and aggregator-side gather: per-message straggler timeouts,
-// quorum decisions, peer-membership and duplicate checks all live here, so
-// straggler semantics cannot drift between protocols or tree levels. The
-// accept callback validates each message's kind and stores its payload.
-// The returned missing slice lists, in spec.Peers order, the peers a met
-// quorum allowed the gather to proceed without (nil on full delivery).
+// coordinator- and aggregator-side gather: straggler timeouts, quorum
+// decisions, peer and kind membership, duplicate and shape checks
+// (comm.CheckShape) all live here, so what a role accepts cannot drift
+// between protocols or tree levels. accept stores each accepted payload.
+// missing lists, in spec.Peers order, the peers a met quorum allowed the
+// gather to proceed without (nil on full delivery).
 func gatherFrom(ctx context.Context, node Node, cfg Config, spec gatherSpec, accept func(*comm.Message) error) (missing []int, err error) {
 	pol := cfg.Stragglers
+	label := strings.Join(spec.Kinds, "/")
 	if spec.Quorum == nil {
-		if err := rejectQuorum(cfg, spec.Label); err != nil {
+		if err := rejectQuorum(cfg, label); err != nil {
 			return nil, err
 		}
 	}
-	each := spec.Each
-	if each <= 0 {
-		each = 1
-	}
-	got := make(map[int]int, len(spec.Peers))
+	each := max(spec.Each, 1)
+	got := make(map[int][]string, len(spec.Peers)) // the kinds each peer delivered
 	for _, p := range spec.Peers {
-		got[p] = 0
+		got[p] = nil
 	}
 	for pending := each * len(spec.Peers); pending > 0; {
 		msg, err := recvPolicy(ctx, node, pol.Timeout)
 		if err != nil {
 			if errors.Is(err, ErrStraggler) {
-				cfg.observer().Straggler(spec.Label)
+				cfg.observer().Straggler(label)
 				if spec.Quorum != nil {
 					var done []int
 					for _, p := range spec.Peers {
-						if got[p] == each {
+						if len(got[p]) == each {
 							done = append(done, p)
 						}
 					}
 					if spec.Quorum(done) {
 						for _, p := range spec.Peers {
-							if got[p] != each {
+							if len(got[p]) != each {
 								missing = append(missing, p)
 							}
 						}
@@ -395,17 +399,27 @@ func gatherFrom(ctx context.Context, node Node, cfg Config, spec gatherSpec, acc
 		// that fully consume the payload may Release it, which zeroes a
 		// pooled (decoded) message.
 		from := msg.From
-		n, expected := got[from]
+		kinds, expected := got[from]
 		if !expected {
 			return nil, fmt.Errorf("distributed: message from unexpected endpoint %d", from)
 		}
-		if n == each {
-			return nil, fmt.Errorf("distributed: duplicate %q message from %d", spec.Label, from)
+		if !slices.Contains(spec.Kinds, msg.Kind) {
+			quoted := make([]string, len(spec.Kinds))
+			for i, k := range spec.Kinds {
+				quoted[i] = strconv.Quote(k)
+			}
+			return nil, fmt.Errorf("distributed: expected %s message, got %q from %d", strings.Join(quoted, " or "), msg.Kind, from)
 		}
+		if len(kinds) == each || slices.Contains(kinds, msg.Kind) {
+			return nil, fmt.Errorf("distributed: duplicate %q message from %d", msg.Kind, from)
+		}
+		if err := comm.CheckShape(msg, spec.Dims); err != nil {
+			return nil, err
+		}
+		got[from] = append(kinds, msg.Kind)
 		if err := accept(msg); err != nil {
 			return nil, err
 		}
-		got[from] = n + 1
 		pending--
 	}
 	return nil, nil
@@ -431,21 +445,16 @@ func serverPeers(s int) []int {
 }
 
 // gatherAll receives exactly one message of the given kind from every
-// server, returning them indexed by server ID. Messages of other kinds, and
-// control messages of the wrong shape (checkShape), are an error (protocols
-// are lockstep). The gather is strict: under cfg.Stragglers with a timeout,
-// each receive waits at most the policy's Timeout, and a server that misses
-// it fails the gather with ErrStraggler (reported to the config's
-// observer). The quorum-tolerant gather is fdSubtreeGather.
-func gatherAll(ctx context.Context, node Node, s int, kind string, cfg Config) ([]*comm.Message, error) {
+// server, returning them indexed by server ID. Messages of other kinds, or
+// of the wrong shape under dims, are an error (protocols are lockstep). The
+// gather is strict: under cfg.Stragglers with a timeout, each receive waits
+// at most the policy's Timeout, and a server that misses it fails the
+// gather with ErrStraggler (reported to the config's observer). The
+// quorum-tolerant gather is fdSubtreeGather.
+func gatherAll(ctx context.Context, node Node, s int, kind string, dims comm.Dims, cfg Config) ([]*comm.Message, error) {
 	out := make([]*comm.Message, s)
-	_, err := gatherFrom(ctx, node, cfg, gatherSpec{Label: kind, Peers: serverPeers(s)}, func(msg *comm.Message) error {
-		if msg.Kind != kind {
-			return fmt.Errorf("distributed: expected %q message, got %q from %d", kind, msg.Kind, msg.From)
-		}
-		if err := checkShape(msg); err != nil {
-			return err
-		}
+	spec := gatherSpec{Kinds: []string{kind}, Dims: dims, Peers: serverPeers(s)}
+	_, err := gatherFrom(ctx, node, cfg, spec, func(msg *comm.Message) error {
 		out[msg.From] = msg
 		return nil
 	})
@@ -485,46 +494,20 @@ func broadcast(ctx context.Context, node Node, s int, msg *comm.Message, ob *obs
 	return nil
 }
 
-// expectKind receives one message and checks its kind and, for a control
-// message, its shape (checkShape).
-func expectKind(ctx context.Context, node Node, kind string) (*comm.Message, error) {
+// expectKind receives one message and checks its kind and, under dims, its
+// shape (comm.CheckShape).
+func expectKind(ctx context.Context, node Node, kind string, dims comm.Dims) (*comm.Message, error) {
 	msg, err := node.Recv(ctx)
 	if err != nil {
 		return nil, err
 	}
 	if msg.Kind != kind {
-		return nil, fmt.Errorf("distributed: expected %q message, got %q", kind, msg.Kind)
+		return nil, fmt.Errorf("distributed: expected %q message, got %q from %d", kind, msg.Kind, msg.From)
 	}
-	if err := checkShape(msg); err != nil {
+	if err := comm.CheckShape(msg, dims); err != nil {
 		return nil, err
 	}
 	return msg, nil
-}
-
-// controlShapes holds the number of scalars and ints each control message
-// kind carries; the protocols index those payloads directly.
-var controlShapes = map[string]struct{ scalars, ints int }{
-	"frob2":       {1, 0}, // SVS calibration: ‖A_i‖F², answered by ‖A‖F²
-	"frob2-total": {1, 0},
-	"tail-frob2":  {1, 0}, // adaptive calibration: ‖R_i‖F², answered by Σ‖R_i‖F²
-	"tail-total":  {1, 0},
-	"mass":        {1, 0}, // row sampling: ‖A_i‖F², answered by (‖A‖F²; count_i, m)
-	"sample-plan": {1, 2},
-	"nrows":       {0, 1}, // batch PCA solve: n_i, answered by the global row offset
-	"row-offset":  {0, 1},
-}
-
-// checkShape rejects a control message whose payload does not have its
-// kind's shape. gatherAll and expectKind apply it before handing a message
-// on, so a short frame off the wire fails its round with an error naming
-// the sender instead of panicking the reader on an index.
-func checkShape(msg *comm.Message) error {
-	want, ok := controlShapes[msg.Kind]
-	if ok && (len(msg.Scalars) != want.scalars || len(msg.Ints) != want.ints) {
-		return fmt.Errorf("distributed: %q message from %d carries %d scalars and %d ints, want %d and %d",
-			msg.Kind, msg.From, len(msg.Scalars), len(msg.Ints), want.scalars, want.ints)
-	}
-	return nil
 }
 
 // releaseAll recycles gathered messages' pooled buffers (a no-op off the
@@ -538,7 +521,7 @@ func releaseAll(msgs []*comm.Message) {
 // gatherScalars gathers the one scalar every server sends as kind, indexed
 // by server ID.
 func gatherScalars(ctx context.Context, node Node, s int, kind string, cfg Config) ([]float64, error) {
-	msgs, err := gatherAll(ctx, node, s, kind, cfg)
+	msgs, err := gatherAll(ctx, node, s, kind, comm.Dims{}, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -571,7 +554,7 @@ func calibrate(ctx context.Context, node Node, kind, totalKind string, local flo
 	if err := node.Send(ctx, comm.CoordinatorID, &comm.Message{Kind: kind, Scalars: []float64{local}}); err != nil {
 		return 0, err
 	}
-	msg, err := expectKind(ctx, node, totalKind)
+	msg, err := expectKind(ctx, node, totalKind, comm.Dims{})
 	if err != nil {
 		return 0, err
 	}
@@ -580,26 +563,17 @@ func calibrate(ctx context.Context, node Node, kind, totalKind string, local flo
 	return total, nil
 }
 
-// gatherStack gathers one matrix of kind from every server and stacks them
-// in server order. Parts with columns must agree on how many.
-func gatherStack(ctx context.Context, node Node, s int, kind string, cfg Config) (*matrix.Dense, error) {
-	msgs, err := gatherAll(ctx, node, s, kind, cfg)
+// gatherStack gathers one env.Dim-column matrix of kind from every server
+// and stacks them in server order.
+func gatherStack(ctx context.Context, node Node, env Env, kind string) (*matrix.Dense, error) {
+	msgs, err := gatherAll(ctx, node, env.Servers, kind, comm.Dims{D: env.Dim}, env.Config)
 	if err != nil {
 		return nil, err
 	}
 	defer releaseAll(msgs) // Stack copies every part
-	parts := make([]*matrix.Dense, s)
-	cols := 0
+	parts := make([]*matrix.Dense, len(msgs))
 	for i, msg := range msgs {
-		if parts[i], err = recvMatrix(msg); err != nil {
-			return nil, err
-		}
-		if c := parts[i].Cols(); c > 0 {
-			if cols > 0 && c != cols {
-				return nil, fmt.Errorf("distributed: %q message from %d has %d columns, want %d", kind, i, c, cols)
-			}
-			cols = c
-		}
+		parts[i] = recvMatrix(msg)
 	}
 	return matrix.Stack(parts...), nil
 }

@@ -55,7 +55,7 @@ func fdSubtreeGather(ctx context.Context, node Node, plan *Plan, d int, cfg Conf
 	children := plan.Children(self)
 	byChild := make(map[int]*comm.Message, len(children))
 	pol := cfg.Stragglers
-	spec := gatherSpec{Label: "fd-sketch", Peers: children, Quorum: func(done []int) bool {
+	spec := gatherSpec{Kinds: []string{"fd-sketch"}, Dims: comm.Dims{D: d}, Peers: children, Quorum: func(done []int) bool {
 		if pol.Quorum <= 0 {
 			return false
 		}
@@ -66,9 +66,6 @@ func fdSubtreeGather(ctx context.Context, node Node, plan *Plan, d int, cfg Conf
 		return covered >= plan.SubtreeQuorum(pol.Quorum, self)
 	}}
 	if _, err := gatherFrom(ctx, node, cfg, spec, func(msg *comm.Message) error {
-		if msg.Kind != "fd-sketch" {
-			return fmt.Errorf("distributed: expected %q message, got %q from %d", "fd-sketch", msg.Kind, msg.From)
-		}
 		byChild[msg.From] = msg
 		return nil
 	}); err != nil {
@@ -90,14 +87,7 @@ func fdSubtreeGather(ctx context.Context, node Node, plan *Plan, d int, cfg Conf
 			}
 			missing = append(missing, int(leaf))
 		}
-		m, err := recvMatrix(msg)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if m.Cols() != d {
-			return nil, nil, nil, fmt.Errorf("distributed: %q message from %d has %d columns, want %d", msg.Kind, c, m.Cols(), d)
-		}
-		parts = append(parts, m)
+		parts = append(parts, recvMatrix(msg))
 	}
 	sort.Ints(missing)
 	release = func() {

@@ -183,28 +183,20 @@ func (c *Coordinator) handleMessage(ctx context.Context, node distributed.Node, 
 	lastEpoch map[int]int64, known map[int]bool, winPending map[int64]*winPend) {
 	ob := c.cfg.observer()
 	from := msg.From
-	if d := c.cfg.Monitoring.D; msg.Matrix != nil && msg.Matrix.Cols() != d {
-		// A server started with another -d, or a malformed frame: the block
-		// cannot join a d-column sketch. It is dropped uncharged.
-		ob.Note(fmt.Sprintf("dropped %q from server %d: %d columns, want d=%d", msg.Kind, from, msg.Matrix.Cols(), d))
+	if err := comm.CheckShape(msg, comm.Dims{D: c.cfg.Monitoring.D}); err != nil {
+		// A server started with another -d, or a malformed frame: the
+		// payload is dropped uncharged.
+		ob.Note("coordinator: dropped " + err.Error())
 		msg.Release()
 		return
 	}
 	known[from] = true
 	switch msg.Kind {
 	case KindAnnounce:
-		if len(msg.Scalars) < 1 {
-			msg.Release()
-			return
-		}
 		mass := msg.Scalars[0]
 		msg.Release()
 		c.absorb(ctx, node, &monitoring.Upload{From: from, Announce: true, Mass: mass, Words: 1})
 	case KindDelta, KindReplace:
-		if len(msg.Scalars) < 2 || len(msg.Ints) < 1 {
-			msg.Release()
-			return
-		}
 		epoch := msg.Ints[0]
 		if epoch < lastEpoch[from] {
 			// A straggler from a dead incarnation, delivered after the
@@ -229,10 +221,6 @@ func (c *Coordinator) handleMessage(ctx context.Context, node distributed.Node, 
 			Words: float64(rows.Rows()*c.cfg.Monitoring.D) + 2,
 		})
 	case KindWinSketch:
-		if len(msg.Ints) < 2 || len(msg.Scalars) < 1 {
-			msg.Release()
-			return
-		}
 		qid, covered, bound := msg.Ints[0], int(msg.Ints[1]), msg.Scalars[0]
 		var part *matrix.Dense
 		if msg.Matrix != nil {

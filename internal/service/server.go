@@ -324,18 +324,17 @@ func (s *Server) sendUpload(ctx context.Context, uplink *distributed.TCPServer, 
 // handleCtrl processes one coordinator message: a threshold install or a
 // window-snapshot request.
 func (s *Server) handleCtrl(ctx context.Context, uplink *distributed.TCPServer, msg *comm.Message) error {
+	if err := comm.CheckShape(msg, comm.Dims{D: s.cfg.Monitoring.D}); err != nil {
+		s.cfg.observer().Note(fmt.Sprintf("server %d: dropped %v", s.id, err))
+		msg.Release()
+		return nil
+	}
 	switch msg.Kind {
 	case KindThreshold:
-		if len(msg.Scalars) >= 1 {
-			s.track.SetThreshold(msg.Scalars[0])
-		}
+		s.track.SetThreshold(msg.Scalars[0])
 		msg.Release()
 		return nil
 	case KindWinQuery:
-		if len(msg.Ints) < 1 {
-			msg.Release()
-			return nil
-		}
 		qid := msg.Ints[0]
 		msg.Release()
 		reply := &comm.Message{Kind: KindWinSketch, Ints: []int64{qid, 0}, Scalars: []float64{0}}

@@ -5,15 +5,8 @@
 // state checkpoints atomically to disk so a killed server restores and
 // resumes its shard without replaying the whole stream.
 //
-// Wire protocol (comm.Message kinds, all flowing over the existing TCP
-// star transport):
-//
-//	svc-announce   server→coord  Scalars [mass]                       1 word
-//	svc-delta      server→coord  Scalars [mass, Σδ], Ints [epoch], Matrix
-//	svc-replace    server→coord  same layout; block supersedes prior ones
-//	svc-threshold  coord→server  Scalars [threshold]                  1 word
-//	win-query      coord→server  Ints [qid]
-//	win-sketch     server→coord  Ints [qid, covered], Scalars [Σδ], Matrix
+// The wire protocol is six comm.Message kinds (Kind*) over the existing
+// TCP star transport; comm.Schema declares their payloads.
 //
 // Crash recovery is rebase-based, so it is exact under any message timing.
 // A restored server bumps its incarnation epoch and, before resuming
@@ -39,12 +32,12 @@ import (
 
 // Wire kinds of the service protocol.
 const (
-	KindAnnounce  = "svc-announce"
-	KindDelta     = "svc-delta"
-	KindReplace   = "svc-replace"
-	KindThreshold = "svc-threshold"
-	KindWinQuery  = "win-query"
-	KindWinSketch = "win-sketch"
+	KindAnnounce  = "svc-announce"  // server→coord: a first mass report (1 word)
+	KindDelta     = "svc-delta"     // server→coord: an upload block
+	KindReplace   = "svc-replace"   // server→coord: a block superseding the prior ones
+	KindThreshold = "svc-threshold" // coord→server: the new threshold (1 word)
+	KindWinQuery  = "win-query"     // coord→server: a window query's ID
+	KindWinSketch = "win-sketch"    // server→coord: the window sketch and its coverage
 )
 
 // Config parameterizes a service deployment (one coordinator daemon plus
